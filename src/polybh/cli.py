@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,18 +51,15 @@ from .bhverify import (
     verify_bh_multilinear,
 )
 from .dirichlet import (
-    asymptotic_formula,
     bcq_partial_sum,
     bohr_lift,
     from_json_dict as dirichlet_from_json,
     sidon_N_bounds,
-    to_json_dict as dirichlet_to_json,
 )
 from .polarization import check_harris
 from .polyalgebra import (
+    RANDOM_DISTRIBUTIONS,
     GeneralPolynomial,
-    HomogeneousPolynomial,
-    from_json_dict as poly_from_json,
     random_homogeneous,
     scale,
     to_json_dict as poly_to_json,
@@ -74,7 +74,7 @@ from .torusnorm import certified_upper
 
 DEFAULT_SEED = 123456789
 ENV_THREADS = "POLYBH_THREADS"
-DISTRIBUTIONS = ("complex-gaussian", "uniform-disc", "random-signs")
+DISTRIBUTIONS = RANDOM_DISTRIBUTIONS
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,13 +98,6 @@ def case_seed(master: int, index: int) -> int:
     """Deterministic 64-bit child seed for case ``index``."""
     state = np.random.SeedSequence(master, spawn_key=(index,)).generate_state(2)
     return int(state[0]) << 32 | int(state[1]) >> 32 & 0xFFFFFFFF
-
-
-def _run_cases(worker: Callable, indices: Sequence[int], threads: int) -> list:
-    if threads <= 1:
-        return [worker(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, indices))
 
 
 def _fmt(value) -> str:
@@ -172,124 +165,16 @@ def _threads_default() -> int:
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers (each returns (exit_code))
+# Campaigns: one random case per index, one report row per case
 # ----------------------------------------------------------------------
+#
+# Row workers take (args, case index, case seed) and look library functions
+# up at call time, so tests can substitute them on this module.
 
-def _cmd_verify_bh(args) -> int:
-    dists = DISTRIBUTIONS if args.dist == "mix" else (args.dist,)
-    mode = "certified" if args.certified else "ascent"
-
-    def worker(i: int):
-        seed = case_seed(args.seed, i)
-        dist = dists[i % len(dists)]
-        P = random_homogeneous(args.m, args.n, dist, seed=seed)
-        rep = verify_bh(P, supnorm_mode=mode, starts=args.starts, iterations=args.iters,
-                        seed=seed, grid_step=args.grid_step)
-        upper = rep.supnorm.upper if rep.supnorm.upper is not None else ""
-        return (i, args.m, args.n, dist, seed, rep.lhs, rep.supnorm.lower, upper,
-                rep.ratio, rep.rhs_constant, rep.slack, rep.verdict)
-
-    rows = _run_cases(worker, range(args.count), args.threads)
-    header = ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower",
-              "sup_upper", "ratio", "constant", "slack", "verdict")
-    _emit(_config(args, "verify-bh"), header, rows, args)
-    bad = sum(1 for r in rows if r[-1] == VIOLATED)
-    print(f"verify-bh: {len(rows)} cases, {bad} violations", file=sys.stderr)
-    return EXIT_VIOLATION if bad else EXIT_OK
-
-
-def _cmd_verify_bh_multilinear(args) -> int:
-    def worker(i: int):
-        seed = case_seed(args.seed, i)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        shape = (args.n,) * args.m
-        T = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-        rep = verify_bh_multilinear(T, starts=args.starts, iterations=args.iters, seed=seed)
-        return (i, args.m, args.n, seed, rep.lhs, rep.supnorm.lower, rep.ratio,
-                rep.rhs_constant, rep.verdict)
-
-    rows = _run_cases(worker, range(args.count), args.threads)
-    header = ("case", "m", "n", "case_seed", "lhs", "sup_lower", "ratio", "constant", "verdict")
-    _emit(_config(args, "verify-bh-multilinear"), header, rows, args)
-    bad = sum(1 for r in rows if r[-1] == VIOLATED)
-    print(f"verify-bh-multilinear: {len(rows)} cases, {bad} violations", file=sys.stderr)
-    return EXIT_VIOLATION if bad else EXIT_OK
-
-
-def _cmd_check_blei(args) -> int:
-    def worker(i: int):
-        seed = case_seed(args.seed, i)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        shape = (args.n,) * args.m
-        T = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-        rep = check_blei(T)
-        return (i, args.m, args.n, seed, rep.lhs, rep.rhs, rep.passed)
-
-    rows = _run_cases(worker, range(args.count), args.threads)
-    header = ("case", "m", "n", "case_seed", "lhs", "rhs", "passed")
-    _emit(_config(args, "check-blei"), header, rows, args)
-    bad = sum(1 for r in rows if not r[-1])
-    print(f"check-blei: {len(rows)} cases, {bad} failures", file=sys.stderr)
-    return EXIT_VIOLATION if bad else EXIT_OK
-
-
-def _cmd_check_bayart(args) -> int:
-    def worker(i: int):
-        seed = case_seed(args.seed, i)
-        P = random_homogeneous(args.m, args.n, DISTRIBUTIONS[i % 3], seed=seed)
-        rep = check_bayart(P, mc_samples=args.samples, seed=seed)
-        return (i, args.m, args.n, seed, rep.l2, rep.l1_estimate, rep.stderr,
-                rep.bound, rep.passed)
-
-    rows = _run_cases(worker, range(args.count), args.threads)
-    header = ("case", "m", "n", "case_seed", "l2", "l1_estimate", "stderr", "bound", "passed")
-    _emit(_config(args, "check-bayart"), header, rows, args)
-    flags = sum(1 for r in rows if not r[-1])
-    rate = flags / max(len(rows), 1)
-    print(f"check-bayart: {len(rows)} cases, {flags} statistical flags at 3 sigma "
-          f"({100 * rate:.2f}%)", file=sys.stderr)
-    # 3-sigma misses are expected at a sub-percent rate; a large rate means a bug.
-    return EXIT_VIOLATION if rate > 0.02 else EXIT_OK
-
-
-def _cmd_check_proof_step(args) -> int:
-    def worker(i: int):
-        seed = case_seed(args.seed, i)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        P = random_homogeneous(args.m, args.n, DISTRIBUTIONS[i % 3], seed=seed)
-        k = int(rng.integers(1, args.m + 1))
-        upper = certified_upper(P)
-        rep = check_proof_step(P, k, upper)
-        return (i, args.m, args.n, seed, k, rep.lhs, rep.bound, rep.parseval_max_rel_err,
-                rep.passed)
-
-    rows = _run_cases(worker, range(args.count), args.threads)
-    header = ("case", "m", "n", "case_seed", "slot", "lhs", "bound", "parseval_rel_err", "passed")
-    _emit(_config(args, "check-proof-step"), header, rows, args)
-    bad = sum(1 for r in rows if not r[-1])
-    print(f"check-proof-step: {len(rows)} cases, {bad} failures", file=sys.stderr)
-    return EXIT_VIOLATION if bad else EXIT_OK
-
-
-def _cmd_check_harris(args) -> int:
-    def worker(i: int):
-        seed = case_seed(args.seed, i)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        P = random_homogeneous(args.m, args.n, DISTRIBUTIONS[i % 3], seed=seed)
-        blocks = int(rng.integers(1, args.m + 1))
-        partition = rng.multinomial(args.m, [1.0 / blocks] * blocks).tolist()
-        points = [np.exp(2j * math.pi * rng.random(args.n)).tolist() for _ in partition]
-        upper = certified_upper(P)
-        rep = check_harris(P, partition, points, upper)
-        return (i, args.m, args.n, seed, "+".join(map(str, partition)), rep.value,
-                rep.bound, rep.passed)
-
-    rows = _run_cases(worker, range(args.count), args.threads)
-    header = ("case", "m", "n", "case_seed", "partition", "form_value", "bound", "passed")
-    _emit(_config(args, "check-harris"), header, rows, args)
-    bad = sum(1 for r in rows if not r[-1])
-    print(f"check-harris: {len(rows)} cases, {bad} failures", file=sys.stderr)
-    return EXIT_VIOLATION if bad else EXIT_OK
+def _random_table(m: int, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    shape = (n,) * m
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
 
 def _random_general(n: int, degree_max: int, seed: int) -> GeneralPolynomial:
@@ -302,24 +187,177 @@ def _random_general(n: int, degree_max: int, seed: int) -> GeneralPolynomial:
     return GeneralPolynomial(n, parts, a0)
 
 
-def _cmd_check_wiener(args) -> int:
-    def worker(i: int):
-        seed = case_seed(args.seed, i)
-        P = _random_general(args.n, args.degree_max, seed)
-        s = certified_upper(P) * (1.0 + 1e-9)
-        P1 = scale(P, 1.0 / s)
-        upper1 = min(1.0, certified_upper(P1))
-        rep = check_wiener(P1, upper1)
-        worst = min((p.bound - p.sup_estimate for p in rep.parts), default=math.inf)
-        return (i, args.n, seed, rep.a0_modulus, rep.bound, worst, rep.passed)
+def _row_verify_bh(args, i: int, seed: int):
+    dists = DISTRIBUTIONS if args.dist == "mix" else (args.dist,)
+    dist = dists[i % len(dists)]
+    P = random_homogeneous(args.m, args.n, dist, seed=seed)
+    rep = verify_bh(P, supnorm_mode="certified" if args.certified else "ascent",
+                    starts=args.starts, iterations=args.iters, seed=seed, grid_step=args.grid_step)
+    upper = rep.supnorm.upper if rep.supnorm.upper is not None else ""
+    return (i, args.m, args.n, dist, seed, rep.lhs, rep.supnorm.lower, upper,
+            rep.ratio, rep.rhs_constant, rep.slack, rep.verdict)
 
-    rows = _run_cases(worker, range(args.count), args.threads)
-    header = ("case", "n", "case_seed", "a0_modulus", "bound", "worst_slack", "passed")
-    _emit(_config(args, "check-wiener"), header, rows, args)
+
+def _row_verify_bh_multilinear(args, i: int, seed: int):
+    T = _random_table(args.m, args.n, seed)
+    rep = verify_bh_multilinear(T, starts=args.starts, iterations=args.iters, seed=seed)
+    return (i, args.m, args.n, seed, rep.lhs, rep.supnorm.lower, rep.ratio,
+            rep.rhs_constant, rep.verdict)
+
+
+def _row_check_blei(args, i: int, seed: int):
+    rep = check_blei(_random_table(args.m, args.n, seed))
+    return (i, args.m, args.n, seed, rep.lhs, rep.rhs, rep.passed)
+
+
+def _row_check_bayart(args, i: int, seed: int):
+    P = random_homogeneous(args.m, args.n, DISTRIBUTIONS[i % 3], seed=seed)
+    rep = check_bayart(P, mc_samples=args.samples, seed=seed)
+    return (i, args.m, args.n, seed, rep.l2, rep.l1_estimate, rep.stderr, rep.bound, rep.passed)
+
+
+def _row_check_proof_step(args, i: int, seed: int):
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    P = random_homogeneous(args.m, args.n, DISTRIBUTIONS[i % 3], seed=seed)
+    k = int(rng.integers(1, args.m + 1))
+    rep = check_proof_step(P, k, certified_upper(P))
+    return (i, args.m, args.n, seed, k, rep.lhs, rep.bound, rep.parseval_max_rel_err, rep.passed)
+
+
+def _row_check_harris(args, i: int, seed: int):
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    P = random_homogeneous(args.m, args.n, DISTRIBUTIONS[i % 3], seed=seed)
+    blocks = int(rng.integers(1, args.m + 1))
+    partition = rng.multinomial(args.m, [1.0 / blocks] * blocks).tolist()
+    points = [np.exp(2j * math.pi * rng.random(args.n)).tolist() for _ in partition]
+    rep = check_harris(P, partition, points, certified_upper(P))
+    return (i, args.m, args.n, seed, "+".join(map(str, partition)), rep.value, rep.bound, rep.passed)
+
+
+def _row_check_wiener(args, i: int, seed: int):
+    P = _random_general(args.n, args.degree_max, seed)
+    s = certified_upper(P) * (1.0 + 1e-9)
+    P1 = scale(P, 1.0 / s)
+    rep = check_wiener(P1, min(1.0, certified_upper(P1)))
+    worst = min((p.bound - p.sup_estimate for p in rep.parts), default=math.inf)
+    return (i, args.n, seed, rep.a0_modulus, rep.bound, worst, rep.passed)
+
+
+def _row_random_campaign(args, i: int, seed: int):
+    pairs = [(m, n) for m in args.m_set for n in args.n_set]
+    m, n = pairs[i // args.count]
+    dist = DISTRIBUTIONS[i % 3]
+    P = random_homogeneous(m, n, dist, seed=seed)
+    rep = verify_bh(P, starts=args.starts, iterations=args.iters, seed=seed)
+    return (i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
+
+
+def _violations(rows) -> tuple[str, bool]:
+    bad = sum(1 for r in rows if r[-1] == VIOLATED)
+    return f"{bad} violations", bad > 0
+
+
+def _failures(rows) -> tuple[str, bool]:
     bad = sum(1 for r in rows if not r[-1])
-    print(f"check-wiener: {len(rows)} cases, {bad} failures", file=sys.stderr)
-    return EXIT_VIOLATION if bad else EXIT_OK
+    return f"{bad} failures", bad > 0
 
+
+def _bayart_flags(rows) -> tuple[str, bool]:
+    flags = sum(1 for r in rows if not r[-1])
+    rate = flags / max(len(rows), 1)
+    # 3-sigma misses are expected at a sub-percent rate; a large rate means a bug.
+    return f"{flags} statistical flags at 3 sigma ({100 * rate:.2f}%)", rate > 0.02
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """A campaign subcommand described as data.
+
+    ``row(args, i, seed)`` computes the report row of case i for
+    ``cases(args)`` cases; ``judge(rows)`` returns the stderr summary and
+    whether the run failed.  Every campaign takes --count (default
+    ``count``), --seed, --out, --format and --threads, the required --m and
+    --n when ``mn`` is set, and the extra ``options`` as (flag,
+    add_argument keywords) pairs.
+    """
+
+    name: str
+    help: str
+    header: tuple[str, ...]
+    row: Callable
+    judge: Callable
+    count: int
+    options: tuple = ()
+    mn: bool = True
+    cases: Callable = operator.attrgetter("count")
+    count_help: str | None = None
+
+
+CAMPAIGNS = (
+    Campaign("verify-bh", "campaign of hypercontractive coefficient checks",
+             ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "sup_upper",
+              "ratio", "constant", "slack", "verdict"),
+             _row_verify_bh, _violations, 100,
+             (("--dist", dict(choices=DISTRIBUTIONS + ("mix",), default="mix")),
+              ("--starts", dict(type=int, default=None)),
+              ("--iters", dict(type=int, default=200)),
+              ("--certified", dict(action="store_true",
+                                   help="bracket the sup norm on a Bernstein grid (small n only)")),
+              ("--grid-step", dict(type=float, default=None)))),
+    Campaign("verify-bh-multilinear", "multilinear inequality campaign",
+             ("case", "m", "n", "case_seed", "lhs", "sup_lower", "ratio", "constant", "verdict"),
+             _row_verify_bh_multilinear, _violations, 100,
+             (("--starts", dict(type=int, default=8)), ("--iters", dict(type=int, default=100)))),
+    Campaign("check-blei", "Blei interpolation bound on random tables",
+             ("case", "m", "n", "case_seed", "lhs", "rhs", "passed"),
+             _row_check_blei, _failures, 1000),
+    Campaign("check-bayart", "L1-L2 hypercontractive comparison (Monte Carlo)",
+             ("case", "m", "n", "case_seed", "l2", "l1_estimate", "stderr", "bound", "passed"),
+             _row_check_bayart, _bayart_flags, 100,
+             (("--samples", dict(type=int, default=10**5)),)),
+    Campaign("check-proof-step", "slotwise polarization estimate",
+             ("case", "m", "n", "case_seed", "slot", "lhs", "bound", "parseval_rel_err", "passed"),
+             _row_check_proof_step, _failures, 100),
+    Campaign("check-harris", "polarization bound at repeated arguments",
+             ("case", "m", "n", "case_seed", "partition", "form_value", "bound", "passed"),
+             _row_check_harris, _failures, 100),
+    Campaign("check-wiener", "homogeneous-part bound for sup-norm-1 polynomials",
+             ("case", "n", "case_seed", "a0_modulus", "bound", "worst_slack", "passed"),
+             _row_check_wiener, _failures, 50,
+             (("--n", dict(type=int, default=2)), ("--degree-max", dict(type=int, default=5))),
+             mn=False),
+    Campaign("random-campaign", "verify-bh sweep over (m, n) grids",
+             ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "ratio",
+              "constant", "verdict"),
+             _row_random_campaign, _violations, 10,
+             (("--m-set", dict(type=int, nargs="+", default=[2, 3, 4, 5])),
+              ("--n-set", dict(type=int, nargs="+", default=[2, 3, 4, 5, 6])),
+              ("--starts", dict(type=int, default=4)),
+              ("--iters", dict(type=int, default=80))),
+             mn=False, cases=lambda args: len(args.m_set) * len(args.n_set) * args.count,
+             count_help="cases per (m, n) pair"),
+)
+
+
+def _run_campaign(campaign: Campaign, args) -> int:
+    def worker(i: int):
+        return campaign.row(args, i, case_seed(args.seed, i))
+
+    indices = range(campaign.cases(args))
+    if args.threads <= 1:
+        rows = [worker(i) for i in indices]
+    else:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            rows = list(pool.map(worker, indices))
+    _emit(_config(args, campaign.name), campaign.header, rows, args)
+    summary, failed = campaign.judge(rows)
+    print(f"{campaign.name}: {len(rows)} cases, {summary}", file=sys.stderr)
+    return EXIT_VIOLATION if failed else EXIT_OK
+
+
+# ----------------------------------------------------------------------
+# Single-shot subcommand handlers (each returns an exit code)
+# ----------------------------------------------------------------------
 
 def _cmd_sidon_mn(args) -> int:
     bounds = sidon_lower_search(args.m, args.n, budget=args.budget, seed=args.seed,
@@ -415,41 +453,14 @@ def _cmd_constants_table(args) -> int:
     return EXIT_OK
 
 
-def _cmd_random_campaign(args) -> int:
-    cases = []
-    for m in args.m_set:
-        for n in args.n_set:
-            for _ in range(args.count):
-                cases.append((m, n))
-
-    def worker(i: int):
-        m, n = cases[i]
-        seed = case_seed(args.seed, i)
-        dist = DISTRIBUTIONS[i % 3]
-        P = random_homogeneous(m, n, dist, seed=seed)
-        rep = verify_bh(P, starts=args.starts, iterations=args.iters, seed=seed)
-        return (i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio,
-                rep.rhs_constant, rep.verdict)
-
-    rows = _run_cases(worker, range(len(cases)), args.threads)
-    header = ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower",
-              "ratio", "constant", "verdict")
-    _emit(_config(args, "random-campaign"), header, rows, args)
-    bad = sum(1 for r in rows if r[-1] == VIOLATED)
-    print(f"random-campaign: {len(rows)} cases, {bad} violations", file=sys.stderr)
-    return EXIT_VIOLATION if bad else EXIT_OK
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
 
-def _add_common(p: _Parser, *, campaign: bool = False) -> None:
+def _add_common(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=str, default=None, help="report file (stdout if omitted)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    if campaign:
-        p.add_argument("--threads", type=int, default=_threads_default())
 
 
 def build_parser() -> _Parser:
@@ -458,63 +469,17 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-bh", help="campaign of hypercontractive coefficient checks")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--dist", choices=DISTRIBUTIONS + ("mix",), default="mix")
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--certified", action="store_true",
-                   help="bracket the sup norm on a Bernstein grid (small n only)")
-    p.add_argument("--grid-step", type=float, default=None)
-    _add_common(p, campaign=True)
-    p.set_defaults(func=_cmd_verify_bh)
-
-    p = sub.add_parser("verify-bh-multilinear", help="multilinear inequality campaign")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--starts", type=int, default=8)
-    p.add_argument("--iters", type=int, default=100)
-    _add_common(p, campaign=True)
-    p.set_defaults(func=_cmd_verify_bh_multilinear)
-
-    p = sub.add_parser("check-blei", help="Blei interpolation bound on random tables")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1000)
-    _add_common(p, campaign=True)
-    p.set_defaults(func=_cmd_check_blei)
-
-    p = sub.add_parser("check-bayart", help="L1-L2 hypercontractive comparison (Monte Carlo)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--samples", type=int, default=10**5)
-    _add_common(p, campaign=True)
-    p.set_defaults(func=_cmd_check_bayart)
-
-    p = sub.add_parser("check-proof-step", help="slotwise polarization estimate")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
-    _add_common(p, campaign=True)
-    p.set_defaults(func=_cmd_check_proof_step)
-
-    p = sub.add_parser("check-harris", help="polarization bound at repeated arguments")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=100)
-    _add_common(p, campaign=True)
-    p.set_defaults(func=_cmd_check_harris)
-
-    p = sub.add_parser("check-wiener", help="homogeneous-part bound for sup-norm-1 polynomials")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--degree-max", type=int, default=5)
-    _add_common(p, campaign=True)
-    p.set_defaults(func=_cmd_check_wiener)
+    for campaign in CAMPAIGNS:
+        p = sub.add_parser(campaign.name, help=campaign.help)
+        if campaign.mn:
+            p.add_argument("--m", type=int, required=True)
+            p.add_argument("--n", type=int, required=True)
+        p.add_argument("--count", type=int, default=campaign.count, help=campaign.count_help)
+        for flag, kwargs in campaign.options:
+            p.add_argument(flag, **kwargs)
+        _add_common(p)
+        p.add_argument("--threads", type=int, default=_threads_default())
+        p.set_defaults(func=functools.partial(_run_campaign, campaign))
 
     p = sub.add_parser("sidon-mn", help="Sidon constant bracket for degree-m monomials")
     p.add_argument("--m", type=int, required=True)
@@ -563,15 +528,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m-max", type=int, default=20)
     _add_common(p)
     p.set_defaults(func=_cmd_constants_table)
-
-    p = sub.add_parser("random-campaign", help="verify-bh sweep over (m, n) grids")
-    p.add_argument("--m-set", type=int, nargs="+", default=[2, 3, 4, 5])
-    p.add_argument("--n-set", type=int, nargs="+", default=[2, 3, 4, 5, 6])
-    p.add_argument("--count", type=int, default=10, help="cases per (m, n) pair")
-    p.add_argument("--starts", type=int, default=4)
-    p.add_argument("--iters", type=int, default=80)
-    _add_common(p, campaign=True)
-    p.set_defaults(func=_cmd_random_campaign)
 
     return parser
 

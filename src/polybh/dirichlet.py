@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .indexcore import exponent_to_index
-from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial
+from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, _finite, _json_field, monomials
 from .torusnorm import SupNormEstimate, sup_lower
 
 __all__ = [
@@ -54,7 +54,8 @@ BRUTE_N_MAX = 8
 
 @dataclass(frozen=True)
 class DirichletPolynomial:
-    """Finite Dirichlet polynomial sum_{n<=N} a_n n^{-s} as a sparse table."""
+    """Finite Dirichlet polynomial sum_{n<=N} a_n n^{-s} as a sparse table
+    (exact zeros dropped, non-finite coefficients rejected)."""
 
     N: int
     coeffs: Mapping[int, complex] = field(default_factory=dict)
@@ -67,7 +68,7 @@ class DirichletPolynomial:
             nn = int(key)
             if not 1 <= nn <= self.N:
                 raise ValueError(f"frequency index {nn} outside 1..{self.N}")
-            c = complex(value)
+            c = _finite(value)
             if c != 0:
                 clean[nn] = c
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
@@ -154,9 +155,15 @@ def dirichlet_l1(Q: DirichletPolynomial) -> float:
     return math.fsum(abs(c) for c in Q.coeffs.values())
 
 
+def _line_values(Q: DirichletPolynomial, ts: np.ndarray) -> np.ndarray:
+    logs = np.array([math.log(nn) for nn in Q.coeffs])
+    cs = np.array(list(Q.coeffs.values()), dtype=np.complex128)
+    return monomials(-ts[:, None], logs[:, None]) @ cs
+
+
 def evaluate_line(Q: DirichletPolynomial, t: float) -> complex:
     """Q(it) = sum a_n n^{-it} = sum a_n e^{-i t log n}."""
-    return complex(sum(c * np.exp(-1j * t * math.log(nn)) for nn, c in Q.coeffs.items()))
+    return complex(_line_values(Q, np.array([float(t)]))[0])
 
 
 def dirichlet_sup(
@@ -178,12 +185,7 @@ def dirichlet_sup(
     lift = bohr_lift(Q)
     est = sup_lower(lift.poly, starts=starts, iterations=iterations, seed=seed)
     ts = np.linspace(0.0, t_scan_max, t_scan_points)
-    if Q.coeffs:
-        logs = np.array([math.log(nn) for nn in Q.coeffs])
-        cs = np.array(list(Q.coeffs.values()), dtype=np.complex128)
-        scan = float(np.max(np.abs(np.exp(-1j * np.outer(ts, logs)) @ cs)))
-    else:
-        scan = 0.0
+    scan = float(np.max(np.abs(_line_values(Q, ts))))
     lower = max(est.lower, scan)
     meta = dict(est.method)
     meta.update({
@@ -373,8 +375,10 @@ def to_json_dict(Q: DirichletPolynomial) -> dict:
 
 
 def from_json_dict(data: Mapping) -> DirichletPolynomial:
+    """Inverse of :func:`to_json_dict`; a missing key raises ValueError naming it."""
+    N = int(_json_field(data, "N"))
     coeffs: dict[int, complex] = {}
     for term in data.get("terms", []):
-        nn = int(term["n"])
-        coeffs[nn] = coeffs.get(nn, 0j) + complex(term["re"], term.get("im", 0.0))
-    return DirichletPolynomial(int(data["N"]), coeffs)
+        nn = int(_json_field(term, "n"))
+        coeffs[nn] = coeffs.get(nn, 0j) + complex(_json_field(term, "re"), term.get("im", 0.0))
+    return DirichletPolynomial(N, coeffs)

@@ -32,7 +32,6 @@ __all__ = [
     "enumerate_J",
     "iter_J",
     "canonical",
-    "is_canonical",
     "multiplicity",
     "remove_coordinate",
     "index_to_exponent",
@@ -72,10 +71,6 @@ def enumerate_J(m: int, n: int) -> list[MultiIndex]:
 def canonical(i: Sequence[int]) -> MultiIndex:
     """The nondecreasing representative of the permutation class of ``i``."""
     return tuple(sorted(i))
-
-
-def is_canonical(i: Sequence[int]) -> bool:
-    return all(a <= b for a, b in zip(i, i[1:]))
 
 
 def multiplicity(i: Sequence[int]) -> int:

@@ -20,9 +20,11 @@ therefore independent of summation order.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -48,11 +50,25 @@ __all__ = [
     "add",
     "scale",
     "term_arrays",
+    "monomials",
     "to_json_dict",
     "from_json_dict",
 ]
 
 RANDOM_DISTRIBUTIONS = ("complex-gaussian", "uniform-disc", "random-signs")
+
+
+def _finite(value) -> complex:
+    c = complex(value)
+    if not cmath.isfinite(c):
+        raise ValueError(f"coefficient {c} is not finite")
+    return c
+
+
+def _read_only(A: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    A.setflags(write=False)
+    c.setflags(write=False)
+    return A, c
 
 
 @dataclass(frozen=True)
@@ -61,8 +77,9 @@ class HomogeneousPolynomial:
 
     ``coeffs`` may be keyed by arbitrary multi-indices; keys are canonicalized
     (sorted) on construction and coefficients of equivalent keys are merged.
-    Exact zeros are dropped, so the zero polynomial has an empty table.
-    Instances are immutable after construction.
+    Exact zeros are dropped, so the zero polynomial has an empty table, and
+    non-finite coefficients are rejected.  Instances are immutable after
+    construction.
     """
 
     m: int
@@ -81,7 +98,7 @@ class HomogeneousPolynomial:
             if c != 0:
                 j = canonical(idx)
                 merged[j] = merged.get(j, 0j) + c
-        merged = {j: c for j, c in merged.items() if c != 0}
+        merged = {j: _finite(c) for j, c in merged.items() if c != 0}
         object.__setattr__(self, "coeffs", merged)
 
     def coeff(self, i: Sequence[int]) -> complex:
@@ -91,8 +108,12 @@ class HomogeneousPolynomial:
             raise ValueError(f"index {idx} has degree {len(idx)}, expected {self.m}")
         return self.coeffs.get(canonical(idx), 0j)
 
-    def support(self) -> list[MultiIndex]:
-        return sorted(self.coeffs)
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        support = sorted(self.coeffs)
+        A = np.array([index_to_exponent(j, self.n) for j in support], dtype=np.int64)
+        c = np.array([self.coeffs[j] for j in support], dtype=np.complex128)
+        return _read_only(A.reshape(len(support), self.n), c)
 
     def __call__(self, z: Sequence[complex]) -> complex:
         return evaluate(self, z)
@@ -122,15 +143,16 @@ class GeneralPolynomial:
             if part.coeffs:
                 clean[m] = part
         object.__setattr__(self, "parts", dict(sorted(clean.items())))
-        object.__setattr__(self, "a0", complex(self.a0))
+        object.__setattr__(self, "a0", _finite(self.a0))
 
-    def part(self, m: int) -> HomogeneousPolynomial:
-        if m in self.parts:
-            return self.parts[m]
-        return HomogeneousPolynomial(m, max(self.n, 1), {})
-
-    def degrees(self) -> list[int]:
-        return list(self.parts)
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        blocks = [part._arrays for part in self.parts.values()]
+        if self.a0 != 0:
+            blocks.insert(0, (np.zeros((1, self.n), dtype=np.int64), np.array([self.a0])))
+        A = np.concatenate([a for a, _ in blocks] + [np.zeros((0, self.n), dtype=np.int64)])
+        c = np.concatenate([c for _, c in blocks] + [np.zeros(0, dtype=np.complex128)])
+        return _read_only(A, c)
 
     def __call__(self, z: Sequence[complex]) -> complex:
         return evaluate(self, z)
@@ -173,28 +195,26 @@ def evaluate(P: Polynomial, z: Sequence[complex]) -> complex:
     return total
 
 
-def _abs_coeffs(P: HomogeneousPolynomial) -> list[float]:
-    return [abs(c) for c in P.coeffs.values()]
-
-
 def coeff_norm(P: HomogeneousPolynomial, p) -> float:
     """ell^p norm of the coefficient family over J(m, n).
 
     One entry per monomial; p = inf gives the max modulus and p = 1 the
     coefficient sum |||P|||_1.  ``p`` may be any positive real (fractions
-    accepted).
+    accepted).  Moduli are divided by the largest one before powering, so
+    the norm neither overflows nor underflows unless its value does.
     """
     pf = float(p)
     if not pf > 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    values = _abs_coeffs(P)
+    values = [abs(c) for c in P.coeffs.values()]
     if not values:
         return 0.0
+    top = max(values)
     if math.isinf(pf):
-        return max(values)
+        return top
     if pf == 1.0:
         return math.fsum(values)
-    return math.fsum(v**pf for v in values) ** (1.0 / pf)
+    return top * math.fsum((v / top) ** pf for v in values) ** (1.0 / pf)
 
 
 def l2_torus_norm(P: HomogeneousPolynomial) -> float:
@@ -212,25 +232,18 @@ def term_arrays(P: Polynomial) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(A, c)`` with A of shape (K, n) holding exponent vectors (a zero
     row for the constant term of a general polynomial) and c of shape (K,)
     the matching complex coefficients.  Row order is deterministic: ascending
-    degree, then lexicographic in the stored canonical indices.
+    degree, then lexicographic in the stored canonical indices.  The arrays
+    are built once per polynomial, cached on it and read-only.
     """
-    n = P.n
-    rows: list[tuple[int, ...]] = []
-    cs: list[complex] = []
-    if isinstance(P, GeneralPolynomial):
-        if P.a0 != 0:
-            rows.append((0,) * n)
-            cs.append(P.a0)
-        homparts: Iterable[HomogeneousPolynomial] = P.parts.values()
-    else:
-        homparts = (P,)
-    for part in homparts:
-        for j in sorted(part.coeffs):
-            rows.append(index_to_exponent(j, n))
-            cs.append(part.coeffs[j])
-    A = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    c = np.array(cs, dtype=np.complex128)
-    return A, c
+    return P._arrays
+
+
+def monomials(theta: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """e^{i theta . alpha} for points theta of shape (..., d) and frequency rows
+    alpha of ``freqs`` (K, d), shape (..., K): ``monomials(theta, A) @ c``
+    evaluates P at e^{i theta}, and real frequencies log n with theta = -t
+    evaluate a Dirichlet polynomial on the line s = it."""
+    return np.exp(1j * (theta @ freqs.T))
 
 
 def l1_torus_norm_mc(
@@ -261,7 +274,7 @@ def l1_torus_norm_mc(
         theta = rng.random((count, n)) * (2.0 * math.pi)
         if len(c) == 0:
             return 0.0, 0.0
-        vals = np.exp(1j * (theta @ A.T)) @ c
+        vals = monomials(theta, A) @ c
         av = np.abs(vals)
         return float(av.sum()), float((av * av).sum())
 
@@ -398,28 +411,38 @@ def to_json_dict(P: Polynomial) -> dict:
     }
 
 
+def _json_field(data, key: str):
+    """``data[key]`` for a parsed JSON object, as a ValueError naming the key if absent."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object with key {key!r}, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"JSON object is missing key {key!r}")
+    return data[key]
+
+
 def from_json_dict(data: Mapping) -> Polynomial:
     """Inverse of :func:`to_json_dict`."""
-    kind = data.get("kind")
+    kind = _json_field(data, "kind")
     if kind == "homogeneous":
-        m, n = int(data["m"]), int(data["n"])
+        m, n = int(_json_field(data, "m")), int(_json_field(data, "n"))
         coeffs: dict[MultiIndex, complex] = {}
-        for term in data["terms"]:
-            alpha = tuple(int(a) for a in term["alpha"])
+        for term in _json_field(data, "terms"):
+            alpha = tuple(int(a) for a in _json_field(term, "alpha"))
             if len(alpha) != n:
                 raise ValueError(f"exponent vector {alpha} has length {len(alpha)}, expected {n}")
             if sum(alpha) != m:
                 raise ValueError(f"exponent vector {alpha} has degree {sum(alpha)}, expected {m}")
             j = exponent_to_index(alpha)
-            coeffs[j] = coeffs.get(j, 0j) + complex(term["re"], term.get("im", 0.0))
+            coeffs[j] = coeffs.get(j, 0j) + complex(_json_field(term, "re"), term.get("im", 0.0))
         return HomogeneousPolynomial(m, n, coeffs)
     if kind == "general":
-        n = int(data["n"])
+        n = int(_json_field(data, "n"))
         a0d = data.get("a0", {"re": 0.0, "im": 0.0})
         parts: dict[int, HomogeneousPolynomial] = {}
         for pd in data.get("parts", []):
             part = from_json_dict(pd)
-            assert isinstance(part, HomogeneousPolynomial)
+            if not isinstance(part, HomogeneousPolynomial):
+                raise ValueError("parts of a general polynomial must be homogeneous")
             parts[part.m] = part
-        return GeneralPolynomial(n, parts, complex(a0d["re"], a0d.get("im", 0.0)))
+        return GeneralPolynomial(n, parts, complex(_json_field(a0d, "re"), a0d.get("im", 0.0)))
     raise ValueError(f"unknown polynomial kind {kind!r}")

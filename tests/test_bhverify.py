@@ -123,6 +123,12 @@ class TestVerifyBH:
         with pytest.raises(ValueError):
             verify_bh(HomogeneousPolynomial(1, 2, {(1,): 1.0}))
 
+    def test_nan_coefficient_never_reaches_a_bound(self):
+        # A NaN coefficient used to come back as a negative certified upper bound.
+        with pytest.raises(ValueError, match="not finite"):
+            verify_bh(HomogeneousPolynomial(2, 2, {(1, 1): 1.0, (1, 2): math.nan}),
+                      supnorm_mode="certified")
+
     def test_power_sum_family_closed_form(self):
         # P = sum z_k^m has ratio n^{-(m-1)/(2m)}.
         for m, n in product((2, 3, 4), (2, 3, 4, 5, 6)):

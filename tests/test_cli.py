@@ -27,6 +27,29 @@ class TestExitCodes:
     def test_missing_input_file(self, capsys, tmp_path):
         assert run(["lift", "--input", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "command, data, key",
+        [
+            (["lift"], {"terms": [{"n": 2, "re": 1.0}]}, "N"),
+            (["lift"], {"N": 4, "terms": [{"re": 1.0}]}, "n"),
+            (["bcq-sum", "--c", "0.5"], {"N": 4, "terms": [{"n": 4, "im": 1.0}]}, "re"),
+        ],
+    )
+    def test_malformed_json_is_an_error_line(self, command, data, key, tmp_path, capsys):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps(data))
+        assert run(command + ["--input", str(q)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+
+    def test_nan_coefficient_is_an_error_line(self, tmp_path, capsys):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"N": 4, "terms": [{"n": 4, "re": math.nan}]}))
+        out = tmp_path / "bcq.json"
+        assert run(["bcq-sum", "--input", str(q), "--c", "0.5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_violation_maps_to_exit_2(self, monkeypatch, tmp_path, capsys):
         # The verdict discipline makes honest violations unreachable, so the
         # exit-code wiring is tested with a stubbed verifier.

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -143,9 +144,11 @@ class TestDirichletSup:
             est = dirichlet_sup(Q, seed=case)
             assert est.method["line_scan_max"] <= est.method["torus_ascent"] * (1 + 1e-6)
             assert est.lower >= est.method["torus_ascent"]
-            # spot-check raw line values as well
+            # spot-check raw line values as well, against the explicit sum
             t = float(rng.uniform(0, 50))
             assert abs(evaluate_line(Q, t)) <= est.lower * (1 + 1e-9)
+            direct = sum(c * cmath.exp(-1j * t * math.log(k)) for k, c in Q.coeffs.items())
+            assert abs(evaluate_line(Q, t) - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
 class TestSidonN:
@@ -240,3 +243,16 @@ class TestJson:
     def test_index_bounds(self):
         with pytest.raises(ValueError):
             DirichletPolynomial(5, {6: 1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            DirichletPolynomial(5, {2: 1.0, 3: bad})
+
+    def test_missing_keys_named(self):
+        with pytest.raises(ValueError, match="'N'"):
+            from_json_dict({"terms": [{"n": 2, "re": 1.0}]})
+        with pytest.raises(ValueError, match="'n'"):
+            from_json_dict({"N": 3, "terms": [{"re": 1.0}]})
+        with pytest.raises(ValueError, match="'re'"):
+            from_json_dict({"N": 3, "terms": [{"n": 2, "im": 1.0}]})

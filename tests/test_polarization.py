@@ -51,6 +51,11 @@ class TestPolarize:
         with pytest.raises(ValueError):
             SymmetricForm.from_coefficients(2, 2, {(1, 2): 0.5, (2, 1): 0.7})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_from_coefficients_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            SymmetricForm.from_coefficients(2, 2, {(1, 2): bad, (2, 1): bad})
+
     def test_zero_form(self):
         B = polarize(HomogeneousPolynomial(3, 3, {}))
         assert restrict_diagonal(B).coeffs == {}

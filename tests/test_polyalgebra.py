@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polybh.indexcore import index_to_exponent
 from polybh.polyalgebra import (
     GeneralPolynomial,
     HomogeneousPolynomial,
@@ -18,6 +19,7 @@ from polybh.polyalgebra import (
     majorant_sum,
     random_homogeneous,
     scale,
+    term_arrays,
     to_json_dict,
 )
 
@@ -46,6 +48,40 @@ class TestConstruction:
     def test_general_parts_validated(self):
         with pytest.raises(ValueError):
             GeneralPolynomial(2, {3: HomogeneousPolynomial(2, 2, {(1, 1): 1.0})})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            HomogeneousPolynomial(2, 2, {(1, 1): 1.0, (1, 2): bad})
+        with pytest.raises(ValueError, match="not finite"):
+            GeneralPolynomial(2, {2: Z1Z2}, a0=bad)
+
+    def test_merged_overflow_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            HomogeneousPolynomial(2, 2, {(1, 2): 1e308, (2, 1): 1e308})
+
+
+class TestTermArrays:
+    def test_cached_read_only_and_equal_to_fresh_build(self):
+        P = random_homogeneous(3, 4, "complex-gaussian", seed=2)
+        A, c = term_arrays(P)
+        assert term_arrays(P)[0] is A and term_arrays(P)[1] is c
+        assert not A.flags.writeable and not c.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 7
+        support = sorted(P.coeffs)
+        np.testing.assert_array_equal(A, [index_to_exponent(j, P.n) for j in support])
+        np.testing.assert_array_equal(c, [P.coeffs[j] for j in support])
+
+    def test_general_rows_constant_then_ascending_degree(self):
+        P1 = HomogeneousPolynomial(1, 2, {(2,): 2.0, (1,): 1.0})
+        G = GeneralPolynomial(2, {2: Z1Z2, 1: P1}, a0=5.0)
+        A, c = term_arrays(G)
+        np.testing.assert_array_equal(A, [[0, 0], [1, 0], [0, 1], [1, 1]])
+        np.testing.assert_array_equal(c, [5.0, 1.0, 2.0, 1.0])
+        assert not A.flags.writeable and not c.flags.writeable
+        A0, c0 = term_arrays(GeneralPolynomial(2, {1: P1}))
+        assert A0.shape == (2, 2) and list(c0) == [1.0, 2.0]
 
 
 class TestEvaluate:
@@ -114,6 +150,14 @@ class TestCoeffNorm:
         Z = HomogeneousPolynomial(2, 2, {})
         assert coeff_norm(Z, 4 / 3) == 0.0
         assert coeff_norm(Z, math.inf) == 0.0
+
+    @pytest.mark.parametrize("p", [0.7, 1, 4 / 3, 2, 7, math.inf])
+    def test_no_overflow_near_double_max(self, p):
+        P = HomogeneousPolynomial(2, 2, {(1, 1): 0.3, (1, 2): 0.4j, (2, 2): -0.25})
+        big = coeff_norm(scale(P, 1e308), p)
+        assert big == pytest.approx(1e308 * coeff_norm(P, p), rel=1e-12)
+        tiny = coeff_norm(scale(P, 1e-300), p)
+        assert tiny == pytest.approx(1e-300 * coeff_norm(P, p), rel=1e-12)
 
 
 class TestL2TorusNorm:
@@ -286,3 +330,21 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             from_json_dict({"kind": "rational"})
+
+    @pytest.mark.parametrize("key", ["kind", "m", "n", "terms"])
+    def test_missing_key_named(self, key):
+        data = to_json_dict(Z1Z2)
+        del data[key]
+        with pytest.raises(ValueError, match=repr(key)):
+            from_json_dict(data)
+
+    @pytest.mark.parametrize("key", ["alpha", "re"])
+    def test_missing_term_key_named(self, key):
+        data = to_json_dict(Z1Z2)
+        del data["terms"][0][key]
+        with pytest.raises(ValueError, match=repr(key)):
+            from_json_dict(data)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            from_json_dict([1, 2])

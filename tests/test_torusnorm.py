@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polybh.polyalgebra import (
+    RANDOM_DISTRIBUTIONS,
     GeneralPolynomial,
     HomogeneousPolynomial,
     coeff_norm,
     evaluate,
+    monomials,
     random_homogeneous,
     scale,
+    term_arrays,
 )
 from polybh.torusnorm import (
     BudgetExceededError,
+    _grid_blocks,
     as_dense_form,
     certified_upper,
     sup_certified,
@@ -136,6 +141,40 @@ class TestSupCertified:
         est = sup_certified(P, 0.05, max_evaluations=10_000)
         assert est.method["evaluations"] <= 200
         assert est.lower == pytest.approx(1.0, abs=1e-12)
+
+
+SMALL_PAIRS = [(m, n) for m in range(1, 10) for n in range(1, 10) if m * n <= 9]
+
+
+class TestFFTGrid:
+    @given(st.sampled_from(SMALL_PAIRS), st.sampled_from(RANDOM_DISTRIBUTIONS),
+           st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_grid_values_match_direct_sum(self, pair, dist, seed, extra):
+        m, n = pair
+        L = m + extra  # every exponent is at most m < L: no aliasing
+        assume(L**n <= 100_000)
+        P = random_homogeneous(m, n, dist, seed=seed)
+        A, c = term_arrays(P)
+        fft = np.concatenate([V for _, V in _grid_blocks(A, c, L)]).ravel()
+        axes = np.meshgrid(*[np.arange(L) * (2 * math.pi / L)] * n, indexing="ij")
+        nodes = np.stack(axes, axis=-1).reshape(-1, n)
+        direct = monomials(nodes, A) @ c
+        assert np.abs(fft - direct).max() <= 1e-12 * np.abs(c).sum()
+
+    @given(st.sampled_from(SMALL_PAIRS), st.sampled_from(RANDOM_DISTRIBUTIONS),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_upper_brackets_ascent(self, pair, dist, seed):
+        m, n = pair
+        P = random_homogeneous(m, n, dist, seed=seed)
+        try:
+            est = sup_certified(P, 1.9 / (n * m), max_evaluations=2_000_000)
+        except BudgetExceededError:
+            return  # degree-one forms in six or more variables: grid too large here
+        low = sup_lower(P, starts=4, iterations=80, seed=seed % 1000).lower
+        assert est.upper >= low * (1 - 1e-12)
+        assert est.lower == pytest.approx(abs(evaluate(P, np.exp(1j * est.argmax))), rel=1e-12)
 
 
 class TestCertifiedUpper:
