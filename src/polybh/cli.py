@@ -65,6 +65,7 @@ from .polyalgebra import (
     to_json_dict as poly_to_json,
 )
 from .sidonbohr import (
+    SEARCH_STRATEGIES,
     bohr_estimate_small,
     bohr_lower,
     check_wiener,
@@ -95,7 +96,9 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------------------
 
 def case_seed(master: int, index: int) -> int:
-    """Deterministic 64-bit child seed for case ``index``."""
+    """Deterministic child seed for case ``index``: the first uint32 word of the
+    spawned state, shifted up 32 bits.  The low 32 bits are always zero (the
+    second word is shifted out); reports depend on the values, so they stay."""
     state = np.random.SeedSequence(master, spawn_key=(index,)).generate_state(2)
     return int(state[0]) << 32 | int(state[1]) >> 32 & 0xFFFFFFFF
 
@@ -457,10 +460,10 @@ def _cmd_constants_table(args) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
-def _add_common(p: _Parser) -> None:
+def _add_common(p: _Parser, formats: tuple[str, ...] = ("json", "csv")) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=str, default=None, help="report file (stdout if omitted)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=formats, default="json")
 
 
 def build_parser() -> _Parser:
@@ -485,8 +488,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--strategy", choices=("random-sign", "gaussian", "coordinate-ascent"),
-                   default="random-sign")
+    p.add_argument("--strategy", choices=SEARCH_STRATEGIES, default="random-sign")
     p.add_argument("--certified", action="store_true")
     p.add_argument("--witness-out", type=str, default=None)
     _add_common(p)
@@ -506,7 +508,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lift", help="Bohr lift of a Dirichlet polynomial JSON file")
     p.add_argument("--input", type=str, required=True)
-    _add_common(p)
+    _add_common(p, formats=("json",))  # a lift is a polynomial, written as JSON only
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("sidon-N", help="Sidon constant of {log n : n <= N}")

@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .indexcore import exponent_to_index
-from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, _finite, _json_field, monomials
+from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, _finite, _json_complex, _json_field, monomials
 from .torusnorm import SupNormEstimate, sup_lower
 
 __all__ = [
@@ -375,10 +375,11 @@ def to_json_dict(Q: DirichletPolynomial) -> dict:
 
 
 def from_json_dict(data: Mapping) -> DirichletPolynomial:
-    """Inverse of :func:`to_json_dict`; a missing key raises ValueError naming it."""
-    N = int(_json_field(data, "N"))
+    """Inverse of :func:`to_json_dict`; a missing key or a value of the wrong
+    JSON type raises ValueError naming the key."""
+    N = _json_field(data, "N", "integer")
     coeffs: dict[int, complex] = {}
-    for term in data.get("terms", []):
-        nn = int(_json_field(term, "n"))
-        coeffs[nn] = coeffs.get(nn, 0j) + complex(_json_field(term, "re"), term.get("im", 0.0))
+    for term in _json_field(data, "terms", "list", []):
+        nn = _json_field(term, "n", "integer")
+        coeffs[nn] = coeffs.get(nn, 0j) + _json_complex(term)
     return DirichletPolynomial(N, coeffs)

@@ -12,7 +12,10 @@ where |j| is the number of distinct rearrangements of j, and the form is
 
 A form is stored through its diagonal polynomial (the c_j table); b values
 are produced on access.  This makes restrict_diagonal(polarize(P)) == P an
-exact identity, not a floating-point round trip.
+exact identity, not a floating-point round trip.  B is evaluated through P
+by the polarization formula
+
+    B(w_1, ..., w_m) = (2^m m!)^{-1} sum_{eps in {+-1}^m} eps_1...eps_m P(eps_1 w_1 + ... + eps_m w_m).
 
 Harris' polarization estimate bounds the form at grouped repeated arguments:
 for a partition m = m_1 + ... + m_k and points w_1, ..., w_k in the closed
@@ -29,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .indexcore import canonical, multiplicity, validate_index
-from .polyalgebra import HomogeneousPolynomial
+from .polyalgebra import HomogeneousPolynomial, evaluate_points, term_arrays
+from .polyalgebra import from_json_dict as poly_from_json, to_json_dict as poly_to_json
 
 __all__ = [
     "SymmetricForm",
@@ -47,24 +51,6 @@ __all__ = [
     "to_json_dict",
     "from_json_dict",
 ]
-
-
-def _distinct_permutations(seq: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of ``seq`` in lexicographic order (next-permutation walk)."""
-    arr = sorted(seq)
-    size = len(arr)
-    while True:
-        yield tuple(arr)
-        j = size - 2
-        while j >= 0 and arr[j] >= arr[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        l = size - 1
-        while arr[j] >= arr[l]:
-            l -= 1
-        arr[j], arr[l] = arr[l], arr[j]
-        arr[j + 1 :] = arr[size - 1 : j : -1]
 
 
 @dataclass(frozen=True)
@@ -87,11 +73,7 @@ class SymmetricForm:
 
     def coeff(self, i: Sequence[int]) -> complex:
         """b_i = c_{[i]} / |i| (symmetric in i)."""
-        idx = validate_index(i, self.n)
-        c = self.diagonal.coeff(idx)
-        if c == 0:
-            return 0j
-        return c / multiplicity(idx)
+        return self.diagonal.coeff(i) / multiplicity(i)
 
     def coeffs(self) -> dict[tuple[int, ...], complex]:
         """The b_j table over the stored support in J(m, n)."""
@@ -116,12 +98,17 @@ class SymmetricForm:
         return cls(HomogeneousPolynomial(m, n, diag))
 
     def to_dense(self) -> np.ndarray:
-        """Dense coefficient tensor b over all of M(m, n), shape (n,) * m."""
-        out = np.zeros((self.n,) * self.m, dtype=np.complex128)
-        for j, b in self.coeffs().items():
-            for i in _distinct_permutations(j):
-                out[tuple(v - 1 for v in i)] = b
-        return out
+        """Dense coefficient tensor b over all of M(m, n), shape (n,) * m: each
+        multi-index reads b_j = c_j / |j| at its sorted representative j."""
+        m, n = self.m, self.n
+        shape = (n,) * m
+        A, c = term_arrays(self.diagonal)
+        # Row k of A expanded to its nondecreasing 0-based multi-index.
+        J = np.repeat(np.tile(np.arange(n), len(c)), A.ravel()).reshape(len(c), m)
+        table = np.zeros(n**m, dtype=np.complex128)
+        table[np.ravel_multi_index(J.T, shape)] = [cj / multiplicity(j) for cj, j in zip(c.tolist(), J.tolist())]
+        classes = np.sort(np.indices(shape).reshape(m, -1), axis=0)
+        return table[np.ravel_multi_index(classes, shape)].reshape(shape)
 
 
 def polarize(P: HomogeneousPolynomial) -> SymmetricForm:
@@ -135,31 +122,23 @@ def restrict_diagonal(B: SymmetricForm) -> HomogeneousPolynomial:
 
 
 def evaluate_form(B: SymmetricForm, points: Sequence[Sequence[complex]]) -> complex:
-    """Evaluate B at m points of C^n.
+    """Evaluate B at m points of C^n by the polarization formula.
 
-    Sums b_i over all of M(m, n) by walking each class in J(m, n) and its
-    distinct permutations, so cost is |J| times class size (n^m products in
-    total) with memory proportional to the stored support only.  Symmetric
-    under any permutation of the points.
+    One evaluation of P at the 2^m signed sums: cost 2^m K n for K stored
+    terms and memory proportional to 2^m K, so sparse forms in many variables
+    stay cheap.  The +-1 form amplifies rounding by sum_eps |sum eps|^m /
+    (2^m m!) (2.3 at m = 5), far less than the subset form over sums of
+    subsets of the points (92 at m = 5).
     """
-    if len(points) != B.m:
-        raise ValueError(f"need exactly {B.m} points, got {len(points)}")
-    zs = []
-    for p in points:
-        zp = tuple(complex(w) for w in p)
-        if len(zp) != B.n:
-            raise ValueError(f"point has dimension {len(zp)}, form has {B.n}")
-        zs.append(zp)
-    total = 0j
-    for j, b in B.coeffs().items():
-        class_sum = 0j
-        for i in _distinct_permutations(j):
-            term = 1 + 0j
-            for k, v in enumerate(i):
-                term *= zs[k][v - 1]
-            class_sum += term
-        total += b * class_sum
-    return total
+    m = B.m
+    if len(points) != m:
+        raise ValueError(f"need exactly {m} points, got {len(points)}")
+    W = np.array([[complex(w) for w in p] for p in points], dtype=np.complex128)
+    if W.shape != (m, B.n):
+        raise ValueError(f"points have shape {W.shape}, form needs ({m}, {B.n})")
+    signs = 1.0 - 2.0 * ((np.arange(2**m)[:, None] >> np.arange(m)) & 1)
+    values = evaluate_points(B.diagonal, signs @ W)
+    return complex(np.prod(signs, axis=1) @ values) / (2**m * math.factorial(m))
 
 
 def harris_factor(m: int, partition: Sequence[int]) -> float:
@@ -208,12 +187,10 @@ def check_harris(
     if len(points) != len(parts):
         raise ValueError(f"need one point per partition block ({len(parts)}), got {len(points)}")
     for p in points:
-        if any(abs(complex(w)) > 1 + 1e-12 for w in p):
-            raise ValueError("points must lie in the closed polydisc")
+        if not all(abs(complex(w)) <= 1 + 1e-12 for w in p):  # NaN fails too
+            raise ValueError("points must be finite and lie in the closed polydisc")
     factor = harris_factor(P.m, parts)
-    repeated: list[Sequence[complex]] = []
-    for size, p in zip(parts, points):
-        repeated.extend([p] * size)
+    repeated = [p for size, p in zip(parts, points) for _ in range(size)]
     value = abs(evaluate_form(polarize(P), repeated))
     bound = factor * supnorm_bound
     return HarrisReport(
@@ -228,19 +205,15 @@ def check_harris(
 
 def to_json_dict(B: SymmetricForm) -> dict:
     """Serialize a form as its diagonal polynomial plus a "polarized" flag."""
-    from .polyalgebra import to_json_dict as poly_to_json
-
     data = poly_to_json(B.diagonal)
     data["polarized"] = True
     return data
 
 
 def from_json_dict(data) -> SymmetricForm:
-    from .polyalgebra import HomogeneousPolynomial as HP, from_json_dict as poly_from_json
-
     if not data.get("polarized"):
         raise ValueError("not a serialized symmetric form (missing polarized flag)")
     poly = poly_from_json(data)
-    if not isinstance(poly, HP):
+    if not isinstance(poly, HomogeneousPolynomial):
         raise ValueError("a symmetric form serializes through a homogeneous diagonal")
     return SymmetricForm(poly)

@@ -31,6 +31,7 @@ import numpy as np
 from .indexcore import (
     MultiIndex,
     canonical,
+    enumerate_J,
     exponent_to_index,
     index_to_exponent,
     validate_index,
@@ -41,6 +42,7 @@ __all__ = [
     "GeneralPolynomial",
     "MCEstimate",
     "evaluate",
+    "evaluate_points",
     "coeff_norm",
     "l2_torus_norm",
     "l1_torus_norm_mc",
@@ -111,9 +113,11 @@ class HomogeneousPolynomial:
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         support = sorted(self.coeffs)
-        A = np.array([index_to_exponent(j, self.n) for j in support], dtype=np.int64)
+        K, n = len(support), self.n
+        flat = np.repeat(np.arange(K) * n, self.m) + np.array(support, dtype=np.int64).reshape(-1) - 1
+        A = np.bincount(flat, minlength=K * n).reshape(K, n)  # alpha_v counts the entries v of j
         c = np.array([self.coeffs[j] for j in support], dtype=np.complex128)
-        return _read_only(A.reshape(len(support), self.n), c)
+        return _read_only(A, c)
 
     def __call__(self, z: Sequence[complex]) -> complex:
         return evaluate(self, z)
@@ -174,25 +178,28 @@ class MCEstimate(NamedTuple):
 # ----------------------------------------------------------------------
 
 def evaluate(P: Polynomial, z: Sequence[complex]) -> complex:
-    """Evaluate P at a point of C^n.
+    """Evaluate P at a point of C^n: the one-row case of :func:`evaluate_points`.
 
     For homogeneous P this satisfies P(lambda z) = lambda^m P(z).
     """
-    zv = tuple(complex(w) for w in z)
+    zv = [complex(w) for w in z]
     if len(zv) != P.n:
         raise ValueError(f"point has dimension {len(zv)}, polynomial has {P.n}")
-    if isinstance(P, GeneralPolynomial):
-        total = P.a0
-        for part in P.parts.values():
-            total += evaluate(part, zv)
-        return total
-    total = 0j
-    for j, c in P.coeffs.items():
-        term = c
-        for v in j:
-            term *= zv[v - 1]
-        total += term
-    return total
+    return complex(evaluate_points(P, [zv])[0])
+
+
+def evaluate_points(P: Polynomial, Z) -> np.ndarray:
+    """Values sum_alpha c_alpha z^alpha of P at the rows z of ``Z`` (shape (k, n)).
+
+    The kernel for points of C^n (:func:`monomials` is the one for phases);
+    0^0 = 1, so the constant row of a general polynomial counts once.
+    """
+    Z = np.asarray(Z, dtype=np.complex128)
+    if Z.ndim != 2 or Z.shape[1] != P.n:
+        raise ValueError(f"points have shape {Z.shape}, polynomial needs (k, {P.n})")
+    A, c = term_arrays(P)
+    # einsum, not ``@ c``: BLAS may round a row differently in a batch of another size.
+    return np.einsum("ik,k->i", np.prod(Z[:, None, :] ** A, axis=2), c)
 
 
 def coeff_norm(P: HomogeneousPolynomial, p) -> float:
@@ -309,8 +316,6 @@ def random_homogeneous(
     ``uniform-disc`` (uniform on the closed unit disc), ``random-signs``
     (independent +-1).  Deterministic for a fixed seed.
     """
-    from .indexcore import enumerate_J
-
     if distribution not in RANDOM_DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}; choose from {RANDOM_DISTRIBUTIONS}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -346,14 +351,10 @@ def majorant_sum(P: Polynomial, r: float) -> float:
     """
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    G = _as_general(P)
-    terms: list[float] = []
-    if G.a0 != 0:
-        terms.append(abs(G.a0))
-    for m, part in G.parts.items():
-        rm = r**m
-        terms.extend(rm * abs(c) for c in part.coeffs.values())
-    return math.fsum(terms)
+    A, c = term_arrays(P)
+    # Python abs, not np.abs: the two differ in the last bit on some complex
+    # values, and lift transport compares this sum exactly.
+    return math.fsum(abs(a) * r**d for a, d in zip(c.tolist(), A.sum(axis=1).tolist()))
 
 
 def add(P: Polynomial, Q: Polynomial):
@@ -411,38 +412,60 @@ def to_json_dict(P: Polynomial) -> dict:
     }
 
 
-def _json_field(data, key: str):
-    """``data[key]`` for a parsed JSON object, as a ValueError naming the key if absent."""
+_REQUIRED = object()
+_JSON_TYPES = {"string": str, "number": (int, float), "integer": (int, float), "list": list, "object": Mapping}
+
+
+def _json_field(data, key: str, kind: str, default=_REQUIRED):
+    """``data[key]`` for a parsed JSON object, checked to be a ``kind`` from
+    ``_JSON_TYPES`` ("integer": a number of integral value, returned as int).
+    A wrong type, or a missing key without a ``default``, raises ValueError
+    naming the key."""
     if not isinstance(data, Mapping):
         raise ValueError(f"expected a JSON object with key {key!r}, got {type(data).__name__}")
     if key not in data:
-        raise ValueError(f"JSON object is missing key {key!r}")
-    return data[key]
+        if default is _REQUIRED:
+            raise ValueError(f"JSON object is missing key {key!r}")
+        return default
+    return _json_typed(data[key], key, kind)
+
+
+def _json_typed(value, key: str, kind: str):
+    ok = isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)
+    if ok and kind == "integer":
+        ok = isinstance(value, int) or value.is_integer()
+    if not ok:
+        raise ValueError(f"JSON key {key!r} must be of type {kind}, got {value!r}")
+    return int(value) if kind == "integer" else value
+
+
+def _json_complex(data) -> complex:
+    return complex(_json_field(data, "re", "number"), _json_field(data, "im", "number", 0.0))
 
 
 def from_json_dict(data: Mapping) -> Polynomial:
-    """Inverse of :func:`to_json_dict`."""
-    kind = _json_field(data, "kind")
+    """Inverse of :func:`to_json_dict`; a missing key or a value of the wrong
+    JSON type raises ValueError naming the key."""
+    kind = _json_field(data, "kind", "string")
     if kind == "homogeneous":
-        m, n = int(_json_field(data, "m")), int(_json_field(data, "n"))
+        m, n = _json_field(data, "m", "integer"), _json_field(data, "n", "integer")
         coeffs: dict[MultiIndex, complex] = {}
-        for term in _json_field(data, "terms"):
-            alpha = tuple(int(a) for a in _json_field(term, "alpha"))
+        for term in _json_field(data, "terms", "list"):
+            alpha = tuple(_json_typed(a, "alpha", "integer") for a in _json_field(term, "alpha", "list"))
             if len(alpha) != n:
                 raise ValueError(f"exponent vector {alpha} has length {len(alpha)}, expected {n}")
             if sum(alpha) != m:
                 raise ValueError(f"exponent vector {alpha} has degree {sum(alpha)}, expected {m}")
             j = exponent_to_index(alpha)
-            coeffs[j] = coeffs.get(j, 0j) + complex(_json_field(term, "re"), term.get("im", 0.0))
+            coeffs[j] = coeffs.get(j, 0j) + _json_complex(term)
         return HomogeneousPolynomial(m, n, coeffs)
     if kind == "general":
-        n = int(_json_field(data, "n"))
-        a0d = data.get("a0", {"re": 0.0, "im": 0.0})
+        n = _json_field(data, "n", "integer")
         parts: dict[int, HomogeneousPolynomial] = {}
-        for pd in data.get("parts", []):
+        for pd in _json_field(data, "parts", "list", []):
             part = from_json_dict(pd)
             if not isinstance(part, HomogeneousPolynomial):
                 raise ValueError("parts of a general polynomial must be homogeneous")
             parts[part.m] = part
-        return GeneralPolynomial(n, parts, complex(_json_field(a0d, "re"), a0d.get("im", 0.0)))
+        return GeneralPolynomial(n, parts, _json_complex(_json_field(data, "a0", "object", {"re": 0.0})))
     raise ValueError(f"unknown polynomial kind {kind!r}")

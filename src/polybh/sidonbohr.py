@@ -189,7 +189,6 @@ def sidon_lower_search(
     uh = sidon_upper_hyper(m, n) if m >= 2 and n >= 2 else math.inf
     ut = sidon_upper_trivial(m, n)
 
-    root = np.random.SeedSequence(seed)
     dist = "random-signs" if strategy == "random-sign" else "complex-gaussian"
     n_candidates = budget if strategy != "coordinate-ascent" else max(1, budget // 2)
 

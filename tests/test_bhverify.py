@@ -186,6 +186,16 @@ class TestVerifyMultilinear:
             assert rep.verdict in ("verified", "inconclusive")
             assert rep.verdict == "verified"
 
+    @pytest.mark.parametrize("scale_factor", [1e300, 1e-300])
+    def test_scale_covariant(self, scale_factor):
+        rng = np.random.default_rng(3)
+        T = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        base = verify_bh_multilinear(T, seed=1)
+        scaled = verify_bh_multilinear(scale_factor * T, seed=1)
+        assert scaled.lhs == pytest.approx(scale_factor * base.lhs, rel=1e-12, abs=0.0)
+        assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
+        assert scaled.verdict == base.verdict == "verified"
+
 
 class TestBlei:
     def test_identity_table(self):
@@ -220,6 +230,15 @@ class TestBlei:
     def test_needs_two_axes(self):
         with pytest.raises(ValueError):
             check_blei(np.ones(4))
+
+    @pytest.mark.parametrize("scale_factor", [1e300, 1e-300])
+    def test_scale_covariant(self, scale_factor):
+        rng = np.random.default_rng(3)
+        T = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        base, scaled = check_blei(T), check_blei(scale_factor * T)
+        assert scaled.lhs == pytest.approx(scale_factor * base.lhs, rel=1e-12, abs=0.0)
+        assert scaled.rhs == pytest.approx(scale_factor * base.rhs, rel=1e-12, abs=0.0)
+        assert scaled.passed
 
 
 class TestBayart:
@@ -289,6 +308,15 @@ class TestProofStep:
             rep = check_proof_step(P, int(rng.integers(1, m + 1)), certified_upper(P))
             assert rep.passed
             assert rep.parseval_max_rel_err <= 1e-12
+
+    def test_derivative_route_catches_wrong_class_sizes(self, monkeypatch):
+        # Route 2 reads only the term arrays, so a wrong multiplicity in the
+        # class arithmetic of route 1 shows as a large disagreement.
+        import polybh.bhverify as bhverify
+
+        P = random_homogeneous(3, 3, "complex-gaussian", seed=4)
+        monkeypatch.setattr(bhverify, "multiplicity", lambda j: multiplicity(j) + 1)
+        assert check_proof_step(P, 1, certified_upper(P)).parseval_max_rel_err > 1e-3
 
 
 class TestProofChain:

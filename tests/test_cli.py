@@ -33,6 +33,11 @@ class TestExitCodes:
             (["lift"], {"terms": [{"n": 2, "re": 1.0}]}, "N"),
             (["lift"], {"N": 4, "terms": [{"re": 1.0}]}, "n"),
             (["bcq-sum", "--c", "0.5"], {"N": 4, "terms": [{"n": 4, "im": 1.0}]}, "re"),
+            # wrong JSON types
+            (["lift"], {"N": 4, "terms": [{"n": 2, "re": "1"}]}, "re"),
+            (["lift"], {"N": 4, "terms": 5}, "terms"),
+            (["lift"], {"N": [1], "terms": []}, "N"),
+            (["bcq-sum", "--c", "0.5"], {"N": 4, "terms": [{"n": 4, "re": None}]}, "re"),
         ],
     )
     def test_malformed_json_is_an_error_line(self, command, data, key, tmp_path, capsys):
@@ -161,6 +166,16 @@ class TestSingleShotCommands:
         P = poly_from_json(data)
         assert P.parts[1].coeffs == {(1,): 1.0, (2,): 1j}
         assert P.parts[2].coeffs == {(1, 2): -1.0}
+
+    def test_lift_writes_json_only(self, tmp_path, capsys):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"N": 4, "terms": [{"n": 2, "re": 1.0}]}))
+        out = tmp_path / "lift.csv"
+        assert run(["lift", "--input", str(q), "--format", "csv", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+        assert run(["lift", "--input", str(q), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["format"] == "json"
 
     def test_sidon_N(self, tmp_path, capsys):
         out = tmp_path / "sn.csv"

@@ -256,3 +256,17 @@ class TestJson:
             from_json_dict({"N": 3, "terms": [{"re": 1.0}]})
         with pytest.raises(ValueError, match="'re'"):
             from_json_dict({"N": 3, "terms": [{"n": 2, "im": 1.0}]})
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"N": [1], "terms": []}, "N"),
+            ({"N": 4, "terms": 5}, "terms"),
+            ({"N": 4, "terms": [{"n": None, "re": 1.0}]}, "n"),
+            ({"N": 4, "terms": [{"n": 2, "re": "1"}]}, "re"),
+            ({"N": 4, "terms": [{"n": 2, "re": 1.0, "im": {}}]}, "im"),
+        ],
+    )
+    def test_wrong_type_named(self, data, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            from_json_dict(data)

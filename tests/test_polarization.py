@@ -3,6 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polybh.indexcore import enumerate_J, multiplicity
 from polybh.polarization import (
@@ -13,7 +14,14 @@ from polybh.polarization import (
     polarize,
     restrict_diagonal,
 )
-from polybh.polyalgebra import HomogeneousPolynomial, evaluate, random_homogeneous
+from polybh.polyalgebra import (
+    RANDOM_DISTRIBUTIONS,
+    HomogeneousPolynomial,
+    evaluate,
+    evaluate_points,
+    majorant_sum,
+    random_homogeneous,
+)
 
 Z1Z2 = HomogeneousPolynomial(2, 2, {(1, 2): 1.0})
 
@@ -106,6 +114,34 @@ class TestEvaluateForm:
         got = evaluate_form(B, pts)
         assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           dist=st.sampled_from(RANDOM_DISTRIBUTIONS))
+    def test_polarization_formula_matches_dense_contraction(self, m, n, seed, dist):
+        P = random_homogeneous(m, n, dist, seed=seed)
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        operands = [polarize(P).to_dense(), list(range(m))]
+        for k in range(m):
+            operands += [W[k], [k]]
+        want = np.einsum(*operands)
+        assert abs(evaluate_form(polarize(P), W) - want) <= 1e-11 * max(1.0, abs(want))
+        # evaluate is exactly the one-row case of the batched kernel.
+        Z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        values = evaluate_points(P, Z)
+        assert all(values[i] == evaluate(P, Z[i]) for i in range(len(Z)))
+
+    def test_sparse_form_in_many_variables(self):
+        # A dense tensor would need 40^6 = 4.1e9 entries; the polarization
+        # formula needs 2^6 evaluations of 30 terms.
+        rng = np.random.default_rng(40)
+        coeffs = {tuple(rng.integers(1, 41, 6)): complex(rng.standard_normal(), rng.standard_normal())
+                  for _ in range(30)}
+        P = HomogeneousPolynomial(6, 40, coeffs)
+        z = random_torus_point(rng, 40)
+        got = evaluate_form(polarize(P), [z] * 6)
+        assert abs(got - evaluate(P, z)) <= 1e-12 * majorant_sum(P, 1.0)
+
 
 class TestPartialSubstitutionParseval:
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
@@ -181,6 +217,11 @@ class TestCheckHarris:
     def test_point_outside_polydisc_rejected(self):
         with pytest.raises(ValueError):
             check_harris(Z1Z2, (1, 1), [(1.1, 0), (0, 1)], 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan), math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            check_harris(Z1Z2, (1, 1), [(bad, 0), (0, 1)], 1.0)
 
     def test_partition_point_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -348,3 +348,23 @@ class TestJson:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             from_json_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("top", "m", [2]),
+            ("top", "n", "2"),
+            ("top", "terms", 5),
+            ("term", "alpha", 5),
+            ("term", "alpha", [1, "1"]),
+            ("term", "alpha", [1.5, 0.5]),
+            ("term", "re", None),
+            ("term", "re", "1"),
+            ("term", "im", [0.0]),
+        ],
+    )
+    def test_wrong_type_named(self, where, key, value):
+        data = to_json_dict(Z1Z2)
+        (data if where == "top" else data["terms"][0])[key] = value
+        with pytest.raises(ValueError, match=repr(key)):
+            from_json_dict(data)
