@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 REL_TOL = 1e-9
+BLEI_REL_TOL = 1e-12  # check_blei's margin, tighter than REL_TOL
 
 VERIFIED = "verified"
 VIOLATED = "violated-numerically"
@@ -186,7 +187,6 @@ def verify_bh(
     iterations: int = 200,
     seed: int = 0,
     grid_step: float | None = None,
-    grid_cap: int = 10**8,
 ) -> InequalityReport:
     """Check the hypercontractive coefficient bound on one polynomial.
 
@@ -201,7 +201,7 @@ def verify_bh(
         est = sup_lower(P, starts=starts, iterations=iterations, seed=seed)
     elif supnorm_mode == "certified":
         h = grid_step if grid_step is not None else 0.5 / (P.n * P.m)
-        est = sup_certified(P, h, max_evaluations=grid_cap)
+        est = sup_certified(P, h)
     else:
         raise ValueError(f"unknown supnorm_mode {supnorm_mode!r}")
     return _report(lhs, bh_constant_hyper(P.m), est)
@@ -239,7 +239,7 @@ class BleiReport:
     passed: bool
 
 
-def check_blei(c, max_entries: int = 10**7, rel_tol: float = 1e-12) -> BleiReport:
+def check_blei(c, max_entries: int = 10**7) -> BleiReport:
     """Blei's bound for a full table (c_i) over M(m, n):
 
         ( sum_i |c_i|^{2m/(m+1)} )^{(m+1)/2m}
@@ -248,7 +248,7 @@ def check_blei(c, max_entries: int = 10**7, rel_tol: float = 1e-12) -> BleiRepor
     Both sides are computed from the dense table divided by its largest
     modulus (both are 1-homogeneous, so they scale back exactly and neither
     overflows nor underflows); the report asserts lhs <= rhs within
-    ``rel_tol``.
+    ``BLEI_REL_TOL``.
     """
     T = np.asarray(c, dtype=np.complex128)
     m = T.ndim
@@ -269,7 +269,7 @@ def check_blei(c, max_entries: int = 10**7, rel_tol: float = 1e-12) -> BleiRepor
         # At least 1: the largest normalised modulus is 1.
         log_factors.append(math.log(float(np.sqrt(abs2.sum(axis=other)).sum())))
     rhs = top * math.exp(math.fsum(log_factors) / m)
-    return BleiReport(lhs, rhs, lhs <= rhs * (1.0 + rel_tol))
+    return BleiReport(lhs, rhs, lhs <= rhs * (1.0 + BLEI_REL_TOL))
 
 
 @dataclass(frozen=True)

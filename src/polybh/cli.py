@@ -97,10 +97,9 @@ class _Parser(argparse.ArgumentParser):
 
 def case_seed(master: int, index: int) -> int:
     """Deterministic child seed for case ``index``: the first uint32 word of the
-    spawned state, shifted up 32 bits.  The low 32 bits are always zero (the
-    second word is shifted out); reports depend on the values, so they stay."""
-    state = np.random.SeedSequence(master, spawn_key=(index,)).generate_state(2)
-    return int(state[0]) << 32 | int(state[1]) >> 32 & 0xFFFFFFFF
+    spawned state, shifted up 32 bits (the low 32 bits are zero; reports
+    depend on the values, so they stay)."""
+    return int(np.random.SeedSequence(master, spawn_key=(index,)).generate_state(1)[0]) << 32
 
 
 def _fmt(value) -> str:
@@ -122,6 +121,11 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _json_text(payload) -> str:
+    # Strict JSON: a non-finite value raises ValueError (an error line), never "Infinity".
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit(config: dict, header: Sequence[str], rows: Iterable[Sequence], args) -> None:
     fmt = getattr(args, "format", "json")
     out = getattr(args, "out", None)
@@ -140,7 +144,7 @@ def _emit(config: dict, header: Sequence[str], rows: Iterable[Sequence], args) -
             "config": config,
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     if out:
         _atomic_write(out, text)
     else:
@@ -160,11 +164,24 @@ def _config(args, command: str) -> dict:
     return cfg
 
 
-def _threads_default() -> int:
+def _positive_int(text: str) -> int:
     try:
-        return max(1, int(os.environ.get(ENV_THREADS, "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _threads(args) -> int:
+    """--threads if given, else POLYBH_THREADS (read when a campaign runs), else 1."""
+    if args.threads is not None:
+        return args.threads
+    try:
+        return _positive_int(os.environ.get(ENV_THREADS, "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{ENV_THREADS} {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -181,6 +198,8 @@ def _random_table(m: int, n: int, seed: int) -> np.ndarray:
 
 
 def _random_general(n: int, degree_max: int, seed: int) -> GeneralPolynomial:
+    if degree_max < 1:
+        raise ValueError(f"degree_max must be >= 1, got {degree_max}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     parts = {}
     for m in range(1, degree_max + 1):
@@ -347,10 +366,11 @@ def _run_campaign(campaign: Campaign, args) -> int:
         return campaign.row(args, i, case_seed(args.seed, i))
 
     indices = range(campaign.cases(args))
-    if args.threads <= 1:
+    threads = _threads(args)
+    if threads == 1:
         rows = [worker(i) for i in indices]
     else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(worker, indices))
     _emit(_config(args, campaign.name), campaign.header, rows, args)
     summary, failed = campaign.judge(rows)
@@ -367,8 +387,7 @@ def _cmd_sidon_mn(args) -> int:
                                 strategy=args.strategy, certified=args.certified)
     witness_file = ""
     if args.witness_out:
-        _atomic_write(args.witness_out,
-                      json.dumps(poly_to_json(bounds.witness), indent=2, sort_keys=True) + "\n")
+        _atomic_write(args.witness_out, _json_text(poly_to_json(bounds.witness)))
         witness_file = args.witness_out
     rows = [(args.m, args.n, bounds.upper_hyper, bounds.upper_trivial,
              bounds.lower_search, witness_file)]
@@ -413,7 +432,7 @@ def _cmd_lift(args) -> int:
     payload = poly_to_json(lift.poly)
     payload["primes"] = list(lift.primes)
     payload["config"] = _config(args, "lift")
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload)
     if args.out:
         _atomic_write(args.out, text)
     else:
@@ -481,7 +500,7 @@ def build_parser() -> _Parser:
         for flag, kwargs in campaign.options:
             p.add_argument(flag, **kwargs)
         _add_common(p)
-        p.add_argument("--threads", type=int, default=_threads_default())
+        p.add_argument("--threads", type=_positive_int, default=None)
         p.set_defaults(func=functools.partial(_run_campaign, campaign))
 
     p = sub.add_parser("sidon-mn", help="Sidon constant bracket for degree-m monomials")
@@ -542,7 +561,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError, RuntimeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

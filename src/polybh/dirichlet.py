@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 BRUTE_N_MAX = 8
+LINE_SCAN_T_MAX, LINE_SCAN_POINTS = 200.0, 4001  # dirichlet_sup's t grid on [0, T]
+SMALL_GRID_POINTS = 2048  # phase grid of the N <= 8 certified sup bound
 
 
 @dataclass(frozen=True)
@@ -166,14 +168,7 @@ def evaluate_line(Q: DirichletPolynomial, t: float) -> complex:
     return complex(_line_values(Q, np.array([float(t)]))[0])
 
 
-def dirichlet_sup(
-    Q: DirichletPolynomial,
-    starts: int | None = None,
-    iterations: int = 200,
-    seed: int = 0,
-    t_scan_max: float = 200.0,
-    t_scan_points: int = 4001,
-) -> SupNormEstimate:
+def dirichlet_sup(Q: DirichletPolynomial, seed: int = 0) -> SupNormEstimate:
     """Estimate sup_t |Q(it)| through the lifted polynomial's torus sup.
 
     Runs phase ascent on the lift and a direct scan of |Q(it)| on a uniform
@@ -183,16 +178,16 @@ def dirichlet_sup(
     check.
     """
     lift = bohr_lift(Q)
-    est = sup_lower(lift.poly, starts=starts, iterations=iterations, seed=seed)
-    ts = np.linspace(0.0, t_scan_max, t_scan_points)
+    est = sup_lower(lift.poly, seed=seed)
+    ts = np.linspace(0.0, LINE_SCAN_T_MAX, LINE_SCAN_POINTS)
     scan = float(np.max(np.abs(_line_values(Q, ts))))
     lower = max(est.lower, scan)
     meta = dict(est.method)
     meta.update({
         "torus_ascent": est.lower,
         "line_scan_max": scan,
-        "line_scan_t_max": t_scan_max,
-        "line_scan_points": t_scan_points,
+        "line_scan_t_max": LINE_SCAN_T_MAX,
+        "line_scan_points": LINE_SCAN_POINTS,
         "n_vars": lift.poly.n,
     })
     return SupNormEstimate(lower, None, est.argmax, meta)
@@ -240,7 +235,7 @@ def _brute_candidates(N: int, mag_points: int, phase_points: int):
             yield DirichletPolynomial(N, coeffs)
 
 
-def _sup_upper_small(Q: DirichletPolynomial, grid_points: int = 2048) -> float:
+def _sup_upper_small(Q: DirichletPolynomial, grid_points: int = SMALL_GRID_POINTS) -> float:
     """Rigorous sup upper bound for N <= 8, reduced to one phase variable.
 
     For N <= 8 every prime except 2 enters the lift linearly: with z the
@@ -267,7 +262,7 @@ def _sup_upper_small(Q: DirichletPolynomial, grid_points: int = 2048) -> float:
     return grid_max + lipschitz * (math.pi / grid_points) + extra
 
 
-def certified_ratio_small(Q: DirichletPolynomial, grid_points: int = 2048) -> float:
+def certified_ratio_small(Q: DirichletPolynomial, grid_points: int = SMALL_GRID_POINTS) -> float:
     """Coefficient sum over a certified sup upper bound (true S(N) lower bound)."""
     l1 = dirichlet_l1(Q)
     if l1 == 0.0:
@@ -281,7 +276,6 @@ def sidon_N_bounds(
     seed: int = 0,
     mag_points: int = 5,
     phase_points: int = 8,
-    grid_points: int = 2048,
 ) -> SidonNBounds:
     """Lower-bound S(N) by search over coefficient patterns.
 
@@ -300,7 +294,7 @@ def sidon_N_bounds(
     best_Q = DirichletPolynomial(N, {1: 1.0})
     if N <= BRUTE_N_MAX:
         for Q in _brute_candidates(N, mag_points, phase_points):
-            ratio = certified_ratio_small(Q, grid_points)
+            ratio = certified_ratio_small(Q)
             if ratio > best_ratio:
                 best_ratio, best_Q = ratio, Q
         method = {
@@ -308,7 +302,7 @@ def sidon_N_bounds(
             "certified": True,
             "mag_points": mag_points,
             "phase_points": phase_points,
-            "grid_points": grid_points,
+            "grid_points": SMALL_GRID_POINTS,
         }
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))

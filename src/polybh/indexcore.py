@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Sequence
 
 MultiIndex = tuple[int, ...]
 ExponentVector = tuple[int, ...]
@@ -30,7 +30,6 @@ __all__ = [
     "ExponentVector",
     "validate_index",
     "enumerate_J",
-    "iter_J",
     "canonical",
     "multiplicity",
     "remove_coordinate",
@@ -52,20 +51,16 @@ def validate_index(i: Sequence[int], n: int) -> MultiIndex:
     return idx
 
 
-def iter_J(m: int, n: int) -> Iterator[MultiIndex]:
-    """Yield the nondecreasing m-tuples over ``1..n`` in lexicographic order."""
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    return combinations_with_replacement(range(1, n + 1), m)
-
-
 def enumerate_J(m: int, n: int) -> list[MultiIndex]:
-    """All of J(m, n) as a list, lexicographically ordered.
+    """All of J(m, n), the nondecreasing m-tuples over ``1..n``, as a list in
+    lexicographic order.
 
     The count is the number of degree-m monomials in n variables,
     C(n + m - 1, m).
     """
-    return list(iter_J(m, n))
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    return list(combinations_with_replacement(range(1, n + 1), m))
 
 
 def canonical(i: Sequence[int]) -> MultiIndex:

@@ -52,6 +52,8 @@ __all__ = [
     "from_json_dict",
 ]
 
+HARRIS_REL_TOL = 1e-9  # = bhverify.REL_TOL (bhverify imports this module, so no import back)
+
 
 @dataclass(frozen=True)
 class SymmetricForm:
@@ -80,18 +82,18 @@ class SymmetricForm:
         return {j: c / multiplicity(j) for j, c in self.diagonal.coeffs.items()}
 
     @classmethod
-    def from_coefficients(cls, m: int, n: int, b, sym_tol: float = 0.0) -> "SymmetricForm":
+    def from_coefficients(cls, m: int, n: int, b) -> "SymmetricForm":
         """Build a form from a table of b values keyed by multi-indices.
 
-        Keys are canonicalized; duplicate classes must agree to within
-        ``sym_tol`` (a non-symmetric table is rejected).
+        Keys are canonicalized; duplicate classes must agree exactly (a
+        non-symmetric table is rejected).
         """
         diag: dict[tuple[int, ...], complex] = {}
         seen: dict[tuple[int, ...], complex] = {}
         for key, value in dict(b).items():
             j = canonical(validate_index(key, n))
             v = complex(value)
-            if j in seen and abs(seen[j] - v) > sym_tol:
+            if j in seen and abs(seen[j] - v) > 0.0:  # not !=: NaN goes on to the finiteness check
                 raise ValueError(f"coefficients for class {j} disagree: {seen[j]} vs {v}")
             seen[j] = v
             diag[j] = v * multiplicity(j)
@@ -175,7 +177,6 @@ def check_harris(
     partition: Sequence[int],
     points: Sequence[Sequence[complex]],
     supnorm_bound: float,
-    rel_tol: float = 1e-9,
 ) -> HarrisReport:
     """Check the polarization bound at grouped repeated arguments.
 
@@ -199,7 +200,7 @@ def check_harris(
         supnorm_bound=supnorm_bound,
         bound=bound,
         slack=bound - value,
-        passed=value <= bound * (1 + rel_tol) + 1e-15,
+        passed=value <= bound * (1 + HARRIS_REL_TOL) + 1e-15,
     )
 
 
@@ -211,9 +212,11 @@ def to_json_dict(B: SymmetricForm) -> dict:
 
 
 def from_json_dict(data) -> SymmetricForm:
-    if not data.get("polarized"):
-        raise ValueError("not a serialized symmetric form (missing polarized flag)")
+    """Inverse of :func:`to_json_dict`: a polynomial object (checked as by
+    ``polyalgebra.from_json_dict``) whose "polarized" key is JSON true."""
     poly = poly_from_json(data)
+    if data.get("polarized") is not True:
+        raise ValueError("not a serialized symmetric form: key 'polarized' must be true")
     if not isinstance(poly, HomogeneousPolynomial):
         raise ValueError("a symmetric form serializes through a homogeneous diagonal")
     return SymmetricForm(poly)

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 RANDOM_DISTRIBUTIONS = ("complex-gaussian", "uniform-disc", "random-signs")
+MC_BATCH = 1 << 14  # samples per seeded batch of l1_torus_norm_mc; fixes the seed -> estimate map
 
 
 def _finite(value) -> complex:
@@ -257,12 +258,11 @@ def l1_torus_norm_mc(
     P: Polynomial,
     samples: int,
     seed: int = 0,
-    batch_size: int = 1 << 14,
 ) -> MCEstimate:
     """Monte Carlo estimate of the L^1 norm of P on the torus.
 
     Draws independent uniform phases per coordinate and averages |P|.  The
-    seed expands to one child stream per batch through
+    seed expands to one child stream per batch of ``MC_BATCH`` samples through
     ``numpy.random.SeedSequence(seed).spawn``, and per-batch sums are reduced
     in batch order, so the estimate is reproducible for a fixed seed no
     matter how batches are executed.
@@ -271,9 +271,9 @@ def l1_torus_norm_mc(
         raise ValueError("need at least 2 samples")
     A, c = term_arrays(P)
     n = P.n
-    counts = [batch_size] * (samples // batch_size)
-    if samples % batch_size:
-        counts.append(samples % batch_size)
+    counts = [MC_BATCH] * (samples // MC_BATCH)
+    if samples % MC_BATCH:
+        counts.append(samples % MC_BATCH)
     children = np.random.SeedSequence(seed).spawn(len(counts))
 
     def batch_sums(ss: np.random.SeedSequence, count: int) -> tuple[float, float]:

@@ -35,7 +35,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .bhverify import bh_constant_hyper
+from .bhverify import REL_TOL, bh_constant_hyper
 from .polyalgebra import (
     GeneralPolynomial,
     HomogeneousPolynomial,
@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 SEARCH_STRATEGIES = ("random-sign", "gaussian", "coordinate-ascent")
+CROSSOVER_N_MAX = 10**9  # sidon_crossover_n searches n in 2..CROSSOVER_N_MAX
 
 
 # ----------------------------------------------------------------------
@@ -100,11 +101,11 @@ def _log_sidon_hat(m: int, n: int) -> float:
     return min(ln_trivial, ln_hyper)
 
 
-def sidon_crossover_n(m: int, n_max: int = 10**9) -> int | None:
+def sidon_crossover_n(m: int) -> int | None:
     """Smallest n where the hypercontractive bound beats the trivial one.
 
     The comparison reduces to log C(n+m-1, m) > 2m log C_m, monotone in n,
-    so a binary search suffices.  None if no crossover up to n_max.
+    so a binary search suffices.  None if no crossover up to CROSSOVER_N_MAX.
     """
     if m < 2:
         raise ValueError("needs m >= 2")
@@ -113,9 +114,9 @@ def sidon_crossover_n(m: int, n_max: int = 10**9) -> int | None:
     def wins(n: int) -> bool:
         return _log_dim(m, n) > target
 
-    if not wins(n_max):
+    if not wins(CROSSOVER_N_MAX):
         return None
-    lo, hi = 2, n_max
+    lo, hi = 2, CROSSOVER_N_MAX
     if wins(lo):
         return lo
     while hi - lo > 1:
@@ -152,13 +153,13 @@ class SidonBounds:
     method: dict = field(default_factory=dict)
 
 
-def _sidon_ratio(P: HomogeneousPolynomial, certified: bool, starts, iterations, seed) -> float:
+def _sidon_ratio(P: HomogeneousPolynomial, certified: bool, iterations, seed) -> float:
     l1 = coeff_norm(P, 1)
     if l1 == 0.0:
         return 0.0
     if certified:
         return l1 / certified_upper(P)
-    denom = sup_lower(P, starts=starts, iterations=iterations, seed=seed).lower
+    denom = sup_lower(P, iterations=iterations, seed=seed).lower
     return l1 / denom if denom > 0 else 0.0
 
 
@@ -169,7 +170,6 @@ def sidon_lower_search(
     seed: int = 0,
     strategy: str = "random-sign",
     certified: bool = False,
-    starts: int | None = None,
     iterations: int = 120,
 ) -> SidonBounds:
     """Search for polynomials with a large coefficient-sum to sup-norm ratio.
@@ -197,7 +197,7 @@ def sidon_lower_search(
     for idx in range(n_candidates):
         cand_seed = int(np.random.SeedSequence(seed, spawn_key=(0, idx)).generate_state(1)[0])
         P = random_homogeneous(m, n, dist, seed=cand_seed)
-        ratio = _sidon_ratio(P, certified, starts, iterations, cand_seed)
+        ratio = _sidon_ratio(P, certified, iterations, cand_seed)
         if ratio > best_ratio:
             best_ratio, best_P = ratio, P
 
@@ -214,7 +214,7 @@ def sidon_lower_search(
             base = coeffs.get(key, 0j)
             coeffs[key] = base * twist if base != 0 else twist
             P = HomogeneousPolynomial(m, n, coeffs)
-            ratio = _sidon_ratio(P, certified, starts, iterations, seed + 7919 * step)
+            ratio = _sidon_ratio(P, certified, iterations, seed + 7919 * step)
             moves += 1
             if ratio > current_ratio:
                 current, current_ratio = P, ratio
@@ -223,7 +223,7 @@ def sidon_lower_search(
 
     # Firm up the denominator for the reported witness; if polishing pushes
     # the ratio below the monomial baseline, report the baseline witness.
-    final_ratio = _sidon_ratio(best_P, certified, starts, 4 * iterations, seed)
+    final_ratio = _sidon_ratio(best_P, certified, 4 * iterations, seed)
     lower = final_ratio if certified else min(best_ratio, final_ratio)
     if lower < 1.0:
         best_P = HomogeneousPolynomial(m, n, {(1,) * m: 1.0})
@@ -267,7 +267,6 @@ def check_wiener(
     P: GeneralPolynomial,
     supnorm_upper_P: float,
     mode: str = "certified",
-    rel_tol: float = 1e-9,
     target_correction: float = 0.02,
     points_cap: int = 4_000_000,
 ) -> WienerReport:
@@ -290,7 +289,7 @@ def check_wiener(
             est = certified_upper(part, target_correction=target_correction, points_cap=points_cap)
         else:
             est = sup_lower(part).lower
-        parts.append(WienerPart(m, est, bound, est <= bound * (1.0 + rel_tol) + 1e-15))
+        parts.append(WienerPart(m, est, bound, est <= bound * (1.0 + REL_TOL) + 1e-15))
     return WienerReport(
         a0_modulus=abs(P.a0),
         bound=bound,
@@ -315,9 +314,11 @@ class BohrRadiusReport:
     certificate_value: float  # sum + tail at the returned radius (<= 1/2)
 
 
+_M_START = 16  # first truncation degree of bohr_lower's certificate
 _TAIL_RATIO_MAX = 0.9
 _TAIL_ABS_MAX = 1e-9
 _MAX_TRUNCATION = 10**7
+CERTIFICATE_DPS = 50  # decimal digits of bohr_certificate_value
 
 
 def _certificate_terms(n: int, r: float, M: int) -> tuple[bool, float, float, int]:
@@ -351,7 +352,7 @@ def _certificate_terms(n: int, r: float, M: int) -> tuple[bool, float, float, in
             raise RuntimeError(f"truncation degree exceeded {_MAX_TRUNCATION} at r={r}")
 
 
-def bohr_lower(n: int, M: int | None = None) -> BohrRadiusReport:
+def bohr_lower(n: int) -> BohrRadiusReport:
     """Certified Bohr-radius lower bound by bisection on the series certificate.
 
     Finds the largest r (to 1e-9 relative precision) with
@@ -364,7 +365,7 @@ def bohr_lower(n: int, M: int | None = None) -> BohrRadiusReport:
     """
     if n < 2:
         raise ValueError("needs n >= 2")
-    M0 = M if M is not None else 16
+    M0 = _M_START
     lo, hi = 0.0, 0.5
     # The m = 1 term alone makes r = 0.5 exceed the budget.
     for _ in range(200):
@@ -397,16 +398,16 @@ def bohr_lower(n: int, M: int | None = None) -> BohrRadiusReport:
     )
 
 
-def bohr_certificate_value(n: int, r: float, M: int, dps: int = 50) -> float:
+def bohr_certificate_value(n: int, r: float, M: int) -> float:
     """Recompute the certificate sum at radius r in high precision.
 
     Independent route for cross-checking ``bohr_lower``: exact integer
-    binomials fed to mpmath arithmetic, same tail bound.  Raises if the tail
-    ratio is not strictly below 1.
+    binomials fed to mpmath arithmetic at ``CERTIFICATE_DPS`` digits, same
+    tail bound.  Raises if the tail ratio is not strictly below 1.
     """
     if r == 0.0:
         return 0.0
-    with mpmath.workdps(dps):
+    with mpmath.workdps(CERTIFICATE_DPS):
         rm = mpmath.mpf(r)
         total = mpmath.mpf(0)
         for m in range(1, M + 1):
@@ -451,6 +452,9 @@ class K1Bracket:
     degree: int
 
 
+_A_MAX, _R_MAX = 0.999, 0.45  # the (a, r) scan box of bohr_estimate_small
+
+
 def _moebius_truncated(a: float, degree: int) -> GeneralPolynomial:
     # (a - z) / (1 - a z) = a - (1 - a^2) sum_{k>=1} a^{k-1} z^k, truncated.
     parts = {}
@@ -465,8 +469,6 @@ def bohr_estimate_small(
     a_step: float = 1e-3,
     r_step: float = 1e-3,
     degree: int = 50,
-    a_max: float = 0.999,
-    r_max: float = 0.45,
 ) -> K1Bracket:
     """Bracket the one-variable Bohr radius using disc automorphisms.
 
@@ -480,11 +482,11 @@ def bohr_estimate_small(
     """
     if degree < 5:
         raise ValueError("truncation degree too small to be meaningful")
-    if not 0.0 < a_max < 1.0:
-        raise ValueError("a_max must lie strictly inside (0, 1)")
+    if not (a_step > 0 and r_step > 0):  # r_step = 0 would never end the scan
+        raise ValueError(f"a_step and r_step must be positive, got {a_step} and {r_step}")
     # The bracket hinges on parameters close to 1 (the violation radius of
-    # f_a is 1/(1 + 2a)), so the endpoint a_max is always sampled.
-    a_values = np.append(np.arange(0.0, a_max, a_step), a_max)
+    # f_a is 1/(1 + 2a)), so the endpoint _A_MAX is always sampled.
+    a_values = np.append(np.arange(0.0, _A_MAX, a_step), _A_MAX)
     # Row a: (|a0|, l1 of degree-1 part, ..., l1 of degree-`degree` part).
     coeff_l1 = np.zeros((len(a_values), degree + 1))
     coeff_l1[:, 0] = a_values
@@ -496,7 +498,7 @@ def bohr_estimate_small(
 
     r_pass = 0.0
     r = 0.0
-    while r <= r_max:
+    while r <= _R_MAX:
         rpow = r ** np.arange(degree + 1)
         majorants = coeff_l1 @ rpow
         for ia, P in spot:  # the closed form must match the polynomial route
@@ -507,4 +509,4 @@ def bohr_estimate_small(
             return K1Bracket(r_pass, r, a_step, r_step, degree)
         r_pass = r
         r = round(r + r_step, 12)
-    raise RuntimeError(f"no violation found up to r = {r_max}; enlarge the scan")
+    raise RuntimeError(f"no violation found up to r = {_R_MAX}")

@@ -53,6 +53,8 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # Grid values held in memory at once by sup_certified (complex entries).
 CHUNK_POINTS = 1 << 22
+ASCENT_STEP0 = 0.5  # initial phase step of each sup_lower start
+BLOCK_ASCENT_TOL = 1e-12  # relative sweep gain at which a sup_multilinear start stops
 
 
 class BudgetExceededError(RuntimeError):
@@ -84,7 +86,6 @@ def sup_lower(
     starts: int | None = None,
     iterations: int = 200,
     seed: int = 0,
-    step0: float = 0.5,
 ) -> SupNormEstimate:
     """Lower bound for sup |P| by multistart gradient ascent in phases.
 
@@ -120,7 +121,7 @@ def sup_lower(
         return f, grad
 
     f, grad = value_grad(theta)
-    step = np.full(S, step0)
+    step = np.full(S, ASCENT_STEP0)
     for _ in range(iterations):
         prop = np.mod(theta + step[:, None] * grad, TWO_PI)
         fp, gp = value_grad(prop)
@@ -295,7 +296,6 @@ def sup_multilinear(
     starts: int = 8,
     iterations: int = 100,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> SupNormEstimate:
     """Lower bound for sup |B(z1, ..., zm)| over the product of polydiscs.
 
@@ -305,6 +305,8 @@ def sup_multilinear(
     value nondecreasing.  Multistart over random unimodular initializations
     plus one deterministic all-ones start.
     """
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
     T = as_dense_form(B)
     m, n = T.ndim, T.shape[0]
     scale = float(np.max(np.abs(T)))
@@ -338,7 +340,7 @@ def sup_multilinear(
                 val = float(aw.sum())
                 nz = aw > 0
                 Z[k, nz] = np.conjugate(w[nz]) / aw[nz]
-            if val - prev <= tol * max(1.0, val):
+            if val - prev <= BLOCK_ASCENT_TOL * max(1.0, val):
                 break
             prev = val
         if val > best_val:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from polybh import cli
-from polybh.bhverify import InequalityReport
+from polybh.bhverify import BleiReport, InequalityReport
 from polybh.polyalgebra import from_json_dict as poly_from_json
 from polybh.torusnorm import SupNormEstimate
 import numpy as np
@@ -54,6 +54,38 @@ class TestExitCodes:
         assert run(["bcq-sum", "--input", str(q), "--c", "0.5", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bohr-small", "--r-step", "0"], "must be positive"),
+            (["bohr-small", "--a-step", "0"], "must be positive"),
+            (["bohr-small", "--a-step", "-1"], "must be positive"),
+            (["verify-bh-multilinear", "--m", "2", "--n", "2", "--count", "2", "--starts", "0"],
+             "starts must be >= 1"),
+            (["check-wiener", "--count", "2", "--degree-max", "0"], "degree_max must be >= 1"),
+            (["constants-table", "--m-max", "300"], "range"),  # OverflowError
+        ],
+        ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
+             "constants-overflow"],
+    )
+    def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    def test_non_finite_report_value_is_an_error_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "check_blei", lambda *a, **k: BleiReport(math.inf, math.inf, True))
+        assert run(["check-blei", "--m", "2", "--n", "2", "--count", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""  # no "Infinity" in a report
+
+    def test_random_general_rejects_degree_below_one(self):
+        with pytest.raises(ValueError, match="degree_max"):
+            cli._random_general(2, 0, seed=1)
 
     def test_violation_maps_to_exit_2(self, monkeypatch, tmp_path, capsys):
         # The verdict discipline makes honest violations unreachable, so the
@@ -224,6 +256,27 @@ class TestDeterminism:
                         "--iters", "40", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_thread_count_is_a_usage_error(self, value, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(["check-blei", "--m", "2", "--n", "2", "--count", "2",
+                    "--threads", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+    def test_bad_env_threads_is_a_usage_error(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_THREADS, value)
+        out = tmp_path / "r.json"
+        assert run(["check-blei", "--m", "2", "--n", "2", "--count", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and cli.ENV_THREADS in err
+        assert not out.exists()
+        # --threads takes precedence, and single-shot commands never read it.
+        assert run(["check-blei", "--m", "2", "--n", "2", "--count", "2", "--threads", "2",
+                    "--out", str(out)]) == 0
+        assert run(["constants-table", "--m-max", "3", "--out", str(tmp_path / "ct.json")]) == 0
 
     def test_env_thread_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_THREADS, "4")

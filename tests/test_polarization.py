@@ -248,6 +248,21 @@ class TestFormJson:
         with pytest.raises(ValueError):
             from_json_dict(poly_to_json(Z1Z2))
 
+    @pytest.mark.parametrize("flag", ["yes", 1, [True]], ids=["string", "number", "list"])
+    def test_flag_must_be_true(self, flag):
+        from polybh.polarization import from_json_dict, to_json_dict
+
+        data = to_json_dict(polarize(Z1Z2)) | {"polarized": flag}
+        with pytest.raises(ValueError, match="'polarized'"):
+            from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [[1], "form", None], ids=["list", "string", "null"])
+    def test_non_object_rejected(self, data):
+        from polybh.polarization import from_json_dict
+
+        with pytest.raises(ValueError, match="JSON object"):
+            from_json_dict(data)
+
 
 class TestDenseTensor:
     def test_to_dense_symmetry_and_values(self):

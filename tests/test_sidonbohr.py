@@ -220,3 +220,11 @@ class TestK1Bracket:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             bohr_estimate_small(degree=2)
+
+    @pytest.mark.parametrize("steps", [{"r_step": 0.0}, {"a_step": 0.0}, {"a_step": -1.0}],
+                             ids=["r-step-0", "a-step-0", "a-step-negative"])
+    def test_step_validation(self, steps):
+        # r_step = 0 used to scan forever, a_step = 0 to divide by zero, and
+        # a_step < 0 to scan a = 0.999 alone.
+        with pytest.raises(ValueError, match="must be positive"):
+            bohr_estimate_small(**steps)

@@ -220,6 +220,12 @@ class TestSupMultilinear:
     def test_zero_form(self):
         assert sup_multilinear(np.zeros((2, 2), dtype=complex)).lower == 0.0
 
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_starts_validation(self, starts):
+        # With no start the "lower bound" used to come out as -scale.
+        with pytest.raises(ValueError, match="starts"):
+            sup_multilinear(np.eye(2, dtype=complex), starts=starts)
+
     def test_as_dense_form_validation(self):
         with pytest.raises(ValueError):
             as_dense_form(np.zeros((2, 3)))
