@@ -104,6 +104,9 @@ def case_seed(master: int, index: int) -> int:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
+        # As strict as the JSON form: the whole report is refused before any write.
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r} in a csv report")
         return repr(value)
     return str(value)
 
@@ -259,8 +262,8 @@ def _row_check_harris(args, i: int, seed: int):
 def _row_check_wiener(args, i: int, seed: int):
     P = _random_general(args.n, args.degree_max, seed)
     s = certified_upper(P) * (1.0 + 1e-9)
-    P1 = scale(P, 1.0 / s)
-    rep = check_wiener(P1, min(1.0, certified_upper(P1)))
+    # sup|P/s| <= 1 by construction, since s is above a certified upper bound of sup|P|.
+    rep = check_wiener(scale(P, 1.0 / s), 1.0)
     worst = min((p.bound - p.sup_estimate for p in rep.parts), default=math.inf)
     return (i, args.n, seed, rep.a0_modulus, rep.bound, worst, rep.passed)
 
@@ -291,143 +294,219 @@ def _bayart_flags(rows) -> tuple[str, bool]:
     return f"{flags} statistical flags at 3 sigma ({100 * rate:.2f}%)", rate > 0.02
 
 
-@dataclass(frozen=True)
-class Campaign:
-    """A campaign subcommand described as data.
+# ----------------------------------------------------------------------
+# Report commands described as data
+# ----------------------------------------------------------------------
 
-    ``row(args, i, seed)`` computes the report row of case i for
-    ``cases(args)`` cases; ``judge(rows)`` returns the stderr summary and
-    whether the run failed.  Every campaign takes --count (default
-    ``count``), --seed, --out, --format and --threads, the required --m and
-    --n when ``mn`` is set, and the extra ``options`` as (flag,
-    add_argument keywords) pairs.
+@dataclass(frozen=True)
+class Command:
+    """A report subcommand: ``rows(args)`` computes the rows under ``header``,
+    ``judge(rows, args)`` returns the stderr summary and whether the run
+    failed.  It takes its ``options``, (flag, add_argument keywords) pairs,
+    then --seed, --out and --format.
     """
 
     name: str
     help: str
     header: tuple[str, ...]
-    row: Callable
+    rows: Callable
     judge: Callable
-    count: int
     options: tuple = ()
-    mn: bool = True
-    cases: Callable = operator.attrgetter("count")
-    count_help: str | None = None
 
 
-CAMPAIGNS = (
-    Campaign("verify-bh", "campaign of hypercontractive coefficient checks",
-             ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "sup_upper",
-              "ratio", "constant", "slack", "verdict"),
-             _row_verify_bh, _violations, 100,
-             (("--dist", dict(choices=DISTRIBUTIONS + ("mix",), default="mix")),
-              ("--starts", dict(type=int, default=None)),
-              ("--iters", dict(type=int, default=200)),
-              ("--certified", dict(action="store_true",
-                                   help="bracket the sup norm on a Bernstein grid (small n only)")),
-              ("--grid-step", dict(type=float, default=None)))),
-    Campaign("verify-bh-multilinear", "multilinear inequality campaign",
-             ("case", "m", "n", "case_seed", "lhs", "sup_lower", "ratio", "constant", "verdict"),
-             _row_verify_bh_multilinear, _violations, 100,
-             (("--starts", dict(type=int, default=8)), ("--iters", dict(type=int, default=100)))),
-    Campaign("check-blei", "Blei interpolation bound on random tables",
-             ("case", "m", "n", "case_seed", "lhs", "rhs", "passed"),
-             _row_check_blei, _failures, 1000),
-    Campaign("check-bayart", "L1-L2 hypercontractive comparison (Monte Carlo)",
-             ("case", "m", "n", "case_seed", "l2", "l1_estimate", "stderr", "bound", "passed"),
-             _row_check_bayart, _bayart_flags, 100,
-             (("--samples", dict(type=int, default=10**5)),)),
-    Campaign("check-proof-step", "slotwise polarization estimate",
-             ("case", "m", "n", "case_seed", "slot", "lhs", "bound", "parseval_rel_err", "passed"),
-             _row_check_proof_step, _failures, 100),
-    Campaign("check-harris", "polarization bound at repeated arguments",
-             ("case", "m", "n", "case_seed", "partition", "form_value", "bound", "passed"),
-             _row_check_harris, _failures, 100),
-    Campaign("check-wiener", "homogeneous-part bound for sup-norm-1 polynomials",
-             ("case", "n", "case_seed", "a0_modulus", "bound", "worst_slack", "passed"),
-             _row_check_wiener, _failures, 50,
-             (("--n", dict(type=int, default=2)), ("--degree-max", dict(type=int, default=5))),
-             mn=False),
-    Campaign("random-campaign", "verify-bh sweep over (m, n) grids",
-             ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "ratio",
-              "constant", "verdict"),
-             _row_random_campaign, _violations, 10,
-             (("--m-set", dict(type=int, nargs="+", default=[2, 3, 4, 5])),
-              ("--n-set", dict(type=int, nargs="+", default=[2, 3, 4, 5, 6])),
-              ("--starts", dict(type=int, default=4)),
-              ("--iters", dict(type=int, default=80))),
-             mn=False, cases=lambda args: len(args.m_set) * len(args.n_set) * args.count,
-             count_help="cases per (m, n) pair"),
-)
-
-
-def _run_campaign(campaign: Campaign, args) -> int:
-    def worker(i: int):
-        return campaign.row(args, i, case_seed(args.seed, i))
-
-    indices = range(campaign.cases(args))
-    threads = _threads(args)
-    if threads == 1:
-        rows = [worker(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(worker, indices))
-    _emit(_config(args, campaign.name), campaign.header, rows, args)
-    summary, failed = campaign.judge(rows)
-    print(f"{campaign.name}: {len(rows)} cases, {summary}", file=sys.stderr)
+def _run(command: Command, args) -> int:
+    rows = command.rows(args)
+    _emit(_config(args, command.name), command.header, rows, args)
+    summary, failed = command.judge(rows, args)
+    print(f"{command.name}: {summary}", file=sys.stderr)
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
+_MN = (("--m", dict(type=int, required=True)), ("--n", dict(type=int, required=True)))
+
+
+def _campaign(name: str, help: str, header: tuple[str, ...], row: Callable, judge: Callable,
+              count: int, options: tuple = (), mn: bool = True,
+              cases: Callable = operator.attrgetter("count"),
+              count_help: str | None = None) -> Command:
+    """A campaign of ``cases(args)`` random cases, case i giving the row
+    ``row(args, i, case seed)``.  It takes --m and --n when ``mn`` is set,
+    --count (default ``count``), the extra ``options`` and --threads;
+    ``judge(rows)`` gives the summary after the case count.
+    """
+    def rows(args) -> list:
+        def worker(i: int):
+            return row(args, i, case_seed(args.seed, i))
+
+        indices = range(cases(args))
+        threads = _threads(args)
+        if threads == 1:
+            return [worker(i) for i in indices]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, indices))
+
+    def judge_cases(rows, args) -> tuple[str, bool]:
+        summary, failed = judge(rows)
+        return f"{len(rows)} cases, {summary}", failed
+
+    count_option = ("--count", dict(type=_positive_int, default=count, help=count_help))
+    return Command(name, help, header, rows, judge_cases, (_MN if mn else ()) + (count_option,)
+                   + options + (("--threads", dict(type=_positive_int, default=None)),))
+
+
 # ----------------------------------------------------------------------
-# Single-shot subcommand handlers (each returns an exit code)
+# Single-shot commands: rows functions and their judges
 # ----------------------------------------------------------------------
 
-def _cmd_sidon_mn(args) -> int:
+def _read_dirichlet(path: str):
+    with open(path) as handle:
+        return dirichlet_from_json(json.load(handle))
+
+
+def _rows_sidon_mn(args) -> list:
     bounds = sidon_lower_search(args.m, args.n, budget=args.budget, seed=args.seed,
                                 strategy=args.strategy, certified=args.certified)
     witness_file = ""
     if args.witness_out:
         _atomic_write(args.witness_out, _json_text(poly_to_json(bounds.witness)))
         witness_file = args.witness_out
-    rows = [(args.m, args.n, bounds.upper_hyper, bounds.upper_trivial,
+    return [(args.m, args.n, bounds.upper_hyper, bounds.upper_trivial,
              bounds.lower_search, witness_file)]
-    header = ("m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file")
-    _emit(_config(args, "sidon-mn"), header, rows, args)
-    label = "certified" if bounds.certified else "heuristic"
-    print(f"sidon-mn: S({args.m},{args.n}) in [{bounds.lower_search:.6g} ({label}), "
-          f"{bounds.upper_best:.6g}]", file=sys.stderr)
-    ok = bounds.lower_search <= bounds.upper_best * (1 + 1e-9)
-    return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_bohr_radius(args) -> int:
+def _judge_sidon_mn(rows, args) -> tuple[str, bool]:
+    (m, n, hyper, trivial, lower, _), = rows
+    upper = min(hyper, trivial)
+    label = "certified" if args.certified else "heuristic"
+    return (f"S({m},{n}) in [{lower:.6g} ({label}), {upper:.6g}]",
+            not lower <= upper * (1 + 1e-9))
+
+
+def _rows_bohr_radius(args) -> list:
     rows = []
-    ok = True
     for n in args.n:
         rep = bohr_lower(n)
-        ok = ok and rep.certificate_value <= 0.5 + 1e-12 and rep.lower <= rep.upper
         rows.append((n, rep.lower, rep.upper, rep.b_lower, rep.M_used, rep.certificate_value))
-    header = ("n", "K_lower", "K_upper", "b_lower", "M_used", "certificate_value")
-    _emit(_config(args, "bohr-radius"), header, rows, args)
-    print(f"bohr-radius: {len(rows)} dimensions, certificates "
-          f"{'ok' if ok else 'VIOLATED'}", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return rows
 
 
-def _cmd_bohr_small(args) -> int:
+def _judge_bohr_radius(rows, args) -> tuple[str, bool]:
+    ok = all(cert <= 0.5 + 1e-12 and lower <= upper for _, lower, upper, _, _, cert in rows)
+    return f"{len(rows)} dimensions, certificates {'ok' if ok else 'VIOLATED'}", not ok
+
+
+def _rows_bohr_small(args) -> list:
     bracket = bohr_estimate_small(a_step=args.a_step, r_step=args.r_step, degree=args.degree)
-    rows = [(bracket.r_pass, bracket.r_fail, bracket.a_step, bracket.r_step, bracket.degree)]
-    header = ("r_pass", "r_fail", "a_step", "r_step", "degree")
-    _emit(_config(args, "bohr-small"), header, rows, args)
-    contains = bracket.r_pass <= 1.0 / 3.0 <= bracket.r_fail
-    print(f"bohr-small: K_1 in [{bracket.r_pass}, {bracket.r_fail}] "
-          f"({'contains' if contains else 'MISSES'} 1/3)", file=sys.stderr)
-    return EXIT_OK if contains else EXIT_VIOLATION
+    return [(bracket.r_pass, bracket.r_fail, bracket.a_step, bracket.r_step, bracket.degree)]
+
+
+def _judge_bohr_small(rows, args) -> tuple[str, bool]:
+    (r_pass, r_fail, *_), = rows
+    contains = r_pass <= 1.0 / 3.0 <= r_fail
+    return f"K_1 in [{r_pass}, {r_fail}] ({'contains' if contains else 'MISSES'} 1/3)", not contains
+
+
+def _rows_sidon_N(args) -> list:
+    bounds = sidon_N_bounds(args.N, budget=args.budget, seed=args.seed,
+                            mag_points=args.mag_points, phase_points=args.phase_points)
+    formula = bounds.asymptotic_sharp if bounds.asymptotic_sharp is not None else ""
+    return [(args.N, bounds.lower, bounds.method["kind"], -1.0 / math.sqrt(2.0), formula)]
+
+
+def _rows_bcq_sum(args) -> list:
+    Q = _read_dirichlet(args.input)
+    return [(Q.N, args.c, args.n_start, bcq_partial_sum(Q, args.c, n_start=args.n_start))]
+
+
+def _rows_constants_table(args) -> list:
+    return [(m, float(bh_exponent(m)), bh_constant_hyper(m), bh_constant_queffelec(m),
+             bh_constant_polarization(m), davie_kaijser_constant(m))
+            for m in range(2, args.m_max + 1)]
+
+
+COMMANDS = (
+    _campaign("verify-bh", "campaign of hypercontractive coefficient checks",
+              ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "sup_upper",
+               "ratio", "constant", "slack", "verdict"),
+              _row_verify_bh, _violations, 100,
+              (("--dist", dict(choices=DISTRIBUTIONS + ("mix",), default="mix")),
+               ("--starts", dict(type=int, default=None)),
+               ("--iters", dict(type=int, default=200)),
+               ("--certified", dict(action="store_true",
+                                    help="bracket the sup norm on a Bernstein grid (small n only)")),
+               ("--grid-step", dict(type=float, default=None)))),
+    _campaign("verify-bh-multilinear", "multilinear inequality campaign",
+              ("case", "m", "n", "case_seed", "lhs", "sup_lower", "ratio", "constant", "verdict"),
+              _row_verify_bh_multilinear, _violations, 100,
+              (("--starts", dict(type=int, default=8)), ("--iters", dict(type=int, default=100)))),
+    _campaign("check-blei", "Blei interpolation bound on random tables",
+              ("case", "m", "n", "case_seed", "lhs", "rhs", "passed"),
+              _row_check_blei, _failures, 1000),
+    _campaign("check-bayart", "L1-L2 hypercontractive comparison (Monte Carlo)",
+              ("case", "m", "n", "case_seed", "l2", "l1_estimate", "stderr", "bound", "passed"),
+              _row_check_bayart, _bayart_flags, 100,
+              (("--samples", dict(type=int, default=10**5)),)),
+    _campaign("check-proof-step", "slotwise polarization estimate",
+              ("case", "m", "n", "case_seed", "slot", "lhs", "bound", "parseval_rel_err", "passed"),
+              _row_check_proof_step, _failures, 100),
+    _campaign("check-harris", "polarization bound at repeated arguments",
+              ("case", "m", "n", "case_seed", "partition", "form_value", "bound", "passed"),
+              _row_check_harris, _failures, 100),
+    _campaign("check-wiener", "homogeneous-part bound for sup-norm-1 polynomials",
+              ("case", "n", "case_seed", "a0_modulus", "bound", "worst_slack", "passed"),
+              _row_check_wiener, _failures, 50,
+              (("--n", dict(type=int, default=2)), ("--degree-max", dict(type=int, default=5))),
+              mn=False),
+    _campaign("random-campaign", "verify-bh sweep over (m, n) grids",
+              ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "ratio",
+               "constant", "verdict"),
+              _row_random_campaign, _violations, 10,
+              (("--m-set", dict(type=int, nargs="+", default=[2, 3, 4, 5])),
+               ("--n-set", dict(type=int, nargs="+", default=[2, 3, 4, 5, 6])),
+               ("--starts", dict(type=int, default=4)),
+               ("--iters", dict(type=int, default=80))),
+              mn=False, cases=lambda args: len(args.m_set) * len(args.n_set) * args.count,
+              count_help="cases per (m, n) pair"),
+    Command("sidon-mn", "Sidon constant bracket for degree-m monomials",
+            ("m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file"),
+            _rows_sidon_mn, _judge_sidon_mn,
+            _MN + (("--budget", dict(type=int, default=200)),
+                   ("--strategy", dict(choices=SEARCH_STRATEGIES, default="random-sign")),
+                   ("--certified", dict(action="store_true")),
+                   ("--witness-out", dict(type=str, default=None)))),
+    Command("bohr-radius", "certified Bohr-radius lower bounds",
+            ("n", "K_lower", "K_upper", "b_lower", "M_used", "certificate_value"),
+            _rows_bohr_radius, _judge_bohr_radius,
+            (("--n", dict(type=int, nargs="+", required=True)),)),
+    Command("bohr-small", "one-variable Bohr radius bracket",
+            ("r_pass", "r_fail", "a_step", "r_step", "degree"),
+            _rows_bohr_small, _judge_bohr_small,
+            (("--a-step", dict(type=float, default=1e-3)),
+             ("--r-step", dict(type=float, default=1e-3)),
+             ("--degree", dict(type=int, default=50)))),
+    Command("sidon-N", "Sidon constant of {log n : n <= N}",
+            ("N", "lower", "method", "asymptotic_c", "formula_value"),
+            _rows_sidon_N,
+            lambda rows, args: (f"S({rows[0][0]}) >= {rows[0][1]:.6g} ({rows[0][2]})", False),
+            (("--N", dict(type=int, required=True)),
+             ("--budget", dict(type=int, default=200)),
+             ("--mag-points", dict(type=int, default=5)),
+             ("--phase-points", dict(type=int, default=8)))),
+    Command("bcq-sum", "weighted coefficient sum of a Dirichlet polynomial",
+            ("N", "c", "n_start", "value"),
+            _rows_bcq_sum, lambda rows, args: (repr(rows[0][-1]), False),
+            (("--input", dict(type=str, required=True)),
+             ("--c", dict(type=float, required=True)),
+             ("--n-start", dict(type=int, default=3)))),
+    Command("constants-table", "tabulate the inequality constants",
+            ("m", "exponent", "hyper", "queffelec", "polarization", "davie_kaijser"),
+            _rows_constants_table, lambda rows, args: (f"m up to {args.m_max}", False),
+            (("--m-max", dict(type=int, default=20)),)),
+)
 
 
 def _cmd_lift(args) -> int:
-    with open(args.input) as handle:
-        Q = dirichlet_from_json(json.load(handle))
+    Q = _read_dirichlet(args.input)
     lift = bohr_lift(Q)
     payload = poly_to_json(lift.poly)
     payload["primes"] = list(lift.primes)
@@ -438,40 +517,6 @@ def _cmd_lift(args) -> int:
     else:
         sys.stdout.write(text)
     print(f"lift: {len(Q.coeffs)} terms -> {lift.poly.n} variables", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_sidon_N(args) -> int:
-    bounds = sidon_N_bounds(args.N, budget=args.budget, seed=args.seed,
-                            mag_points=args.mag_points, phase_points=args.phase_points)
-    formula = bounds.asymptotic_sharp if bounds.asymptotic_sharp is not None else ""
-    rows = [(args.N, bounds.lower, bounds.method["kind"], -1.0 / math.sqrt(2.0), formula)]
-    header = ("N", "lower", "method", "asymptotic_c", "formula_value")
-    _emit(_config(args, "sidon-N"), header, rows, args)
-    print(f"sidon-N: S({args.N}) >= {bounds.lower:.6g} ({bounds.method['kind']})",
-          file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_bcq_sum(args) -> int:
-    with open(args.input) as handle:
-        Q = dirichlet_from_json(json.load(handle))
-    value = bcq_partial_sum(Q, args.c, n_start=args.n_start)
-    rows = [(Q.N, args.c, args.n_start, value)]
-    _emit(_config(args, "bcq-sum"), ("N", "c", "n_start", "value"), rows, args)
-    print(f"bcq-sum: {value!r}", file=sys.stderr)
-    return EXIT_OK
-
-
-def _cmd_constants_table(args) -> int:
-    rows = []
-    for m in range(2, args.m_max + 1):
-        rows.append((m, float(bh_exponent(m)), bh_constant_hyper(m),
-                     bh_constant_queffelec(m), bh_constant_polarization(m),
-                     davie_kaijser_constant(m)))
-    header = ("m", "exponent", "hyper", "queffelec", "polarization", "davie_kaijser")
-    _emit(_config(args, "constants-table"), header, rows, args)
-    print(f"constants-table: m up to {args.m_max}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -491,64 +536,17 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for campaign in CAMPAIGNS:
-        p = sub.add_parser(campaign.name, help=campaign.help)
-        if campaign.mn:
-            p.add_argument("--m", type=int, required=True)
-            p.add_argument("--n", type=int, required=True)
-        p.add_argument("--count", type=int, default=campaign.count, help=campaign.count_help)
-        for flag, kwargs in campaign.options:
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flag, kwargs in command.options:
             p.add_argument(flag, **kwargs)
         _add_common(p)
-        p.add_argument("--threads", type=_positive_int, default=None)
-        p.set_defaults(func=functools.partial(_run_campaign, campaign))
-
-    p = sub.add_parser("sidon-mn", help="Sidon constant bracket for degree-m monomials")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--strategy", choices=SEARCH_STRATEGIES, default="random-sign")
-    p.add_argument("--certified", action="store_true")
-    p.add_argument("--witness-out", type=str, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sidon_mn)
-
-    p = sub.add_parser("bohr-radius", help="certified Bohr-radius lower bounds")
-    p.add_argument("--n", type=int, nargs="+", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bohr_radius)
-
-    p = sub.add_parser("bohr-small", help="one-variable Bohr radius bracket")
-    p.add_argument("--a-step", type=float, default=1e-3)
-    p.add_argument("--r-step", type=float, default=1e-3)
-    p.add_argument("--degree", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bohr_small)
+        p.set_defaults(func=functools.partial(_run, command))
 
     p = sub.add_parser("lift", help="Bohr lift of a Dirichlet polynomial JSON file")
     p.add_argument("--input", type=str, required=True)
     _add_common(p, formats=("json",))  # a lift is a polynomial, written as JSON only
     p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("sidon-N", help="Sidon constant of {log n : n <= N}")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--mag-points", type=int, default=5)
-    p.add_argument("--phase-points", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sidon_N)
-
-    p = sub.add_parser("bcq-sum", help="weighted coefficient sum of a Dirichlet polynomial")
-    p.add_argument("--input", type=str, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--n-start", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bcq_sum)
-
-    p = sub.add_parser("constants-table", help="tabulate the inequality constants")
-    p.add_argument("--m-max", type=int, default=20)
-    _add_common(p)
-    p.set_defaults(func=_cmd_constants_table)
 
     return parser
 

@@ -290,6 +290,10 @@ def sidon_N_bounds(
     """
     if N < 2:
         raise ValueError("needs N >= 2")
+    if N <= BRUTE_N_MAX and (mag_points < 2 or phase_points < 1):
+        # Fewer points can leave no nonzero candidate: S(N) >= 1 would be reported unscored.
+        raise ValueError(f"needs mag_points >= 2 and phase_points >= 1, "
+                         f"got {mag_points} and {phase_points}")
     best_ratio = 1.0  # witness a_1 = 1 alone has ratio exactly 1
     best_Q = DirichletPolynomial(N, {1: 1.0})
     if N <= BRUTE_N_MAX:

@@ -64,6 +64,7 @@ __all__ = [
 
 SEARCH_STRATEGIES = ("random-sign", "gaussian", "coordinate-ascent")
 CROSSOVER_N_MAX = 10**9  # sidon_crossover_n searches n in 2..CROSSOVER_N_MAX
+WIENER_POINTS_CAP = 4_000_000  # grid evaluations per part in check_wiener's certified mode
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +269,6 @@ def check_wiener(
     supnorm_upper_P: float,
     mode: str = "certified",
     target_correction: float = 0.02,
-    points_cap: int = 4_000_000,
 ) -> WienerReport:
     """Check Wiener's bound: if sup |P| <= 1 then sup |P_m| <= 1 - |P_0|^2.
 
@@ -286,7 +286,8 @@ def check_wiener(
     parts: list[WienerPart] = []
     for m, part in P.parts.items():
         if mode == "certified":
-            est = certified_upper(part, target_correction=target_correction, points_cap=points_cap)
+            est = certified_upper(part, target_correction=target_correction,
+                                  points_cap=WIENER_POINTS_CAP)
         else:
             est = sup_lower(part).lower
         parts.append(WienerPart(m, est, bound, est <= bound * (1.0 + REL_TOL) + 1e-15))

@@ -98,6 +98,8 @@ def sup_lower(
     """
     if starts is not None and starts < 1:
         raise ValueError("starts must be >= 1")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     A, c = term_arrays(P)
     n = P.n
     if len(c) == 0:
@@ -307,6 +309,8 @@ def sup_multilinear(
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    if iterations < 1:  # no sweep would leave every start unevaluated
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     T = as_dense_form(B)
     m, n = T.ndim, T.shape[0]
     scale = float(np.max(np.abs(T)))

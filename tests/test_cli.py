@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -65,9 +66,18 @@ class TestExitCodes:
              "starts must be >= 1"),
             (["check-wiener", "--count", "2", "--degree-max", "0"], "degree_max must be >= 1"),
             (["constants-table", "--m-max", "300"], "range"),  # OverflowError
+            (["sidon-mn", "--m", "1", "--n", "2", "--budget", "3", "--format", "csv"],
+             "non-finite value inf"),  # upper_hyper is inf at m = 1
+            (["sidon-N", "--N", "4", "--phase-points", "0"], "phase_points >= 1"),
+            (["sidon-N", "--N", "4", "--mag-points", "1"], "mag_points >= 2"),
+            (["verify-bh-multilinear", "--m", "2", "--n", "2", "--count", "2", "--iters", "0"],
+             "iterations must be >= 1"),
+            (["verify-bh", "--m", "2", "--n", "2", "--count", "2", "--iters", "-5"],
+             "iterations must be >= 0"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
-             "constants-overflow"],
+             "constants-overflow", "csv-non-finite", "sidon-N-phase-points-0",
+             "sidon-N-mag-points-1", "multilinear-iters-0", "iters-negative"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -82,6 +92,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""  # no "Infinity" in a report
+
+    @pytest.mark.parametrize("argv", [["random-campaign", "--count", "-1"],
+                                      ["check-blei", "--m", "2", "--n", "2", "--count", "0"]])
+    def test_count_below_one_is_a_usage_error(self, argv, tmp_path, capsys):
+        # Such a count used to write an empty report and exit 0.
+        out = tmp_path / "r.json"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --count")
+        assert not out.exists()
 
     def test_random_general_rejects_degree_below_one(self):
         with pytest.raises(ValueError, match="degree_max"):
@@ -99,6 +118,55 @@ class TestExitCodes:
         rc = run(["verify-bh", "--m", "2", "--n", "2", "--count", "2",
                   "--out", str(tmp_path / "r.json")])
         assert rc == 2
+
+
+COMMON = {"seed": 123456789, "out": None, "format": "json"}
+CAMPAIGN = {**COMMON, "threads": None}
+
+# Minimal argv and every parsed dest and default, per subcommand.
+PARSED = {
+    "verify-bh": (["--m", "2", "--n", "3"], {
+        **CAMPAIGN, "m": 2, "n": 3, "count": 100, "dist": "mix", "starts": None, "iters": 200,
+        "certified": False, "grid_step": None}),
+    "verify-bh-multilinear": (["--m", "2", "--n", "3"], {
+        **CAMPAIGN, "m": 2, "n": 3, "count": 100, "starts": 8, "iters": 100}),
+    "check-blei": (["--m", "2", "--n", "3"], {**CAMPAIGN, "m": 2, "n": 3, "count": 1000}),
+    "check-bayart": (["--m", "2", "--n", "3"], {
+        **CAMPAIGN, "m": 2, "n": 3, "count": 100, "samples": 100000}),
+    "check-proof-step": (["--m", "2", "--n", "3"], {**CAMPAIGN, "m": 2, "n": 3, "count": 100}),
+    "check-harris": (["--m", "2", "--n", "3"], {**CAMPAIGN, "m": 2, "n": 3, "count": 100}),
+    "check-wiener": ([], {**CAMPAIGN, "count": 50, "n": 2, "degree_max": 5}),
+    "random-campaign": ([], {
+        **CAMPAIGN, "count": 10, "m_set": [2, 3, 4, 5], "n_set": [2, 3, 4, 5, 6], "starts": 4,
+        "iters": 80}),
+    "sidon-mn": (["--m", "2", "--n", "3"], {
+        **COMMON, "m": 2, "n": 3, "budget": 200, "strategy": "random-sign", "certified": False,
+        "witness_out": None}),
+    "bohr-radius": (["--n", "100"], {**COMMON, "n": [100]}),
+    "bohr-small": ([], {**COMMON, "a_step": 0.001, "r_step": 0.001, "degree": 50}),
+    "lift": (["--input", "q.json"], {**COMMON, "input": "q.json"}),
+    "sidon-N": (["--N", "4"], {**COMMON, "N": 4, "budget": 200, "mag_points": 5,
+                               "phase_points": 8}),
+    "bcq-sum": (["--input", "q.json", "--c", "0.5"], {
+        **COMMON, "input": "q.json", "c": 0.5, "n_start": 3}),
+    "constants-table": ([], {**COMMON, "m_max": 20}),
+}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", list(PARSED))
+    def test_parsed_defaults(self, name):
+        rest, expected = PARSED[name]
+        parsed = vars(cli.build_parser().parse_args([name] + rest))
+        assert callable(parsed.pop("func"))
+        assert parsed == {"command": name, **expected}
+
+    def test_help_names_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^ {4}(\S+)", capsys.readouterr().out, re.MULTILINE)
+        assert sorted(listed) == sorted(PARSED)
 
 
 class TestVerifyBh:

@@ -182,6 +182,15 @@ class TestSidonN:
         with pytest.raises(ValueError):
             sidon_N_bounds(1)
 
+    @pytest.mark.parametrize("mag_points, phase_points", [(1, 8), (0, 8), (5, 0)])
+    def test_brute_grid_resolution(self, mag_points, phase_points):
+        # These grids score no candidate, so "S(4) >= 1" used to be reported unearned.
+        with pytest.raises(ValueError, match="mag_points"):
+            sidon_N_bounds(4, mag_points=mag_points, phase_points=phase_points)
+        # The random search above the brute range does not use the grid.
+        assert sidon_N_bounds(20, budget=1, mag_points=mag_points,
+                              phase_points=phase_points).lower >= 1.0
+
 
 class TestAsymptoticFormula:
     def test_frozen_value(self):

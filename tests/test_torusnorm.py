@@ -91,6 +91,12 @@ class TestSupLower:
         P = random_homogeneous(2, 4, "complex-gaussian", seed=3)
         assert sup_lower(P, seed=11).lower == sup_lower(P, seed=11).lower
 
+    def test_iterations_validation(self):
+        # A negative count used to run as 0; 0 still evaluates every start.
+        with pytest.raises(ValueError, match="iterations"):
+            sup_lower(Z1_PLUS_Z2, iterations=-5)
+        assert sup_lower(Z1_PLUS_Z2, iterations=0).lower == pytest.approx(2.0)
+
 
 class TestSupCertified:
     def test_single_variable(self):
@@ -225,6 +231,12 @@ class TestSupMultilinear:
         # With no start the "lower bound" used to come out as -scale.
         with pytest.raises(ValueError, match="starts"):
             sup_multilinear(np.eye(2, dtype=complex), starts=starts)
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_iterations_validation(self, iterations):
+        # With no sweep the lower bound used to come out as 0.
+        with pytest.raises(ValueError, match="iterations"):
+            sup_multilinear(np.eye(2, dtype=complex), iterations=iterations)
 
     def test_as_dense_form_validation(self):
         with pytest.raises(ValueError):
