@@ -192,10 +192,13 @@ def verify_bh(
 
     lhs = ell^{2m/(m+1)} coefficient norm; constant = bh_constant_hyper(m).
     ``supnorm_mode`` is "ascent" (lower bound only, cheap) or "certified"
-    (grid bracket, enables violation verdicts).
+    (grid bracket, enables violation verdicts); ``grid_step`` is the
+    certified grid's step and an error in ascent mode, which has no grid.
     """
     if P.m < 2:
         raise ValueError("the inequality is stated for m >= 2")
+    if grid_step is not None and supnorm_mode != "certified":
+        raise ValueError("grid_step needs supnorm_mode 'certified'")
     lhs = coeff_norm(P, bh_exponent(P.m))
     if supnorm_mode == "ascent":
         est = sup_lower(P, starts=starts, iterations=iterations, seed=seed)

@@ -157,8 +157,9 @@ def _emit(config: dict, header: Sequence[str], rows: Iterable[Sequence], args) -
 def _config(args, command: str) -> dict:
     # threads is an execution knob: results are aggregated in case order, so
     # the report must be byte-identical whatever the parallelism, and the
-    # thread count is deliberately left out of the embedded config.
-    skip = {"func", "out", "threads"}
+    # thread count is deliberately left out of the embedded config;
+    # after_report holds files _run writes, not configuration.
+    skip = {"func", "out", "threads", "after_report"}
     cfg = {"command": command, "version": __version__}
     for key, value in sorted(vars(args).items()):
         if key in skip or callable(value):
@@ -315,8 +316,12 @@ class Command:
 
 
 def _run(command: Command, args) -> int:
+    # (path, text) files a rows function renders, written only once the report is.
+    args.after_report = []
     rows = command.rows(args)
     _emit(_config(args, command.name), command.header, rows, args)
+    for path, text in args.after_report:
+        _atomic_write(path, text)
     summary, failed = command.judge(rows, args)
     print(f"{command.name}: {summary}", file=sys.stderr)
     return EXIT_VIOLATION if failed else EXIT_OK
@@ -366,12 +371,10 @@ def _read_dirichlet(path: str):
 def _rows_sidon_mn(args) -> list:
     bounds = sidon_lower_search(args.m, args.n, budget=args.budget, seed=args.seed,
                                 strategy=args.strategy, certified=args.certified)
-    witness_file = ""
     if args.witness_out:
-        _atomic_write(args.witness_out, _json_text(poly_to_json(bounds.witness)))
-        witness_file = args.witness_out
+        args.after_report.append((args.witness_out, _json_text(poly_to_json(bounds.witness))))
     return [(args.m, args.n, bounds.upper_hyper, bounds.upper_trivial,
-             bounds.lower_search, witness_file)]
+             bounds.lower_search, args.witness_out or "")]
 
 
 def _judge_sidon_mn(rows, args) -> tuple[str, bool]:
@@ -419,6 +422,8 @@ def _rows_bcq_sum(args) -> list:
 
 
 def _rows_constants_table(args) -> list:
+    if args.m_max < 2:  # the table starts at m = 2; a lower cap would leave it empty
+        raise UsageError(f"--m-max must be >= 2, got {args.m_max}")
     return [(m, float(bh_exponent(m)), bh_constant_hyper(m), bh_constant_queffelec(m),
              bh_constant_polarization(m), davie_kaijser_constant(m))
             for m in range(2, args.m_max + 1)]

@@ -290,6 +290,9 @@ def sidon_N_bounds(
     """
     if N < 2:
         raise ValueError("needs N >= 2")
+    if N > BRUTE_N_MAX and budget < 1:
+        # No candidate would be scored: S(N) >= 1 would be reported from the a_1 witness alone.
+        raise ValueError(f"needs budget >= 1 for N > {BRUTE_N_MAX}, got {budget}")
     if N <= BRUTE_N_MAX and (mag_points < 2 or phase_points < 1):
         # Fewer points can leave no nonzero candidate: S(N) >= 1 would be reported unscored.
         raise ValueError(f"needs mag_points >= 2 and phase_points >= 1, "

@@ -181,13 +181,14 @@ def sidon_lower_search(
     by random single-coefficient phase/modulus moves.  The monomial z_1^m is
     always the first candidate, so the returned value is at least 1.  The
     best witness's denominator is re-estimated with a quadrupled iteration
-    budget before reporting.
+    budget before reporting.  Needs m >= 2 and n >= 2 (ValueError otherwise),
+    where the hypercontractive upper bound is defined.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if strategy not in SEARCH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {SEARCH_STRATEGIES}")
-    uh = sidon_upper_hyper(m, n) if m >= 2 and n >= 2 else math.inf
+    uh = sidon_upper_hyper(m, n)
     ut = sidon_upper_trivial(m, n)
 
     dist = "random-signs" if strategy == "random-sign" else "complex-gaussian"

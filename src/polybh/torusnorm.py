@@ -19,7 +19,9 @@ Three estimators:
       sup |P| <= grid_max / (1 - n * m_max * h / 2),
 
   with m_max the maximal per-variable degree.  The bound is rigorous up to
-  floating-point rounding only (no interval arithmetic).
+  floating-point rounding only (no interval arithmetic).  For homogeneous P
+  the grid is the slice theta_1 = 0: |P(theta + t (1, ..., 1))| = |P(theta)|
+  and a node shifted by -theta_1 (1, ..., 1) is a node with theta_1 = 0.
 
 * ``sup_multilinear``: block-coordinate phase ascent for an m-linear form
   over a product of polydiscs; aligning one argument at a time is exact per
@@ -51,8 +53,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# Grid values held in memory at once by sup_certified (complex entries).
-CHUNK_POINTS = 1 << 22
 ASCENT_STEP0 = 0.5  # initial phase step of each sup_lower start
 BLOCK_ASCENT_TOL = 1e-12  # relative sweep gain at which a sup_multilinear start stops
 
@@ -150,22 +150,20 @@ def sup_lower(
 # Certified grid search
 # ----------------------------------------------------------------------
 
-def _grid_blocks(A: np.ndarray, c: np.ndarray, L: int):
-    """Values of sum_j c_j e^{i theta . A_j} on the grid theta in (2 pi / L) {0..L-1}^d.
+def _grid_values(A: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
+    """Values sum_j c_j e^{i theta . A_j} at the nodes theta = (2 pi / L) k,
+    k in {0..L-1}^d, as an array of shape (L,) * d indexed by k.
 
-    ``A`` has shape (K, d) with every entry below L.  Yields ``(row, V)``
-    for consecutive blocks of axis-0 grid indices: V[r] holds the values at
-    axis-0 index row + r, over the trailing axes flattened in C order.
+    ``A`` has shape (K, d) with every entry below L.  The coefficients are
+    scattered into a tensor indexed by their exponents, and one inverse FFT
+    with no normalization sums them at every node, exactly up to rounding.
+    With d = 0 there is one node and its value is sum_j c_j.
     """
-    d = A.shape[1]
-    m0 = int(A[:, 0].max())
-    W = np.zeros((m0 + 1,) + (L,) * (d - 1), dtype=np.complex128)
+    if A.shape[1] == 0:
+        return np.asarray(c.sum())
+    W = np.zeros((L,) * A.shape[1], dtype=np.complex128)
     np.add.at(W, tuple(A.T), c)
-    W = np.fft.ifftn(W, axes=range(1, d), norm="forward").reshape(m0 + 1, -1)
-    E0 = monomials((np.arange(L) * (TWO_PI / L))[:, None], np.arange(m0 + 1.0)[:, None])
-    block = max(1, min(L, CHUNK_POINTS // W.shape[1]))
-    for row in range(0, L, block):
-        yield row, E0[row : row + block] @ W
+    return np.fft.ifftn(W, norm="forward")
 
 
 def sup_certified(
@@ -173,25 +171,34 @@ def sup_certified(
     grid_step: float,
     max_evaluations: int = 10**8,
 ) -> SupNormEstimate:
-    """Bracket sup |P| by exhaustive evaluation on a uniform phase grid.
+    """Bracket sup |P| by exhaustive evaluation on a uniform phase lattice.
 
     ``grid_step`` must satisfy h < 2 / (n * m_max), with m_max the largest
-    per-variable degree; the actual step used is h_eff = 2 pi / L with
-    L = ceil(2 pi / h).  Variables P does not depend on are skipped (they
-    change nothing), but the correction factor keeps the stated n * m_max
-    form.  Raises BudgetExceededError if the grid would exceed
-    ``max_evaluations`` points.
+    per-variable degree; the step used is h_eff = 2 pi / L, L = ceil(2 pi / h).
+    The lattice spans the variables P depends on, but the correction keeps
+    the n * m_max form: the upper bound is the module docstring's with h_eff
+    for h, and ``lower`` is the lattice maximum.  Every exponent is at most
+    m_max < L (L >= 2 pi / h > pi * n * m_max), so :func:`_grid_values`
+    gives P on the lattice by one inverse FFT.
 
-    The grid is evaluated by separable FFT, exact up to rounding: the
-    coefficients are scattered into a tensor indexed by the exponents of the
-    active variables, an inverse FFT over all active axes but the first
-    gives the partial sums on the grid, and blocks of first-axis rows are
-    finished by a product with the table e^{i a theta_first}.  The FFT does
-    not alias because L > m_max: h < 2 / (n * m_max) gives
-    L >= 2 pi / h > pi * n * m_max > m_max, so distinct exponents stay
-    distinct modulo L.  Ties among grid maxima resolve to the first point
-    in lexicographic grid order.  The upper bound is the Bernstein-corrected
-    grid maximum of the module docstring, with h_eff in place of h.
+    A homogeneous P (all terms of one degree m) is evaluated on the slice
+    k_1 = 0 of its first active axis alone, L times fewer points, with the
+    same maximum: P(theta + t (1, ..., 1)) = e^{i m t} P(theta), so the node
+    h k shifted by -k_1 h (1, ..., 1) is a node with k_1 = 0 and the same
+    modulus.  Ties go to the first maximum in C order; with exact values
+    that node is unchanged too, since the first lattice maximum has k_1 = 0
+    (some maximum has) and C order on the slice is C order on the lattice.
+    In floating point the nodes of one orbit differ by rounding, so the
+    argmax is the slice's own first maximum.  General P keep all active axes.
+    ``method["evaluations"]`` counts the points evaluated.
+
+    Raises BudgetExceededError when the lattice, L ** (active variables)
+    points, exceeds ``max_evaluations``.  The budget counts the lattice, not
+    the slice: ``certified_upper`` picks between this bound and sum |c| by
+    it, and counting the slice would change its choice.  Memory: the tensor
+    and its transform, 16 bytes per evaluated point each, plus 8 for the
+    moduli.  A homogeneous slice has L ** (d - 1) points; general P reach
+    this grid from the library only through ``certified_upper`` (2M points).
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -215,25 +222,16 @@ def sup_certified(
     if points > max_evaluations:
         raise BudgetExceededError(f"grid needs {points} evaluations, cap is {max_evaluations}")
 
-    best_val = -1.0
-    best_flat = 0
-    for row, V in _grid_blocks(A[:, active], c, L):
-        av = np.abs(V).ravel()
-        loc = int(np.argmax(av))
-        if av[loc] > best_val:
-            best_val = float(av[loc])
-            best_flat = row * V.shape[1] + loc
-    # Decode the flat C-order index into an argmax phase vector.
-    theta1d = np.arange(L) * h_eff
+    degrees = A.sum(axis=1)
+    axes = active[1:] if (degrees == degrees[0]).all() else active
+    V = np.abs(_grid_values(A[:, axes], c, L))
+    best = np.unravel_index(int(np.argmax(V)), V.shape)
     arg = np.zeros(n)
-    rem = best_flat
-    for k in reversed(active):
-        arg[k] = theta1d[rem % L]
-        rem //= L
+    arg[axes] = np.array(best) * h_eff
+    best_val = float(V[best])
     correction = 1.0 - n * m_max * h_eff / 2.0
-    upper = best_val / correction
-    meta.update({"evaluations": points, "grid_points_per_axis": L, "h_eff": h_eff, "m_max": m_max})
-    return SupNormEstimate(best_val, upper, arg, meta)
+    meta.update({"evaluations": V.size, "grid_points_per_axis": L, "h_eff": h_eff, "m_max": m_max})
+    return SupNormEstimate(best_val, best_val / correction, arg, meta)
 
 
 def certified_upper(

@@ -148,6 +148,10 @@ class TestVerifyBH:
         assert rep.supnorm.lower <= 4.0 + 1e-9 <= rep.supnorm.upper * (1 + 1e-9)
         assert rep.verdict == "verified"
 
+    def test_grid_step_needs_certified_mode(self):
+        with pytest.raises(ValueError, match="grid_step needs supnorm_mode 'certified'"):
+            verify_bh(SQUARE, grid_step=0.05)
+
     def test_random_campaign(self):
         for seed in range(60):
             m, n = 2 + seed % 3, 2 + seed % 4

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from polybh import cli
+from polybh import bhverify, cli
 from polybh.bhverify import BleiReport, InequalityReport
 from polybh.polyalgebra import from_json_dict as poly_from_json
 from polybh.torusnorm import SupNormEstimate
@@ -67,7 +67,7 @@ class TestExitCodes:
             (["check-wiener", "--count", "2", "--degree-max", "0"], "degree_max must be >= 1"),
             (["constants-table", "--m-max", "300"], "range"),  # OverflowError
             (["sidon-mn", "--m", "1", "--n", "2", "--budget", "3", "--format", "csv"],
-             "non-finite value inf"),  # upper_hyper is inf at m = 1
+             "needs m >= 2 and n >= 2"),  # the hypercontractive bound is undefined at m = 1
             (["sidon-N", "--N", "4", "--phase-points", "0"], "phase_points >= 1"),
             (["sidon-N", "--N", "4", "--mag-points", "1"], "mag_points >= 2"),
             (["verify-bh-multilinear", "--m", "2", "--n", "2", "--count", "2", "--iters", "0"],
@@ -76,7 +76,7 @@ class TestExitCodes:
              "iterations must be >= 0"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
-             "constants-overflow", "csv-non-finite", "sidon-N-phase-points-0",
+             "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
              "sidon-N-mag-points-1", "multilinear-iters-0", "iters-negative"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
@@ -86,12 +86,39 @@ class TestExitCodes:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
-    def test_non_finite_report_value_is_an_error_line(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_report_value_is_an_error_line(self, fmt, monkeypatch, capsys):
         monkeypatch.setattr(cli, "check_blei", lambda *a, **k: BleiReport(math.inf, math.inf, True))
-        assert run(["check-blei", "--m", "2", "--n", "2", "--count", "2"]) == 1
+        assert run(["check-blei", "--m", "2", "--n", "2", "--count", "2", "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""  # no "Infinity" in a report
+
+    @pytest.mark.parametrize("m_max", ["1", "0", "-3"])
+    def test_constants_table_below_m_two_is_a_usage_error(self, m_max, tmp_path, capsys):
+        # The table starts at m = 2, so such a cap would write an empty table.
+        out = tmp_path / "ct.json"
+        assert run(["constants-table", "--m-max", m_max, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --m-max must be >= 2")
+        assert not out.exists()
+
+    def test_grid_step_without_certified_is_an_error_line(self, monkeypatch, tmp_path, capsys):
+        # Ascent mode has no grid: the step would be ignored silently.
+        def no_ascent(*a, **k):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(bhverify, "sup_lower", no_ascent)
+        out = tmp_path / "r.json"
+        assert run(["verify-bh", "--m", "2", "--n", "2", "--count", "3", "--grid-step", "0.05",
+                    "--threads", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_step needs supnorm_mode 'certified'")
+        assert not out.exists()
+
+    def test_sidon_N_heuristic_budget_zero_is_an_error_line(self, capsys):
+        # With no candidate scored, S(20) >= 1 would be reported unearned.
+        assert run(["sidon-N", "--N", "20", "--budget", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: needs budget >= 1")
 
     @pytest.mark.parametrize("argv", [["random-campaign", "--count", "-1"],
                                       ["check-blei", "--m", "2", "--n", "2", "--count", "0"]])
@@ -236,6 +263,15 @@ class TestSingleShotCommands:
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         header = body[0].split(",")
         assert header == ["m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file"]
+
+    def test_witness_is_written_after_the_report(self, tmp_path, capsys):
+        # A run whose report fails must not leave its witness behind.
+        wit = tmp_path / "w.json"
+        rc = run(["sidon-mn", "--m", "2", "--n", "2", "--budget", "3", "--witness-out", str(wit),
+                  "--out", str(tmp_path / "missing" / "r.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not wit.exists()
 
     def test_bohr_radius(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

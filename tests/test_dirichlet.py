@@ -191,6 +191,14 @@ class TestSidonN:
         assert sidon_N_bounds(20, budget=1, mag_points=mag_points,
                               phase_points=phase_points).lower >= 1.0
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_heuristic_budget(self, budget):
+        # No candidate would be scored, so "S(20) >= 1" would be reported unearned.
+        with pytest.raises(ValueError, match="budget >= 1"):
+            sidon_N_bounds(20, budget=budget)
+        # The brute grid below the heuristic range does not use the budget.
+        assert sidon_N_bounds(3, budget=budget).lower >= 1.0
+
 
 class TestAsymptoticFormula:
     def test_frozen_value(self):

@@ -103,6 +103,12 @@ class TestSidonSearch:
         with pytest.raises(ValueError):
             sidon_lower_search(2, 2, strategy="anneal")
 
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (1, 1)])
+    def test_needs_m_and_n_at_least_two(self, m, n):
+        # The hypercontractive upper bound is defined only from m, n = 2 on.
+        with pytest.raises(ValueError, match="needs m >= 2 and n >= 2"):
+            sidon_lower_search(m, n, budget=1)
+
 
 class TestWiener:
     def test_constant_polynomial(self):

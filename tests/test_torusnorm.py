@@ -17,7 +17,7 @@ from polybh.polyalgebra import (
 )
 from polybh.torusnorm import (
     BudgetExceededError,
-    _grid_blocks,
+    _grid_values,
     as_dense_form,
     certified_upper,
     sup_certified,
@@ -162,7 +162,7 @@ class TestFFTGrid:
         assume(L**n <= 100_000)
         P = random_homogeneous(m, n, dist, seed=seed)
         A, c = term_arrays(P)
-        fft = np.concatenate([V for _, V in _grid_blocks(A, c, L)]).ravel()
+        fft = _grid_values(A, c, L).ravel()
         axes = np.meshgrid(*[np.arange(L) * (2 * math.pi / L)] * n, indexing="ij")
         nodes = np.stack(axes, axis=-1).reshape(-1, n)
         direct = monomials(nodes, A) @ c
@@ -181,6 +181,44 @@ class TestFFTGrid:
         low = sup_lower(P, starts=4, iterations=80, seed=seed % 1000).lower
         assert est.upper >= low * (1 - 1e-12)
         assert est.lower == pytest.approx(abs(evaluate(P, np.exp(1j * est.argmax))), rel=1e-12)
+
+
+class TestGridSlice:
+    # Homogeneous P are evaluated on the slice theta_1 = 0 of the first active
+    # axis; its maximum must be the maximum of the whole lattice.
+    @given(st.sampled_from([(m, n) for m, n in SMALL_PAIRS if n <= 4]),
+           st.sampled_from(RANDOM_DISTRIBUTIONS), st.integers(0, 2**32 - 1),
+           st.floats(0.7, 0.95))
+    @settings(max_examples=30, deadline=None)
+    def test_slice_max_is_lattice_max(self, pair, dist, seed, frac):
+        m, n = pair
+        P = random_homogeneous(m, n, dist, seed=seed)
+        A, c = term_arrays(P)
+        active = np.flatnonzero(A.max(axis=0))
+        est = sup_certified(P, frac * 2 / (n * A.max()))
+        L = est.method["grid_points_per_axis"]
+        lattice = np.abs(_grid_values(A[:, active], c, L))
+        assert est.method["evaluations"] == L ** (len(active) - 1)
+        assert est.lower == pytest.approx(lattice.max(), rel=1e-12)
+        assert est.argmax[active[0]] == 0.0
+        assert abs(evaluate(P, np.exp(1j * est.argmax))) == pytest.approx(est.lower, rel=1e-12)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_general_polynomial_keeps_the_lattice(self, n, degree, seed):
+        rng = np.random.default_rng(seed)
+        parts = {k: random_homogeneous(k, n, "complex-gaussian", seed=seed + k)
+                 for k in range(1, degree + 1)}
+        G = GeneralPolynomial(n, parts, a0=complex(*rng.standard_normal(2)))
+        A, c = term_arrays(G)
+        est = sup_certified(G, 1.9 / (n * A.max()))
+        L = est.method["grid_points_per_axis"]
+        active = np.flatnonzero(A.max(axis=0))
+        axes = np.meshgrid(*[np.arange(L) * (2 * math.pi / L)] * len(active), indexing="ij")
+        nodes = np.stack(axes, axis=-1).reshape(-1, len(active))
+        direct = np.abs(monomials(nodes, A[:, active]) @ c)
+        assert est.method["evaluations"] == L ** len(active)
+        assert est.lower == pytest.approx(direct.max(), rel=1e-12)
 
 
 class TestCertifiedUpper:
