@@ -42,6 +42,8 @@ from .torusnorm import (
     certified_upper,
     sup_certified,
     sup_lower,
+    sup_lower_batch,
+    sup_lower_each,
     sup_multilinear,
 )
 from .bhverify import (
@@ -55,6 +57,7 @@ from .bhverify import (
     check_proof_step,
     davie_kaijser_constant,
     verify_bh,
+    verify_bh_batch,
     verify_bh_multilinear,
 )
 from .sidonbohr import (

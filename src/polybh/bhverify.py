@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .polyalgebra import (
     l1_torus_norm_mc,
     term_arrays,
 )
-from .torusnorm import (BudgetExceededError, SupNormEstimate, as_dense_form, sup_certified, sup_lower,
+from .torusnorm import (BudgetExceededError, SupNormEstimate, as_dense_form, sup_certified, sup_lower_each,
                         sup_multilinear)
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "proof_step_constant",
     "InequalityReport",
     "verify_bh",
+    "verify_bh_batch",
     "verify_bh_multilinear",
     "BleiReport",
     "check_blei",
@@ -194,20 +196,36 @@ def verify_bh(
     ``supnorm_mode`` is "ascent" (lower bound only, cheap) or "certified"
     (grid bracket, enables violation verdicts); ``grid_step`` is the
     certified grid's step and an error in ascent mode, which has no grid.
+    Ascent mode is the one-case call of :func:`verify_bh_batch`.
     """
     if P.m < 2:
         raise ValueError("the inequality is stated for m >= 2")
     if grid_step is not None and supnorm_mode != "certified":
         raise ValueError("grid_step needs supnorm_mode 'certified'")
-    lhs = coeff_norm(P, bh_exponent(P.m))
     if supnorm_mode == "ascent":
-        est = sup_lower(P, starts=starts, iterations=iterations, seed=seed)
-    elif supnorm_mode == "certified":
-        h = grid_step if grid_step is not None else 0.5 / (P.n * P.m)
-        est = sup_certified(P, h)
-    else:
+        return verify_bh_batch([P], starts, iterations, [seed])[0]
+    if supnorm_mode != "certified":
         raise ValueError(f"unknown supnorm_mode {supnorm_mode!r}")
-    return _report(lhs, bh_constant_hyper(P.m), est)
+    h = grid_step if grid_step is not None else 0.5 / (P.n * P.m)
+    return _report(coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m), sup_certified(P, h))
+
+
+def verify_bh_batch(
+    Ps: Sequence[HomogeneousPolynomial],
+    starts: int | None,
+    iterations: int,
+    seeds: Sequence[int],
+) -> list[InequalityReport]:
+    """:func:`verify_bh` in ascent mode for many polynomials: report b
+    equals ``verify_bh(Ps[b], starts=starts, iterations=iterations,
+    seed=seeds[b])``, with the sup norms from :func:`sup_lower_each`, so
+    consecutive P that share an exponent matrix (e.g. random P of one
+    (m, n)) run as one batched ascent.
+    """
+    if any(P.m < 2 for P in Ps):
+        raise ValueError("the inequality is stated for m >= 2")
+    ests = sup_lower_each(Ps, starts, iterations, seeds)
+    return [_report(coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m), est) for P, est in zip(Ps, ests)]
 
 
 def verify_bh_multilinear(

@@ -48,6 +48,7 @@ from .bhverify import (
     check_proof_step,
     davie_kaijser_constant,
     verify_bh,
+    verify_bh_batch,
     verify_bh_multilinear,
 )
 from .dirichlet import (
@@ -60,6 +61,7 @@ from .polarization import check_harris
 from .polyalgebra import (
     RANDOM_DISTRIBUTIONS,
     GeneralPolynomial,
+    dimension_count,
     random_homogeneous,
     scale,
     to_json_dict as poly_to_json,
@@ -71,7 +73,7 @@ from .sidonbohr import (
     check_wiener,
     sidon_lower_search,
 )
-from .torusnorm import certified_upper
+from .torusnorm import ascent_chunk, certified_upper
 
 DEFAULT_SEED = 123456789
 ENV_THREADS = "POLYBH_THREADS"
@@ -192,8 +194,9 @@ def _threads(args) -> int:
 # Campaigns: one random case per index, one report row per case
 # ----------------------------------------------------------------------
 #
-# Row workers take (args, case index, case seed) and look library functions
-# up at call time, so tests can substitute them on this module.
+# Row workers take (args, case index, case seed), block workers (args, case
+# indices, case seeds); both look library functions up at call time, so
+# tests can substitute them on this module.
 
 def _random_table(m: int, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -269,13 +272,27 @@ def _row_check_wiener(args, i: int, seed: int):
     return (i, args.n, seed, rep.a0_modulus, rep.bound, worst, rep.passed)
 
 
-def _row_random_campaign(args, i: int, seed: int):
+def _rows_random_campaign(args, cases: range, seeds: list[int]) -> list:
+    # A block is the --count cases of one (m, n) pair: dense random P of one
+    # shape share J(m, n), so batched ascents run them, the P built one
+    # kernel chunk at a time.
     pairs = [(m, n) for m in args.m_set for n in args.n_set]
-    m, n = pairs[i // args.count]
-    dist = DISTRIBUTIONS[i % 3]
-    P = random_homogeneous(m, n, dist, seed=seed)
-    rep = verify_bh(P, starts=args.starts, iterations=args.iters, seed=seed)
-    return (i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
+    m, n = pairs[cases[0] // args.count]
+    size = ascent_chunk(dimension_count(m, n), n, args.starts)
+    rows = []
+    for lo in range(0, len(cases), size):
+        part, part_seeds = cases[lo:lo + size], seeds[lo:lo + size]
+        dists = [DISTRIBUTIONS[i % 3] for i in part]
+        Ps = [random_homogeneous(m, n, dist, seed=seed) for dist, seed in zip(dists, part_seeds)]
+        reps = verify_bh_batch(Ps, args.starts, args.iters, part_seeds)
+        rows += [(i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
+                 for i, dist, seed, rep in zip(part, dists, part_seeds, reps)]
+    return rows
+
+
+def _each(row: Callable) -> Callable:
+    """The block worker of a row worker: one row per case."""
+    return lambda args, cases, seeds: [row(args, i, seed) for i, seed in zip(cases, seeds)]
 
 
 def _violations(rows) -> tuple[str, bool]:
@@ -330,25 +347,31 @@ def _run(command: Command, args) -> int:
 _MN = (("--m", dict(type=int, required=True)), ("--n", dict(type=int, required=True)))
 
 
-def _campaign(name: str, help: str, header: tuple[str, ...], row: Callable, judge: Callable,
+def _campaign(name: str, help: str, header: tuple[str, ...], block_rows: Callable, judge: Callable,
               count: int, options: tuple = (), mn: bool = True,
               cases: Callable = operator.attrgetter("count"),
+              block: Callable = lambda args: 1,
               count_help: str | None = None) -> Command:
-    """A campaign of ``cases(args)`` random cases, case i giving the row
-    ``row(args, i, case seed)``.  It takes --m and --n when ``mn`` is set,
-    --count (default ``count``), the extra ``options`` and --threads;
+    """A campaign of ``cases(args)`` random cases, one row per case.  The
+    cases run in blocks of ``block(args)`` consecutive indices, the block
+    ``cases`` giving the rows ``block_rows(args, cases, case seeds)``; the
+    thread pool takes whole blocks.  It takes --m and --n when ``mn`` is
+    set, --count (default ``count``), the extra ``options`` and --threads;
     ``judge(rows)`` gives the summary after the case count.
     """
     def rows(args) -> list:
-        def worker(i: int):
-            return row(args, i, case_seed(args.seed, i))
+        def worker(block_cases: range) -> list:
+            return block_rows(args, block_cases, [case_seed(args.seed, i) for i in block_cases])
 
-        indices = range(cases(args))
+        total, size = cases(args), block(args)
+        blocks = [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
         threads = _threads(args)
         if threads == 1:
-            return [worker(i) for i in indices]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, indices))
+            parts = [worker(b) for b in blocks]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(worker, blocks))
+        return [row for part in parts for row in part]
 
     def judge_cases(rows, args) -> tuple[str, bool]:
         summary, failed = judge(rows)
@@ -433,7 +456,7 @@ COMMANDS = (
     _campaign("verify-bh", "campaign of hypercontractive coefficient checks",
               ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "sup_upper",
                "ratio", "constant", "slack", "verdict"),
-              _row_verify_bh, _violations, 100,
+              _each(_row_verify_bh), _violations, 100,
               (("--dist", dict(choices=DISTRIBUTIONS + ("mix",), default="mix")),
                ("--starts", dict(type=int, default=None)),
                ("--iters", dict(type=int, default=200)),
@@ -442,36 +465,36 @@ COMMANDS = (
                ("--grid-step", dict(type=float, default=None)))),
     _campaign("verify-bh-multilinear", "multilinear inequality campaign",
               ("case", "m", "n", "case_seed", "lhs", "sup_lower", "ratio", "constant", "verdict"),
-              _row_verify_bh_multilinear, _violations, 100,
+              _each(_row_verify_bh_multilinear), _violations, 100,
               (("--starts", dict(type=int, default=8)), ("--iters", dict(type=int, default=100)))),
     _campaign("check-blei", "Blei interpolation bound on random tables",
               ("case", "m", "n", "case_seed", "lhs", "rhs", "passed"),
-              _row_check_blei, _failures, 1000),
+              _each(_row_check_blei), _failures, 1000),
     _campaign("check-bayart", "L1-L2 hypercontractive comparison (Monte Carlo)",
               ("case", "m", "n", "case_seed", "l2", "l1_estimate", "stderr", "bound", "passed"),
-              _row_check_bayart, _bayart_flags, 100,
+              _each(_row_check_bayart), _bayart_flags, 100,
               (("--samples", dict(type=int, default=10**5)),)),
     _campaign("check-proof-step", "slotwise polarization estimate",
               ("case", "m", "n", "case_seed", "slot", "lhs", "bound", "parseval_rel_err", "passed"),
-              _row_check_proof_step, _failures, 100),
+              _each(_row_check_proof_step), _failures, 100),
     _campaign("check-harris", "polarization bound at repeated arguments",
               ("case", "m", "n", "case_seed", "partition", "form_value", "bound", "passed"),
-              _row_check_harris, _failures, 100),
+              _each(_row_check_harris), _failures, 100),
     _campaign("check-wiener", "homogeneous-part bound for sup-norm-1 polynomials",
               ("case", "n", "case_seed", "a0_modulus", "bound", "worst_slack", "passed"),
-              _row_check_wiener, _failures, 50,
+              _each(_row_check_wiener), _failures, 50,
               (("--n", dict(type=int, default=2)), ("--degree-max", dict(type=int, default=5))),
               mn=False),
     _campaign("random-campaign", "verify-bh sweep over (m, n) grids",
               ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "ratio",
                "constant", "verdict"),
-              _row_random_campaign, _violations, 10,
+              _rows_random_campaign, _violations, 10,
               (("--m-set", dict(type=int, nargs="+", default=[2, 3, 4, 5])),
                ("--n-set", dict(type=int, nargs="+", default=[2, 3, 4, 5, 6])),
                ("--starts", dict(type=int, default=4)),
                ("--iters", dict(type=int, default=80))),
               mn=False, cases=lambda args: len(args.m_set) * len(args.n_set) * args.count,
-              count_help="cases per (m, n) pair"),
+              block=operator.attrgetter("count"), count_help="cases per (m, n) pair"),
     Command("sidon-mn", "Sidon constant bracket for degree-m monomials",
             ("m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file"),
             _rows_sidon_mn, _judge_sidon_mn,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -44,7 +45,7 @@ from .polyalgebra import (
     majorant_sum,
     random_homogeneous,
 )
-from .torusnorm import certified_upper, sup_lower
+from .torusnorm import ascent_chunk, certified_upper, sup_lower, sup_lower_each
 
 __all__ = [
     "sidon_upper_hyper",
@@ -154,14 +155,20 @@ class SidonBounds:
     method: dict = field(default_factory=dict)
 
 
-def _sidon_ratio(P: HomogeneousPolynomial, certified: bool, iterations, seed) -> float:
-    l1 = coeff_norm(P, 1)
-    if l1 == 0.0:
-        return 0.0
+def _sidon_ratios(Ps: Sequence[HomogeneousPolynomial], certified: bool, iterations: int,
+                  seeds: Sequence[int]) -> list[float]:
+    """Coefficient sum over a sup-norm estimate of each P: its certified
+    upper bound, or else batched ascents (:func:`sup_lower_each`); 0 for
+    P = 0 or a zero estimate."""
+    l1s = [coeff_norm(P, 1) for P in Ps]
     if certified:
-        return l1 / certified_upper(P)
-    denom = sup_lower(P, iterations=iterations, seed=seed).lower
-    return l1 / denom if denom > 0 else 0.0
+        return [l1 / certified_upper(P) if l1 else 0.0 for P, l1 in zip(Ps, l1s)]
+    ests = sup_lower_each(Ps, None, iterations, seeds)
+    return [l1 / est.lower if l1 and est.lower > 0 else 0.0 for l1, est in zip(l1s, ests)]
+
+
+def _sidon_ratio(P: HomogeneousPolynomial, certified: bool, iterations: int, seed: int) -> float:
+    return _sidon_ratios([P], certified, iterations, [seed])[0]
 
 
 def sidon_lower_search(
@@ -178,11 +185,13 @@ def sidon_lower_search(
     Candidates per strategy: ``random-sign`` draws dense +-1 patterns (the
     classical source of large Sidon ratios), ``gaussian`` dense complex
     normals, ``coordinate-ascent`` additionally polishes the best candidate
-    by random single-coefficient phase/modulus moves.  The monomial z_1^m is
-    always the first candidate, so the returned value is at least 1.  The
-    best witness's denominator is re-estimated with a quadrupled iteration
-    budget before reporting.  Needs m >= 2 and n >= 2 (ValueError otherwise),
-    where the hypercontractive upper bound is defined.
+    by random single-coefficient phase/modulus moves.  The random candidates
+    share J(m, n), so batched ascents score them when the search is not
+    certified.  The monomial z_1^m is always the first
+    candidate, so the returned value is at least 1.  The best witness's
+    denominator is re-estimated with a quadrupled iteration budget before
+    reporting.  Needs m >= 2 and n >= 2 (ValueError otherwise), where the
+    hypercontractive upper bound is defined.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -196,12 +205,17 @@ def sidon_lower_search(
 
     best_P = HomogeneousPolynomial(m, n, {(1,) * m: 1.0})
     best_ratio = 1.0  # the monomial ratio is exactly 1
-    for idx in range(n_candidates):
-        cand_seed = int(np.random.SeedSequence(seed, spawn_key=(0, idx)).generate_state(1)[0])
-        P = random_homogeneous(m, n, dist, seed=cand_seed)
-        ratio = _sidon_ratio(P, certified, iterations, cand_seed)
-        if ratio > best_ratio:
-            best_ratio, best_P = ratio, P
+    cand_seeds = [int(np.random.SeedSequence(seed, spawn_key=(0, idx)).generate_state(1)[0])
+                  for idx in range(n_candidates)]
+    # Candidates are built and scored one ascent chunk at a time (one at a
+    # time when certified), so few of them exist at once.
+    size = 1 if certified else ascent_chunk(dimension_count(m, n), n, None)
+    for lo in range(0, n_candidates, size):
+        chunk_seeds = cand_seeds[lo:lo + size]
+        candidates = [random_homogeneous(m, n, dist, seed=s) for s in chunk_seeds]
+        for P, ratio in zip(candidates, _sidon_ratios(candidates, certified, iterations, chunk_seeds)):
+            if ratio > best_ratio:
+                best_ratio, best_P = ratio, P
 
     moves = 0
     if strategy == "coordinate-ascent":

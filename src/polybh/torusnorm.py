@@ -8,7 +8,10 @@ Three estimators:
 
 * ``sup_lower``: multistart fixed-step gradient ascent on |P(e^{i theta})|^2
   with backtracking halving.  The result is a genuine lower bound for the
-  sup norm (it is a value of |P|), never an upper bound.
+  sup norm (it is a value of |P|), never an upper bound.  ``sup_lower_batch``
+  runs it on a stack of polynomials with one exponent matrix, with the same
+  bits per case, and ``sup_lower_each`` on any list, batching each run of
+  polynomials with one matrix.
 
 * ``sup_certified``: evaluates |P| on a uniform phase grid of step h and
   converts the grid maximum into an upper bound through the Bernstein
@@ -34,9 +37,10 @@ scales the estimate exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +50,9 @@ __all__ = [
     "SupNormEstimate",
     "BudgetExceededError",
     "sup_lower",
+    "sup_lower_batch",
+    "sup_lower_each",
+    "ascent_chunk",
     "sup_certified",
     "sup_multilinear",
     "certified_upper",
@@ -54,6 +61,15 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ASCENT_STEP0 = 0.5  # initial phase step of each sup_lower start
+# Cap on B S (K + n) per ascent kernel call (see ascent_chunk).  Exponentials
+# over the (B, S, K) table are most of an ascent's work.  On a 2-core Xeon
+# (2 MiB of L2 per core) 2**14 was within 8% of the fastest of 2**13 ..
+# 2**16 on random-campaign shapes; 100-candidate Sidon searches ran 1.1x to
+# 2.3x faster than one ascent per candidate, and up to 1.3x slower at 2**15.
+# A call then peaks at 0.5 to 1.3 MiB of arrays for S >= 4 (tracemalloc);
+# the (B, K, n) weighted exponents add up to n / S times the capped
+# entries, 3.4 MiB at S = 1 and (m, n) = (5, 6).
+ASCENT_BATCH_ELEMENTS = 1 << 14
 BLOCK_ASCENT_TOL = 1e-12  # relative sweep gain at which a sup_multilinear start stops
 
 
@@ -92,58 +108,151 @@ def sup_lower(
     The objective is f(theta) = |P(e^{i theta})|^2, whose gradient is
     2 Re(conj(P) d_theta P) with d_{theta_k} P = i sum_alpha alpha_k
     a_alpha e^{i theta . alpha}.  Each start keeps its own step size: a
-    proposal that does not improve halves the step.  Start count defaults to
-    8 n plus the deterministic aligned start theta = 0.  Nondecreasing in
-    both ``iterations`` and ``starts`` for a fixed seed.
+    proposal that does not improve halves the step, and the ascent stops
+    once every step is below 1e-16 (``method["iterations_run"]`` is the
+    iteration it stopped at).  Start count defaults to 8 n plus the
+    deterministic aligned start theta = 0.  Nondecreasing in both
+    ``iterations`` and ``starts`` for a fixed seed.  This is the one-case
+    call of :func:`sup_lower_batch`.
+    """
+    return sup_lower_batch([P], starts, iterations, [seed])[0]
+
+
+def sup_lower_batch(
+    Ps: Sequence[Polynomial],
+    starts: int | None,
+    iterations: int,
+    seeds: Sequence[int],
+) -> list[SupNormEstimate]:
+    """:func:`sup_lower` for polynomials that share one exponent matrix.
+
+    ``Ps`` must have equal ``term_arrays(P)[0]`` (e.g. dense random P of one
+    (m, n)); estimate b is ``sup_lower(Ps[b], starts, iterations, seeds[b])``
+    bit for bit.  Each case keeps its own seeded starts, step vector and
+    stop: a case whose steps all fall below 1e-16 is frozen, so no later
+    proposal is accepted for it, while the others run on.  The cases run in
+    chunks of :func:`ascent_chunk` cases; the output does not depend on the
+    chunking (see :func:`_ascent`).
     """
     if starts is not None and starts < 1:
         raise ValueError("starts must be >= 1")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    A, c = term_arrays(P)
-    n = P.n
-    if len(c) == 0:
-        return SupNormEstimate(0.0, None, np.zeros(n), {"mode": "ascent", "starts": 0, "iterations": 0, "seed": seed})
-    cmax = float(np.max(np.abs(c)))
-    cn = c / cmax
-    Af = A.astype(np.float64)
-    cA = cn[:, None] * A
+    if not Ps:
+        raise ValueError("empty batch")
+    if len(seeds) != len(Ps):
+        raise ValueError(f"{len(seeds)} seeds for {len(Ps)} polynomials")
+    A = term_arrays(Ps[0])[0]
+    if not all(np.array_equal(term_arrays(P)[0], A) for P in Ps[1:]):
+        raise ValueError("the batch needs one exponent matrix")
+    K, n = A.shape
+    if K == 0:
+        empty = {"mode": "ascent", "starts": 0, "iterations": 0, "iterations_run": 0}
+        return [SupNormEstimate(0.0, None, np.zeros(n), empty | {"seed": seed}) for seed in seeds]
+    S, chunk = _start_count(n, starts), ascent_chunk(K, n, starts)
+    out = []
+    for lo in range(0, len(Ps), chunk):
+        out += _ascent(A, Ps[lo:lo + chunk], S, iterations, seeds[lo:lo + chunk])
+    return out
 
-    S = starts if starts is not None else max(1, 8 * n)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    theta = rng.random((S, n)) * TWO_PI
-    theta[0] = 0.0
+
+def sup_lower_each(
+    Ps: Sequence[Polynomial],
+    starts: int | None,
+    iterations: int,
+    seeds: Sequence[int],
+) -> list[SupNormEstimate]:
+    """``sup_lower(Ps[b], starts, iterations, seeds[b])`` for each b, every
+    run of consecutive P with one exponent matrix going through one
+    :func:`sup_lower_batch`.  Dense random P of one (m, n) all have J(m, n)
+    unless a coefficient is drawn as exactly 0, which splits their run."""
+    if len(seeds) != len(Ps):
+        raise ValueError(f"{len(seeds)} seeds for {len(Ps)} polynomials")
+    out = []
+    runs = itertools.groupby(zip(Ps, seeds), key=lambda case: _matrix_key(case[0]))
+    for _, run in runs:
+        run_Ps, run_seeds = zip(*run)
+        out += sup_lower_batch(run_Ps, starts, iterations, run_seeds)
+    return out
+
+
+def _matrix_key(P: Polynomial) -> tuple:
+    A = term_arrays(P)[0]
+    return A.shape, A.tobytes()
+
+
+def _start_count(n: int, starts: int | None) -> int:
+    return starts if starts is not None else max(1, 8 * n)
+
+
+def ascent_chunk(K: int, n: int, starts: int | None) -> int:
+    """How many polynomials with K terms in n variables one kernel call of
+    :func:`sup_lower_batch` takes: the largest B with B S (K + n), the
+    entries of its (B, S, K) monomial table and (B, S, n) phases, at most
+    ``ASCENT_BATCH_ELEMENTS``, and at least 1.  Callers that build their
+    polynomials on the fly build one chunk at a time."""
+    return max(1, ASCENT_BATCH_ELEMENTS // (_start_count(n, starts) * (K + n)))
+
+
+def _ascent(A: np.ndarray, Ps: Sequence[Polynomial], S: int, iterations: int,
+            seeds: Sequence[int]) -> list[SupNormEstimate]:
+    """The ascent of :func:`sup_lower_batch` on one chunk of B cases.
+
+    The arrays carry the case as their first axis: phases (B, S, n),
+    monomials (B, S, K), values (B, S, 1).  Every product is a stacked
+    matmul, so case b goes through the same (S, n) @ (n, K), (S, K) @ (K, 1)
+    and (S, K) @ (K, n) BLAS calls as it does alone, and everything else is
+    elementwise; flattening the cases to (B S, n) rows moved values by
+    rounding.  Hence no case's bits depend on the others in its chunk.
+    """
+    B, n = len(Ps), A.shape[1]
+    c = np.stack([term_arrays(P)[1] for P in Ps])
+    cmax = np.abs(c).max(axis=1)
+    cn = c / cmax[:, None]
+    Af = A.astype(np.float64)
+    cv = cn[:, :, None]
+    cA = cv * A
+
+    theta = np.empty((B, S, n))
+    for b, seed in enumerate(seeds):
+        theta[b] = np.random.default_rng(np.random.SeedSequence(seed)).random((S, n)) * TWO_PI
+    theta[:, 0] = 0.0
 
     def value_grad(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         M = monomials(th, Af)
-        vals = M @ cn
+        vals = M @ cv
         dP = M @ cA
         f = _abs2(vals)
-        grad = 2.0 * (np.conjugate(vals)[:, None] * (1j * dP)).real
+        grad = 2.0 * (np.conjugate(vals) * (1j * dP)).real
         return f, grad
 
     f, grad = value_grad(theta)
-    step = np.full(S, ASCENT_STEP0)
-    for _ in range(iterations):
-        prop = np.mod(theta + step[:, None] * grad, TWO_PI)
+    step = np.full((B, S, 1), ASCENT_STEP0)
+    stopped = np.full(B, iterations)
+    live = np.ones((B, 1, 1), dtype=bool)
+    for it in range(iterations):
+        prop = np.mod(theta + step * grad, TWO_PI)
         fp, gp = value_grad(prop)
-        acc = fp > f
-        if np.any(acc):
-            theta[acc] = prop[acc]
-            f[acc] = fp[acc]
-            grad[acc] = gp[acc]
-        step[~acc] *= 0.5
-        if float(step.max()) < 1e-16:
-            break
-    best = int(np.argmax(f))
-    arg = theta[best].copy()
-    lower = float(np.abs(monomials(arg, Af) @ cn)) * cmax
-    return SupNormEstimate(
-        lower,
-        None,
-        arg,
-        {"mode": "ascent", "starts": S, "iterations": iterations, "seed": seed},
-    )
+        acc = (fp > f) & live
+        theta = np.where(acc, prop, theta)
+        f = np.where(acc, fp, f)
+        grad = np.where(acc, gp, grad)
+        step = np.where(acc, step, 0.5 * step)
+        done = live[:, 0, 0] & (step.max(axis=(1, 2)) < 1e-16)
+        if done.any():
+            stopped[done] = it + 1
+            live[done] = False
+            if not live.any():
+                break
+
+    out = []
+    for b, seed in enumerate(seeds):
+        arg = theta[b, int(np.argmax(f[b, :, 0]))].copy()
+        lower = float(np.abs(monomials(arg, Af) @ cn[b])) * float(cmax[b])
+        meta = {"mode": "ascent", "starts": S, "iterations": iterations,
+                "iterations_run": int(stopped[b]), "seed": seed}
+        out.append(SupNormEstimate(lower, None, arg, meta))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from polybh.bhverify import (
     davie_kaijser_constant,
     proof_step_constant,
     verify_bh,
+    verify_bh_batch,
     verify_bh_multilinear,
 )
 from polybh.indexcore import multiplicity
@@ -113,6 +114,15 @@ class TestVerifyBH:
         rep = verify_bh(SQUARE, seed=0)
         assert rep.ratio == pytest.approx(3.099862620896644 / 4.0, rel=1e-6)
         assert rep.verdict == "verified"
+
+    def test_batch_is_verify_bh_per_case(self):
+        # The second P lost a coefficient, so it runs apart from the others.
+        Ps = [random_homogeneous(3, 2, "uniform-disc", seed=s) for s in range(3)]
+        Ps[1] = HomogeneousPolynomial(3, 2, {k: v for k, v in Ps[1].coeffs.items() if k != (1, 1, 2)})
+        for P, s, rep in zip(Ps, range(3), verify_bh_batch(Ps, 4, 60, [0, 1, 2])):
+            one = verify_bh(P, starts=4, iterations=60, seed=s)
+            assert (rep.lhs, rep.supnorm.lower, rep.ratio, rep.verdict) == \
+                (one.lhs, one.supnorm.lower, one.ratio, one.verdict)
 
     def test_zero_polynomial(self):
         rep = verify_bh(HomogeneousPolynomial(2, 2, {}), seed=0)

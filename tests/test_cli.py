@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from polybh import bhverify, cli
-from polybh.bhverify import BleiReport, InequalityReport
-from polybh.polyalgebra import from_json_dict as poly_from_json
+from polybh import bhverify, cli, torusnorm
+from polybh.bhverify import BleiReport, InequalityReport, verify_bh
+from polybh.polyalgebra import from_json_dict as poly_from_json, random_homogeneous
 from polybh.torusnorm import SupNormEstimate
 import numpy as np
 
@@ -107,7 +107,7 @@ class TestExitCodes:
         def no_ascent(*a, **k):
             raise AssertionError("a case ran")
 
-        monkeypatch.setattr(bhverify, "sup_lower", no_ascent)
+        monkeypatch.setattr(bhverify, "sup_lower_each", no_ascent)
         out = tmp_path / "r.json"
         assert run(["verify-bh", "--m", "2", "--n", "2", "--count", "3", "--grid-step", "0.05",
                     "--threads", "2", "--out", str(out)]) == 1
@@ -351,6 +351,31 @@ class TestDeterminism:
             assert rc == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("threads,chunk", [("1", None), ("2", None), ("2", 144)])
+    def test_random_campaign_rows_are_per_case_verify_bh(self, threads, chunk, tmp_path, capsys,
+                                                         monkeypatch):
+        # Each (m, n) block runs as one batched ascent.  A chunk cap of 144
+        # entries holds the whole (2, 3) block, 4 cases of 4 * (6 + 3), but
+        # splits the (4, 3) block into chunks of 2 cases of 4 * (15 + 3);
+        # the campaign builds one chunk at a time.
+        if chunk is not None:
+            monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", chunk)
+        built, chunks, batch, ascent = [], [], cli.verify_bh_batch, torusnorm._ascent
+        monkeypatch.setattr(cli, "verify_bh_batch", lambda Ps, *rest: built.append(len(Ps)) or batch(Ps, *rest))
+        monkeypatch.setattr(torusnorm, "_ascent",
+                            lambda A, Ps, *rest: chunks.append(len(Ps)) or ascent(A, Ps, *rest))
+        out = tmp_path / "rc.json"
+        assert run(["random-campaign", "--m-set", "2", "4", "--n-set", "3", "--count", "4",
+                    "--seed", "17", "--threads", threads, "--out", str(out)]) == 0
+        assert sorted(built) == sorted(chunks) == ([4, 4] if chunk is None else [2, 2, 4])
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 8
+        for row in rows:
+            P = random_homogeneous(row["m"], row["n"], row["distribution"], seed=row["case_seed"])
+            rep = verify_bh(P, starts=4, iterations=80, seed=row["case_seed"])
+            assert (row["lhs"], row["sup_lower"], row["ratio"], row["verdict"]) == \
+                (rep.lhs, rep.supnorm.lower, rep.ratio, rep.verdict)
 
     def test_rerun_identical(self, tmp_path, capsys):
         outs = []

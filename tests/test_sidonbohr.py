@@ -24,6 +24,7 @@ from polybh.sidonbohr import (
     sidon_upper_hyper,
     sidon_upper_trivial,
 )
+from polybh import sidonbohr, torusnorm
 from polybh.torusnorm import certified_upper
 
 
@@ -91,6 +92,19 @@ class TestSidonSearch:
         b = sidon_lower_search(2, 3, budget=10, seed=7)
         assert a.lower_search == b.lower_search
         assert a.witness.coeffs == b.witness.coeffs
+
+    @pytest.mark.parametrize("certified,sizes", [(False, [2] * 6 + [1]), (True, [1] * 12 + [1])])
+    def test_candidates_are_scored_one_chunk_at_a_time(self, certified, sizes, monkeypatch):
+        # At (2, 3), 6 terms and 24 starts, a cap of 2 * 24 * (6 + 3) entries
+        # makes ascent chunks of 2; a certified search scores one at a time.
+        # The last call re-estimates the witness.
+        whole = sidon_lower_search(2, 3, budget=12, seed=4, certified=certified)
+        seen, ratios = [], sidonbohr._sidon_ratios
+        monkeypatch.setattr(sidonbohr, "_sidon_ratios", lambda Ps, *rest: seen.append(len(Ps)) or ratios(Ps, *rest))
+        monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", 2 * 24 * (6 + 3))
+        split = sidon_lower_search(2, 3, budget=12, seed=4, certified=certified)
+        assert seen == sizes
+        assert (split.lower_search, split.witness.coeffs) == (whole.lower_search, whole.witness.coeffs)
 
     def test_signs_find_nontrivial_ratio(self):
         # Random signs beat the monomial baseline comfortably at (2, 6).

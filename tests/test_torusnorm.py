@@ -15,13 +15,18 @@ from polybh.polyalgebra import (
     scale,
     term_arrays,
 )
+from polybh import torusnorm
 from polybh.torusnorm import (
+    ASCENT_STEP0,
+    TWO_PI,
     BudgetExceededError,
     _grid_values,
     as_dense_form,
     certified_upper,
     sup_certified,
     sup_lower,
+    sup_lower_batch,
+    sup_lower_each,
     sup_multilinear,
 )
 
@@ -96,6 +101,122 @@ class TestSupLower:
         with pytest.raises(ValueError, match="iterations"):
             sup_lower(Z1_PLUS_Z2, iterations=-5)
         assert sup_lower(Z1_PLUS_Z2, iterations=0).lower == pytest.approx(2.0)
+
+
+def plain_ascent(P, starts, iterations, seed):
+    """The phase ascent written out for one case, with masked updates: the
+    reference that sup_lower and every case of sup_lower_batch must match
+    bit for bit."""
+    A, c = term_arrays(P)
+    cmax = float(np.max(np.abs(c)))
+    cn = c / cmax
+    Af = A.astype(np.float64)
+    cA = cn[:, None] * A
+    S = starts if starts is not None else max(1, 8 * P.n)
+    theta = np.random.default_rng(np.random.SeedSequence(seed)).random((S, P.n)) * TWO_PI
+    theta[0] = 0.0
+
+    def value_grad(th):
+        M = monomials(th, Af)
+        vals = M @ cn
+        return vals.real ** 2 + vals.imag ** 2, 2.0 * (np.conjugate(vals)[:, None] * (1j * (M @ cA))).real
+
+    f, grad = value_grad(theta)
+    step = np.full(S, ASCENT_STEP0)
+    run = iterations
+    for it in range(iterations):
+        prop = np.mod(theta + step[:, None] * grad, TWO_PI)
+        fp, gp = value_grad(prop)
+        acc = fp > f
+        theta[acc], f[acc], grad[acc] = prop[acc], fp[acc], gp[acc]
+        step[~acc] *= 0.5
+        if float(step.max()) < 1e-16:
+            run = it + 1
+            break
+    arg = theta[int(np.argmax(f))]
+    return float(np.abs(monomials(arg, Af) @ cn)) * cmax, arg, run
+
+
+DENSE_PAIRS = [(m, n) for m in range(1, 6) for n in range(1, 7) if m * n <= 24]
+
+
+class TestSupLowerBatch:
+    @given(st.sampled_from(DENSE_PAIRS), st.integers(1, 6), st.sampled_from([None, 1, 3, 4]),
+           st.sampled_from([0, 1, 7, 40, 200]), st.integers(0, 2**63 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_every_case_is_its_one_case_ascent(self, pair, B, starts, iterations, seed):
+        m, n = pair
+        seeds = [int(s) for s in np.random.default_rng(seed).integers(0, 2**63, B)]
+        Ps = [random_homogeneous(m, n, RANDOM_DISTRIBUTIONS[i % 3], seed=s) for i, s in enumerate(seeds)]
+        batch = sup_lower_batch(Ps, starts, iterations, seeds)
+        for P, s, est in zip(Ps, seeds, batch):
+            one = sup_lower(P, starts=starts, iterations=iterations, seed=s)
+            lower, arg, run = plain_ascent(P, starts, iterations, s)
+            assert est.lower == one.lower == lower
+            assert np.array_equal(est.argmax, one.argmax) and np.array_equal(est.argmax, arg)
+            assert est.method == one.method
+            assert est.method["iterations_run"] == run
+            assert type(est.lower) is float
+
+    def test_one_case_stops_while_another_runs_on(self):
+        # At (3, 2) and 200 iterations the seed-0 case stops early, the seed-8 case never does.
+        Ps = [random_homogeneous(3, 2, RANDOM_DISTRIBUTIONS[i % 3], seed=i) for i in (0, 8)]
+        batch = sup_lower_batch(Ps, None, 200, [0, 8])
+        runs = [est.method["iterations_run"] for est in batch]
+        assert runs[0] < 200 == runs[1]
+        for P, s, est in zip(Ps, (0, 8), batch):
+            one = sup_lower(P, iterations=200, seed=s)
+            assert (est.lower, est.method) == (one.lower, one.method)
+            lower, _, run = plain_ascent(P, None, 200, s)
+            assert (est.lower, est.method["iterations_run"]) == (lower, run)
+
+    def test_output_does_not_depend_on_the_chunk_cap(self, monkeypatch):
+        Ps = [random_homogeneous(4, 3, RANDOM_DISTRIBUTIONS[i % 3], seed=i) for i in range(5)]
+        whole = sup_lower_batch(Ps, 4, 80, list(range(5)))
+        monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", 1)
+        split = sup_lower_batch(Ps, 4, 80, list(range(5)))
+        assert [(e.lower, e.argmax.tolist(), e.method) for e in whole] == \
+            [(e.lower, e.argmax.tolist(), e.method) for e in split]
+
+    def test_zero_polynomials(self):
+        Z = HomogeneousPolynomial(2, 2, {})
+        assert [e.lower for e in sup_lower_batch([Z, Z], None, 10, [1, 2])] == [0.0, 0.0]
+
+    def test_validation(self):
+        P = random_homogeneous(2, 3, "complex-gaussian", seed=1)
+        with pytest.raises(ValueError, match="empty batch"):
+            sup_lower_batch([], None, 10, [])
+        with pytest.raises(ValueError, match="one exponent matrix"):
+            sup_lower_batch([P, random_homogeneous(2, 2, "complex-gaussian", seed=1)], None, 10, [1, 2])
+        with pytest.raises(ValueError, match="one exponent matrix"):
+            sup_lower_batch([P, HomogeneousPolynomial(2, 3, {(1, 2): 1.0})], None, 10, [1, 2])
+        with pytest.raises(ValueError, match="seeds"):
+            sup_lower_batch([P, P], None, 10, [1])
+        with pytest.raises(ValueError, match="starts"):
+            sup_lower_batch([P], 0, 10, [1])
+        with pytest.raises(ValueError, match="iterations"):
+            sup_lower_batch([P], None, -1, [1])
+
+
+class TestSupLowerEach:
+    def test_a_dropped_coefficient_splits_the_run(self, monkeypatch):
+        # A coefficient drawn as exactly 0 is dropped, so that P has its own
+        # exponent matrix; it runs alone and its neighbours still batch.
+        Ps = [random_homogeneous(2, 3, "complex-gaussian", seed=s) for s in range(4)]
+        Ps[1] = HomogeneousPolynomial(2, 3, {k: v for k, v in Ps[1].coeffs.items() if k != (1, 2)})
+        Ps.append(Ps[3])
+        seen, ascent = [], torusnorm._ascent
+        monkeypatch.setattr(torusnorm, "_ascent", lambda A, Qs, *rest: seen.append(len(Qs)) or ascent(A, Qs, *rest))
+        each = sup_lower_each(Ps, None, 50, [0, 1, 2, 3, 4])
+        assert seen == [1, 1, 3]
+        for P, s, est in zip(Ps, range(5), each):
+            one = sup_lower(P, iterations=50, seed=s)
+            assert (est.lower, est.argmax.tolist(), est.method) == (one.lower, one.argmax.tolist(), one.method)
+
+    def test_validation(self):
+        assert sup_lower_each([], None, 10, []) == []
+        with pytest.raises(ValueError, match="seeds"):
+            sup_lower_each([Z1_PLUS_Z2], None, 10, [1, 2])
 
 
 class TestSupCertified:
