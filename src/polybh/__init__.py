@@ -42,7 +42,6 @@ from .torusnorm import (
     certified_upper,
     sup_certified,
     sup_lower,
-    sup_lower_batch,
     sup_lower_each,
     sup_multilinear,
 )

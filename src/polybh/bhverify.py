@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -196,36 +196,45 @@ def verify_bh(
     ``supnorm_mode`` is "ascent" (lower bound only, cheap) or "certified"
     (grid bracket, enables violation verdicts); ``grid_step`` is the
     certified grid's step and an error in ascent mode, which has no grid.
-    Ascent mode is the one-case call of :func:`verify_bh_batch`.
+    This is the one-case call of :func:`verify_bh_batch`.
     """
-    if P.m < 2:
-        raise ValueError("the inequality is stated for m >= 2")
-    if grid_step is not None and supnorm_mode != "certified":
-        raise ValueError("grid_step needs supnorm_mode 'certified'")
-    if supnorm_mode == "ascent":
-        return verify_bh_batch([P], starts, iterations, [seed])[0]
-    if supnorm_mode != "certified":
-        raise ValueError(f"unknown supnorm_mode {supnorm_mode!r}")
-    h = grid_step if grid_step is not None else 0.5 / (P.n * P.m)
-    return _report(coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m), sup_certified(P, h))
+    return verify_bh_batch([P], starts, iterations, [seed], supnorm_mode, grid_step)[0]
 
 
 def verify_bh_batch(
-    Ps: Sequence[HomogeneousPolynomial],
+    Ps: Iterable[HomogeneousPolynomial],
     starts: int | None,
     iterations: int,
     seeds: Sequence[int],
+    supnorm_mode: str = "ascent",
+    grid_step: float | None = None,
 ) -> list[InequalityReport]:
-    """:func:`verify_bh` in ascent mode for many polynomials: report b
-    equals ``verify_bh(Ps[b], starts=starts, iterations=iterations,
-    seed=seeds[b])``, with the sup norms from :func:`sup_lower_each`, so
-    consecutive P that share an exponent matrix (e.g. random P of one
-    (m, n)) run as one batched ascent.
+    """:func:`verify_bh` for each P of the iterable ``Ps`` with its seed.
+
+    Each P's coefficient norm is taken as it streams through.  Ascent mode
+    gets the sup norms from :func:`sup_lower_each`, so consecutive P with
+    one exponent matrix (e.g. random P of one (m, n)) run as one batched
+    ascent; certified mode maps :func:`sup_certified` over the stream, at
+    ``grid_step`` or 0.5 / (n m), and uses no seed.
     """
-    if any(P.m < 2 for P in Ps):
-        raise ValueError("the inequality is stated for m >= 2")
-    ests = sup_lower_each(Ps, starts, iterations, seeds)
-    return [_report(coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m), est) for P, est in zip(Ps, ests)]
+    if grid_step is not None and supnorm_mode != "certified":
+        raise ValueError("grid_step needs supnorm_mode 'certified'")
+    if supnorm_mode not in ("ascent", "certified"):
+        raise ValueError(f"unknown supnorm_mode {supnorm_mode!r}")
+    lhs = []  # (coefficient norm, constant) of each P pulled
+
+    def measured(P: HomogeneousPolynomial) -> HomogeneousPolynomial:
+        if P.m < 2:
+            raise ValueError("the inequality is stated for m >= 2")
+        lhs.append((coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m)))
+        return P
+
+    stream = map(measured, Ps)
+    if supnorm_mode == "ascent":
+        ests = sup_lower_each(stream, starts, iterations, seeds)
+    else:
+        ests = [sup_certified(P, grid_step if grid_step is not None else 0.5 / (P.n * P.m)) for P in stream]
+    return [_report(norm, constant, est) for (norm, constant), est in zip(lhs, ests)]
 
 
 def verify_bh_multilinear(
@@ -269,12 +278,15 @@ def check_blei(c, max_entries: int = 10**7) -> BleiReport:
     Both sides are computed from the dense table divided by its largest
     modulus (both are 1-homogeneous, so they scale back exactly and neither
     overflows nor underflows); the report asserts lhs <= rhs within
-    ``BLEI_REL_TOL``.
+    ``BLEI_REL_TOL``.  A table with an axis of length 0 (n = 0) is a
+    ValueError: it has no entries to bound.
     """
     T = np.asarray(c, dtype=np.complex128)
     m = T.ndim
     if m < 2:
         raise ValueError("Blei's bound is stated for m >= 2")
+    if 0 in T.shape:
+        raise ValueError(f"table of shape {T.shape} has an axis of length 0")
     if T.size > max_entries:
         raise BudgetExceededError(f"table has {T.size} entries, cap is {max_entries}")
     a = np.abs(T)

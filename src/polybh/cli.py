@@ -47,7 +47,6 @@ from .bhverify import (
     check_blei,
     check_proof_step,
     davie_kaijser_constant,
-    verify_bh,
     verify_bh_batch,
     verify_bh_multilinear,
 )
@@ -61,7 +60,6 @@ from .polarization import check_harris
 from .polyalgebra import (
     RANDOM_DISTRIBUTIONS,
     GeneralPolynomial,
-    dimension_count,
     random_homogeneous,
     scale,
     to_json_dict as poly_to_json,
@@ -73,7 +71,7 @@ from .sidonbohr import (
     check_wiener,
     sidon_lower_search,
 )
-from .torusnorm import ascent_chunk, certified_upper
+from .torusnorm import certified_upper
 
 DEFAULT_SEED = 123456789
 ENV_THREADS = "POLYBH_THREADS"
@@ -216,17 +214,6 @@ def _random_general(n: int, degree_max: int, seed: int) -> GeneralPolynomial:
     return GeneralPolynomial(n, parts, a0)
 
 
-def _row_verify_bh(args, i: int, seed: int):
-    dists = DISTRIBUTIONS if args.dist == "mix" else (args.dist,)
-    dist = dists[i % len(dists)]
-    P = random_homogeneous(args.m, args.n, dist, seed=seed)
-    rep = verify_bh(P, supnorm_mode="certified" if args.certified else "ascent",
-                    starts=args.starts, iterations=args.iters, seed=seed, grid_step=args.grid_step)
-    upper = rep.supnorm.upper if rep.supnorm.upper is not None else ""
-    return (i, args.m, args.n, dist, seed, rep.lhs, rep.supnorm.lower, upper,
-            rep.ratio, rep.rhs_constant, rep.slack, rep.verdict)
-
-
 def _row_verify_bh_multilinear(args, i: int, seed: int):
     T = _random_table(args.m, args.n, seed)
     rep = verify_bh_multilinear(T, starts=args.starts, iterations=args.iters, seed=seed)
@@ -272,22 +259,31 @@ def _row_check_wiener(args, i: int, seed: int):
     return (i, args.n, seed, rep.a0_modulus, rep.bound, worst, rep.passed)
 
 
+def _verify_bh_block(args, m: int, n: int, dists: Sequence[str], cases: range, seeds: list[int],
+                     **mode) -> Iterable[tuple]:
+    """(case, distribution, case seed, report) for a block of random P of one
+    (m, n), case i drawn from ``dists[i % len(dists)]``.  The P share J(m, n)
+    and stream into one :func:`verify_bh_batch`, built as it pulls them."""
+    case_dists = [dists[i % len(dists)] for i in cases]
+    Ps = (random_homogeneous(m, n, dist, seed=seed) for dist, seed in zip(case_dists, seeds))
+    return zip(cases, case_dists, seeds, verify_bh_batch(Ps, args.starts, args.iters, seeds, **mode))
+
+
+def _rows_verify_bh(args, cases: range, seeds: list[int]) -> list:
+    dists = DISTRIBUTIONS if args.dist == "mix" else (args.dist,)
+    mode = "certified" if args.certified else "ascent"
+    return [(i, args.m, args.n, dist, seed, rep.lhs, rep.supnorm.lower,
+             rep.supnorm.upper if rep.supnorm.upper is not None else "", rep.ratio, rep.rhs_constant,
+             rep.slack, rep.verdict)
+            for i, dist, seed, rep in _verify_bh_block(args, args.m, args.n, dists, cases, seeds,
+                                                       supnorm_mode=mode, grid_step=args.grid_step)]
+
+
 def _rows_random_campaign(args, cases: range, seeds: list[int]) -> list:
-    # A block is the --count cases of one (m, n) pair: dense random P of one
-    # shape share J(m, n), so batched ascents run them, the P built one
-    # kernel chunk at a time.
     pairs = [(m, n) for m in args.m_set for n in args.n_set]
     m, n = pairs[cases[0] // args.count]
-    size = ascent_chunk(dimension_count(m, n), n, args.starts)
-    rows = []
-    for lo in range(0, len(cases), size):
-        part, part_seeds = cases[lo:lo + size], seeds[lo:lo + size]
-        dists = [DISTRIBUTIONS[i % 3] for i in part]
-        Ps = [random_homogeneous(m, n, dist, seed=seed) for dist, seed in zip(dists, part_seeds)]
-        reps = verify_bh_batch(Ps, args.starts, args.iters, part_seeds)
-        rows += [(i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
-                 for i, dist, seed, rep in zip(part, dists, part_seeds, reps)]
-    return rows
+    return [(i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
+            for i, dist, seed, rep in _verify_bh_block(args, m, n, DISTRIBUTIONS, cases, seeds)]
 
 
 def _each(row: Callable) -> Callable:
@@ -456,13 +452,14 @@ COMMANDS = (
     _campaign("verify-bh", "campaign of hypercontractive coefficient checks",
               ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "sup_upper",
                "ratio", "constant", "slack", "verdict"),
-              _each(_row_verify_bh), _violations, 100,
+              _rows_verify_bh, _violations, 100,
               (("--dist", dict(choices=DISTRIBUTIONS + ("mix",), default="mix")),
                ("--starts", dict(type=int, default=None)),
                ("--iters", dict(type=int, default=200)),
                ("--certified", dict(action="store_true",
                                     help="bracket the sup norm on a Bernstein grid (small n only)")),
-               ("--grid-step", dict(type=float, default=None)))),
+               ("--grid-step", dict(type=float, default=None))),
+              block=operator.attrgetter("count")),
     _campaign("verify-bh-multilinear", "multilinear inequality campaign",
               ("case", "m", "n", "case_seed", "lhs", "sup_lower", "ratio", "constant", "verdict"),
               _each(_row_verify_bh_multilinear), _violations, 100,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import mpmath
 import numpy as np
@@ -45,7 +45,7 @@ from .polyalgebra import (
     majorant_sum,
     random_homogeneous,
 )
-from .torusnorm import ascent_chunk, certified_upper, sup_lower, sup_lower_each
+from .torusnorm import certified_upper, sup_lower, sup_lower_each
 
 __all__ = [
     "sidon_upper_hyper",
@@ -155,16 +155,23 @@ class SidonBounds:
     method: dict = field(default_factory=dict)
 
 
-def _sidon_ratios(Ps: Sequence[HomogeneousPolynomial], certified: bool, iterations: int,
+def _sidon_ratios(Ps: Iterable[HomogeneousPolynomial], certified: bool, iterations: int,
                   seeds: Sequence[int]) -> list[float]:
-    """Coefficient sum over a sup-norm estimate of each P: its certified
-    upper bound, or else batched ascents (:func:`sup_lower_each`); 0 for
-    P = 0 or a zero estimate."""
-    l1s = [coeff_norm(P, 1) for P in Ps]
+    """Coefficient sum, taken as P streams through, over a sup-norm estimate
+    of each P: its certified upper bound, or else batched ascents
+    (:func:`sup_lower_each`); 0 for P = 0 or a zero estimate."""
+    l1s = []
+
+    def measured(P: HomogeneousPolynomial) -> HomogeneousPolynomial:
+        l1s.append(coeff_norm(P, 1))
+        return P
+
+    stream = map(measured, Ps)
     if certified:
-        return [l1 / certified_upper(P) if l1 else 0.0 for P, l1 in zip(Ps, l1s)]
-    ests = sup_lower_each(Ps, None, iterations, seeds)
-    return [l1 / est.lower if l1 and est.lower > 0 else 0.0 for l1, est in zip(l1s, ests)]
+        ests = [certified_upper(P) for P in stream]
+    else:
+        ests = [est.lower for est in sup_lower_each(stream, None, iterations, seeds)]
+    return [l1 / est if l1 and est > 0 else 0.0 for l1, est in zip(l1s, ests)]
 
 
 def _sidon_ratio(P: HomogeneousPolynomial, certified: bool, iterations: int, seed: int) -> float:
@@ -187,11 +194,11 @@ def sidon_lower_search(
     normals, ``coordinate-ascent`` additionally polishes the best candidate
     by random single-coefficient phase/modulus moves.  The random candidates
     share J(m, n), so batched ascents score them when the search is not
-    certified.  The monomial z_1^m is always the first
-    candidate, so the returned value is at least 1.  The best witness's
-    denominator is re-estimated with a quadrupled iteration budget before
-    reporting.  Needs m >= 2 and n >= 2 (ValueError otherwise), where the
-    hypercontractive upper bound is defined.
+    certified; they are built as the scoring pulls them.  The monomial
+    z_1^m is always the first candidate, so the returned value is at least
+    1.  The best witness's denominator is re-estimated with a quadrupled
+    iteration budget before reporting.  Needs m >= 2 and n >= 2 (ValueError
+    otherwise), where the hypercontractive upper bound is defined.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -207,15 +214,13 @@ def sidon_lower_search(
     best_ratio = 1.0  # the monomial ratio is exactly 1
     cand_seeds = [int(np.random.SeedSequence(seed, spawn_key=(0, idx)).generate_state(1)[0])
                   for idx in range(n_candidates)]
-    # Candidates are built and scored one ascent chunk at a time (one at a
-    # time when certified), so few of them exist at once.
-    size = 1 if certified else ascent_chunk(dimension_count(m, n), n, None)
-    for lo in range(0, n_candidates, size):
-        chunk_seeds = cand_seeds[lo:lo + size]
-        candidates = [random_homogeneous(m, n, dist, seed=s) for s in chunk_seeds]
-        for P, ratio in zip(candidates, _sidon_ratios(candidates, certified, iterations, chunk_seeds)):
-            if ratio > best_ratio:
-                best_ratio, best_P = ratio, P
+    # The candidates stream into the scoring, so few of them exist at once;
+    # the first best is rebuilt from its seed.
+    ratios = _sidon_ratios((random_homogeneous(m, n, dist, seed=s) for s in cand_seeds),
+                           certified, iterations, cand_seeds)
+    top = max(range(n_candidates), key=ratios.__getitem__)
+    if ratios[top] > best_ratio:
+        best_ratio, best_P = ratios[top], random_homogeneous(m, n, dist, seed=cand_seeds[top])
 
     moves = 0
     if strategy == "coordinate-ascent":

@@ -8,10 +8,9 @@ Three estimators:
 
 * ``sup_lower``: multistart fixed-step gradient ascent on |P(e^{i theta})|^2
   with backtracking halving.  The result is a genuine lower bound for the
-  sup norm (it is a value of |P|), never an upper bound.  ``sup_lower_batch``
-  runs it on a stack of polynomials with one exponent matrix, with the same
-  bits per case, and ``sup_lower_each`` on any list, batching each run of
-  polynomials with one matrix.
+  sup norm (it is a value of |P|), never an upper bound.  ``sup_lower_each``
+  runs it on a stream of polynomials, with the same bits per case, batching
+  each run of polynomials with one exponent matrix.
 
 * ``sup_certified``: evaluates |P| on a uniform phase grid of step h and
   converts the grid maximum into an upper bound through the Bernstein
@@ -37,10 +36,9 @@ scales the estimate exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,9 +48,7 @@ __all__ = [
     "SupNormEstimate",
     "BudgetExceededError",
     "sup_lower",
-    "sup_lower_batch",
     "sup_lower_each",
-    "ascent_chunk",
     "sup_certified",
     "sup_multilinear",
     "certified_upper",
@@ -61,7 +57,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ASCENT_STEP0 = 0.5  # initial phase step of each sup_lower start
-# Cap on B S (K + n) per ascent kernel call (see ascent_chunk).  Exponentials
+# Cap on B S (K + n) per ascent chunk (see sup_lower_each).  Exponentials
 # over the (B, S, K) table are most of an ascent's work.  On a 2-core Xeon
 # (2 MiB of L2 per core) 2**14 was within 8% of the fastest of 2**13 ..
 # 2**16 on random-campaign shapes; 100-candidate Sidon searches ran 1.1x to
@@ -110,93 +106,73 @@ def sup_lower(
     a_alpha e^{i theta . alpha}.  Each start keeps its own step size: a
     proposal that does not improve halves the step, and the ascent stops
     once every step is below 1e-16 (``method["iterations_run"]`` is the
-    iteration it stopped at).  Start count defaults to 8 n plus the
-    deterministic aligned start theta = 0.  Nondecreasing in both
+    iteration it stopped at).  Start count defaults to 8 n (at least 1),
+    and counts the deterministic aligned start theta = 0, which is start 0;
+    the others are seeded random phases.  Nondecreasing in both
     ``iterations`` and ``starts`` for a fixed seed.  This is the one-case
-    call of :func:`sup_lower_batch`.
+    call of :func:`sup_lower_each`.
     """
-    return sup_lower_batch([P], starts, iterations, [seed])[0]
+    return sup_lower_each([P], starts, iterations, [seed])[0]
 
 
-def sup_lower_batch(
-    Ps: Sequence[Polynomial],
+def sup_lower_each(
+    Ps: Iterable[Polynomial],
     starts: int | None,
     iterations: int,
     seeds: Sequence[int],
 ) -> list[SupNormEstimate]:
-    """:func:`sup_lower` for polynomials that share one exponent matrix.
+    """``sup_lower(P, starts, iterations, seed)`` for each P of the iterable
+    ``Ps`` with its seed in ``seeds``, bit for bit.
 
-    ``Ps`` must have equal ``term_arrays(P)[0]`` (e.g. dense random P of one
-    (m, n)); estimate b is ``sup_lower(Ps[b], starts, iterations, seeds[b])``
-    bit for bit.  Each case keeps its own seeded starts, step vector and
-    stop: a case whose steps all fall below 1e-16 is frozen, so no later
-    proposal is accepted for it, while the others run on.  The cases run in
-    chunks of :func:`ascent_chunk` cases; the output does not depend on the
-    chunking (see :func:`_ascent`).
+    ``starts`` and ``iterations`` are checked before any P is pulled; a
+    seed count that differs from the number of P is a ValueError as soon as
+    it shows.  Consecutive P run as one ascent in chunks, each run as soon
+    as it ends, so ``Ps`` is pulled at most one chunk ahead of the ascent.
+    A chunk ends where the exponent matrix changes (dense random P of one
+    (m, n) share J(m, n) unless a coefficient is drawn as exactly 0), or
+    where one more case would take its B S (K + n) entries, the (B, S, K)
+    monomial table and (B, S, n) phases, past ``ASCENT_BATCH_ELEMENTS``.
+    Each case keeps its own seeded starts, step vector and stop: a case
+    whose steps all fall below 1e-16 is frozen, so no later proposal is
+    accepted for it, while the others run on.  No case's bits depend on its
+    chunk (see :func:`_ascent`).
     """
     if starts is not None and starts < 1:
         raise ValueError("starts must be >= 1")
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if not Ps:
-        raise ValueError("empty batch")
-    if len(seeds) != len(Ps):
-        raise ValueError(f"{len(seeds)} seeds for {len(Ps)} polynomials")
-    A = term_arrays(Ps[0])[0]
-    if not all(np.array_equal(term_arrays(P)[0], A) for P in Ps[1:]):
-        raise ValueError("the batch needs one exponent matrix")
-    K, n = A.shape
-    if K == 0:
-        empty = {"mode": "ascent", "starts": 0, "iterations": 0, "iterations_run": 0}
-        return [SupNormEstimate(0.0, None, np.zeros(n), empty | {"seed": seed}) for seed in seeds]
-    S, chunk = _start_count(n, starts), ascent_chunk(K, n, starts)
-    out = []
-    for lo in range(0, len(Ps), chunk):
-        out += _ascent(A, Ps[lo:lo + chunk], S, iterations, seeds[lo:lo + chunk])
+    out: list[SupNormEstimate] = []
+    chunk: list[Polynomial] = []
+
+    def run() -> None:
+        out.extend(_ascent(A, chunk, starts, iterations, seeds[len(out):len(out) + len(chunk)]))
+        chunk.clear()
+
+    for b, P in enumerate(Ps):
+        if b == len(seeds):
+            raise ValueError(f"more polynomials than the {len(seeds)} seeds")
+        if chunk and not np.array_equal(term_arrays(P)[0], A):
+            run()
+        A = term_arrays(P)[0]
+        chunk.append(P)
+        K, n = A.shape
+        if (len(chunk) + 1) * _start_count(n, starts) * (K + n) > ASCENT_BATCH_ELEMENTS:
+            run()
+    if chunk:
+        run()
+    if len(out) != len(seeds):
+        raise ValueError(f"{len(seeds)} seeds for {len(out)} polynomials")
     return out
-
-
-def sup_lower_each(
-    Ps: Sequence[Polynomial],
-    starts: int | None,
-    iterations: int,
-    seeds: Sequence[int],
-) -> list[SupNormEstimate]:
-    """``sup_lower(Ps[b], starts, iterations, seeds[b])`` for each b, every
-    run of consecutive P with one exponent matrix going through one
-    :func:`sup_lower_batch`.  Dense random P of one (m, n) all have J(m, n)
-    unless a coefficient is drawn as exactly 0, which splits their run."""
-    if len(seeds) != len(Ps):
-        raise ValueError(f"{len(seeds)} seeds for {len(Ps)} polynomials")
-    out = []
-    runs = itertools.groupby(zip(Ps, seeds), key=lambda case: _matrix_key(case[0]))
-    for _, run in runs:
-        run_Ps, run_seeds = zip(*run)
-        out += sup_lower_batch(run_Ps, starts, iterations, run_seeds)
-    return out
-
-
-def _matrix_key(P: Polynomial) -> tuple:
-    A = term_arrays(P)[0]
-    return A.shape, A.tobytes()
 
 
 def _start_count(n: int, starts: int | None) -> int:
     return starts if starts is not None else max(1, 8 * n)
 
 
-def ascent_chunk(K: int, n: int, starts: int | None) -> int:
-    """How many polynomials with K terms in n variables one kernel call of
-    :func:`sup_lower_batch` takes: the largest B with B S (K + n), the
-    entries of its (B, S, K) monomial table and (B, S, n) phases, at most
-    ``ASCENT_BATCH_ELEMENTS``, and at least 1.  Callers that build their
-    polynomials on the fly build one chunk at a time."""
-    return max(1, ASCENT_BATCH_ELEMENTS // (_start_count(n, starts) * (K + n)))
-
-
-def _ascent(A: np.ndarray, Ps: Sequence[Polynomial], S: int, iterations: int,
+def _ascent(A: np.ndarray, Ps: Sequence[Polynomial], starts: int | None, iterations: int,
             seeds: Sequence[int]) -> list[SupNormEstimate]:
-    """The ascent of :func:`sup_lower_batch` on one chunk of B cases.
+    """The ascent of :func:`sup_lower_each` on one chunk of B cases with
+    exponent matrix ``A``.
 
     The arrays carry the case as their first axis: phases (B, S, n),
     monomials (B, S, K), values (B, S, 1).  Every product is a stacked
@@ -205,7 +181,11 @@ def _ascent(A: np.ndarray, Ps: Sequence[Polynomial], S: int, iterations: int,
     elementwise; flattening the cases to (B S, n) rows moved values by
     rounding.  Hence no case's bits depend on the others in its chunk.
     """
-    B, n = len(Ps), A.shape[1]
+    (K, n), B = A.shape, len(Ps)
+    if K == 0:
+        empty = {"mode": "ascent", "starts": 0, "iterations": 0, "iterations_run": 0}
+        return [SupNormEstimate(0.0, None, np.zeros(n), empty | {"seed": seed}) for seed in seeds]
+    S = _start_count(n, starts)
     c = np.stack([term_arrays(P)[1] for P in Ps])
     cmax = np.abs(c).max(axis=1)
     cn = c / cmax[:, None]
@@ -375,16 +355,16 @@ def as_dense_form(B, m: int | None = None, n: int | None = None) -> np.ndarray:
     """Coerce a form coefficient table to a dense complex array of shape (n,) * m.
 
     Accepts an ndarray, a mapping from 1-based multi-indices to coefficients,
-    or anything with a ``to_dense`` method (e.g. a SymmetricForm).
+    or anything with a ``to_dense`` method (e.g. a SymmetricForm).  A table
+    with an axis of length 0 (n = 0) is a ValueError: it has no entries.
     """
     if hasattr(B, "to_dense"):
-        return np.asarray(B.to_dense(), dtype=np.complex128)
-    if isinstance(B, np.ndarray):
+        out = np.asarray(B.to_dense(), dtype=np.complex128)
+    elif isinstance(B, (np.ndarray, np.generic)):  # a NumPy scalar is a table with no axis
         out = np.asarray(B, dtype=np.complex128)
         if out.ndim < 1 or len(set(out.shape)) > 1:
             raise ValueError("form tensor must be cubical with at least one axis")
-        return out
-    if isinstance(B, Mapping):
+    elif isinstance(B, Mapping):
         if m is None or n is None:
             keys = list(B)
             if not keys:
@@ -396,8 +376,11 @@ def as_dense_form(B, m: int | None = None, n: int | None = None) -> np.ndarray:
             if len(key) != m or any(not 1 <= v <= n for v in key):
                 raise ValueError(f"bad multi-index {key} for shape ({n},)*{m}")
             out[tuple(v - 1 for v in key)] = complex(value)
-        return out
-    raise TypeError(f"cannot interpret {type(B).__name__} as a multilinear form")
+    else:
+        raise TypeError(f"cannot interpret {type(B).__name__} as a multilinear form")
+    if 0 in out.shape:
+        raise ValueError(f"form tensor of shape {out.shape} has an axis of length 0")
+    return out
 
 
 def sup_multilinear(
@@ -411,8 +394,9 @@ def sup_multilinear(
     Multilinearity pins the optimum to unimodular coordinates.  With all
     arguments but the k-th fixed, B = sum_j w_j z_{k,j} is maximized exactly
     by z_{k,j} = conj(w_j)/|w_j|, giving sum_j |w_j|; sweeping k makes the
-    value nondecreasing.  Multistart over random unimodular initializations
-    plus one deterministic all-ones start.
+    value nondecreasing.  Of the ``starts`` starts, start 0 is the
+    deterministic all-ones point and the others are random unimodular
+    initializations.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")

@@ -245,6 +245,11 @@ class TestBlei:
         with pytest.raises(ValueError):
             check_blei(np.ones(4))
 
+    def test_rejects_an_empty_axis(self):
+        # An empty table used to pass vacuously.
+        with pytest.raises(ValueError, match="axis of length 0"):
+            check_blei(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("scale_factor", [1e300, 1e-300])
     def test_scale_covariant(self, scale_factor):
         rng = np.random.default_rng(3)

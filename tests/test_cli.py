@@ -74,10 +74,16 @@ class TestExitCodes:
              "iterations must be >= 1"),
             (["verify-bh", "--m", "2", "--n", "2", "--count", "2", "--iters", "-5"],
              "iterations must be >= 0"),
+            (["random-campaign", "--m-set", "2", "--n-set", "2", "--count", "1", "--starts", "0"],
+             "starts must be >= 1"),
+            (["check-blei", "--m", "2", "--n", "0"], "axis of length 0"),  # was a vacuous pass
+            (["verify-bh-multilinear", "--m", "2", "--n", "0"], "axis of length 0"),
+            (["verify-bh-multilinear", "--m", "0", "--n", "2"], "at least one axis"),  # was a traceback
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
              "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
-             "sidon-N-mag-points-1", "multilinear-iters-0", "iters-negative"],
+             "sidon-N-mag-points-1", "multilinear-iters-0", "iters-negative",
+             "random-campaign-starts-0", "blei-n-0", "multilinear-n-0", "multilinear-m-0"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -141,7 +147,7 @@ class TestExitCodes:
             supnorm=SupNormEstimate(1.0, 1.0, np.zeros(2), {}),
             ratio=10.0, slack=-6.0, verdict="violated-numerically",
         )
-        monkeypatch.setattr(cli, "verify_bh", lambda *a, **k: fake)
+        monkeypatch.setattr(cli, "verify_bh_batch", lambda Ps, *a, **k: [fake for _ in Ps])
         rc = run(["verify-bh", "--m", "2", "--n", "2", "--count", "2",
                   "--out", str(tmp_path / "r.json")])
         assert rc == 2
@@ -340,6 +346,10 @@ class TestSingleShotCommands:
         assert float(first[2]) == pytest.approx(4.0)
 
 
+RANDOM_CAMPAIGN = ["random-campaign", "--m-set", "2", "4", "--n-set", "3", "--count", "4"]
+VERIFY_BH = ["verify-bh", "--m", "4", "--n", "3", "--count", "4", "--starts", "4", "--iters", "80"]
+
+
 class TestDeterminism:
     def test_reports_identical_across_thread_counts(self, tmp_path, capsys):
         blobs = []
@@ -352,30 +362,42 @@ class TestDeterminism:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
-    @pytest.mark.parametrize("threads,chunk", [("1", None), ("2", None), ("2", 144)])
-    def test_random_campaign_rows_are_per_case_verify_bh(self, threads, chunk, tmp_path, capsys,
-                                                         monkeypatch):
-        # Each (m, n) block runs as one batched ascent.  A chunk cap of 144
-        # entries holds the whole (2, 3) block, 4 cases of 4 * (6 + 3), but
-        # splits the (4, 3) block into chunks of 2 cases of 4 * (15 + 3);
-        # the campaign builds one chunk at a time.
+    @pytest.mark.parametrize("argv, threads, chunk, chunks", [
+        pytest.param(RANDOM_CAMPAIGN, "1", None, [4, 4], id="1-None"),
+        pytest.param(RANDOM_CAMPAIGN, "2", None, [4, 4], id="2-None"),
+        pytest.param(RANDOM_CAMPAIGN, "2", 144, [2, 2, 4], id="2-144"),
+        pytest.param(VERIFY_BH, "1", 144, [2, 2], id="verify-bh-1-144"),
+        pytest.param(VERIFY_BH, "2", None, [4], id="verify-bh-2-None"),
+        pytest.param(VERIFY_BH + ["--certified"], "1", None, [], id="verify-bh-certified-1"),
+        pytest.param(VERIFY_BH + ["--certified"], "2", None, [], id="verify-bh-certified-2"),
+    ])
+    def test_random_campaign_rows_are_per_case_verify_bh(self, argv, threads, chunk, chunks, tmp_path,
+                                                         capsys, monkeypatch):
+        # Each (m, n) block runs as one batched ascent: random-campaign has
+        # one block per pair, verify-bh one block of its --count cases.  A
+        # chunk cap of 144 entries holds the whole (2, 3) block, 4 cases of
+        # 4 * (6 + 3), but splits a (4, 3) block into chunks of 2 cases of
+        # 4 * (15 + 3).  A certified block runs no ascent.
         if chunk is not None:
             monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", chunk)
-        built, chunks, batch, ascent = [], [], cli.verify_bh_batch, torusnorm._ascent
-        monkeypatch.setattr(cli, "verify_bh_batch", lambda Ps, *rest: built.append(len(Ps)) or batch(Ps, *rest))
+        built, seen, make, ascent = [], [], cli.random_homogeneous, torusnorm._ascent
+        monkeypatch.setattr(cli, "random_homogeneous", lambda *a, **k: built.append(1) or make(*a, **k))
         monkeypatch.setattr(torusnorm, "_ascent",
-                            lambda A, Ps, *rest: chunks.append(len(Ps)) or ascent(A, Ps, *rest))
+                            lambda A, Ps, *rest: seen.append((len(Ps), len(built))) or ascent(A, Ps, *rest))
         out = tmp_path / "rc.json"
-        assert run(["random-campaign", "--m-set", "2", "4", "--n-set", "3", "--count", "4",
-                    "--seed", "17", "--threads", threads, "--out", str(out)]) == 0
-        assert sorted(built) == sorted(chunks) == ([4, 4] if chunk is None else [2, 2, 4])
+        assert run(argv + ["--seed", "17", "--threads", threads, "--out", str(out)]) == 0
+        assert sorted(size for size, _ in seen) == chunks
+        if threads == "1":  # the P of a chunk are built just before it runs
+            assert [count for _, count in seen] == np.cumsum([size for size, _ in seen]).tolist()
         rows = json.loads(out.read_text())["rows"]
-        assert len(rows) == 8
+        assert len(rows) == (8 if argv is RANDOM_CAMPAIGN else 4)
+        mode = "certified" if "--certified" in argv else "ascent"
         for row in rows:
             P = random_homogeneous(row["m"], row["n"], row["distribution"], seed=row["case_seed"])
-            rep = verify_bh(P, starts=4, iterations=80, seed=row["case_seed"])
+            rep = verify_bh(P, mode, starts=4, iterations=80, seed=row["case_seed"])
             assert (row["lhs"], row["sup_lower"], row["ratio"], row["verdict"]) == \
                 (rep.lhs, rep.supnorm.lower, rep.ratio, rep.verdict)
+            assert row.get("sup_upper", "") == (rep.supnorm.upper if mode == "certified" else "")
 
     def test_rerun_identical(self, tmp_path, capsys):
         outs = []

@@ -97,12 +97,24 @@ class TestSidonSearch:
     def test_candidates_are_scored_one_chunk_at_a_time(self, certified, sizes, monkeypatch):
         # At (2, 3), 6 terms and 24 starts, a cap of 2 * 24 * (6 + 3) entries
         # makes ascent chunks of 2; a certified search scores one at a time.
-        # The last call re-estimates the witness.
+        # Each candidate is built just before the call that scores it.  The
+        # last call re-estimates the witness, rebuilt from its seed.
         whole = sidon_lower_search(2, 3, budget=12, seed=4, certified=certified)
-        seen, ratios = [], sidonbohr._sidon_ratios
-        monkeypatch.setattr(sidonbohr, "_sidon_ratios", lambda Ps, *rest: seen.append(len(Ps)) or ratios(Ps, *rest))
+        events = []
+        make, ascent, upper = sidonbohr.random_homogeneous, torusnorm._ascent, sidonbohr.certified_upper
+        monkeypatch.setattr(sidonbohr, "random_homogeneous", lambda *a, **k: events.append("P") or make(*a, **k))
+        monkeypatch.setattr(torusnorm, "_ascent", lambda A, Ps, *rest: events.append(len(Ps)) or ascent(A, Ps, *rest))
+        monkeypatch.setattr(sidonbohr, "certified_upper", lambda P: events.append(1) or upper(P))
         monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", 2 * 24 * (6 + 3))
         split = sidon_lower_search(2, 3, budget=12, seed=4, certified=certified)
+        seen, pending = [], 0
+        for event in events:
+            if event == "P":
+                pending += 1
+            else:
+                assert pending == event
+                seen.append(event)
+                pending = 0
         assert seen == sizes
         assert (split.lower_search, split.witness.coeffs) == (whole.lower_search, whole.witness.coeffs)
 

@@ -25,7 +25,6 @@ from polybh.torusnorm import (
     certified_upper,
     sup_certified,
     sup_lower,
-    sup_lower_batch,
     sup_lower_each,
     sup_multilinear,
 )
@@ -105,7 +104,7 @@ class TestSupLower:
 
 def plain_ascent(P, starts, iterations, seed):
     """The phase ascent written out for one case, with masked updates: the
-    reference that sup_lower and every case of sup_lower_batch must match
+    reference that sup_lower and every case of sup_lower_each must match
     bit for bit."""
     A, c = term_arrays(P)
     cmax = float(np.max(np.abs(c)))
@@ -141,6 +140,9 @@ DENSE_PAIRS = [(m, n) for m in range(1, 6) for n in range(1, 7) if m * n <= 24]
 
 
 class TestSupLowerBatch:
+    """The batched ascent of sup_lower_each: a stream of polynomials with one
+    exponent matrix runs as one ascent, in chunks."""
+
     @given(st.sampled_from(DENSE_PAIRS), st.integers(1, 6), st.sampled_from([None, 1, 3, 4]),
            st.sampled_from([0, 1, 7, 40, 200]), st.integers(0, 2**63 - 1))
     @settings(max_examples=25, deadline=None)
@@ -148,7 +150,7 @@ class TestSupLowerBatch:
         m, n = pair
         seeds = [int(s) for s in np.random.default_rng(seed).integers(0, 2**63, B)]
         Ps = [random_homogeneous(m, n, RANDOM_DISTRIBUTIONS[i % 3], seed=s) for i, s in enumerate(seeds)]
-        batch = sup_lower_batch(Ps, starts, iterations, seeds)
+        batch = sup_lower_each(Ps, starts, iterations, seeds)
         for P, s, est in zip(Ps, seeds, batch):
             one = sup_lower(P, starts=starts, iterations=iterations, seed=s)
             lower, arg, run = plain_ascent(P, starts, iterations, s)
@@ -161,7 +163,7 @@ class TestSupLowerBatch:
     def test_one_case_stops_while_another_runs_on(self):
         # At (3, 2) and 200 iterations the seed-0 case stops early, the seed-8 case never does.
         Ps = [random_homogeneous(3, 2, RANDOM_DISTRIBUTIONS[i % 3], seed=i) for i in (0, 8)]
-        batch = sup_lower_batch(Ps, None, 200, [0, 8])
+        batch = sup_lower_each(Ps, None, 200, [0, 8])
         runs = [est.method["iterations_run"] for est in batch]
         assert runs[0] < 200 == runs[1]
         for P, s, est in zip(Ps, (0, 8), batch):
@@ -172,30 +174,64 @@ class TestSupLowerBatch:
 
     def test_output_does_not_depend_on_the_chunk_cap(self, monkeypatch):
         Ps = [random_homogeneous(4, 3, RANDOM_DISTRIBUTIONS[i % 3], seed=i) for i in range(5)]
-        whole = sup_lower_batch(Ps, 4, 80, list(range(5)))
+        whole = sup_lower_each(Ps, 4, 80, list(range(5)))
         monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", 1)
-        split = sup_lower_batch(Ps, 4, 80, list(range(5)))
+        split = sup_lower_each(Ps, 4, 80, list(range(5)))
         assert [(e.lower, e.argmax.tolist(), e.method) for e in whole] == \
             [(e.lower, e.argmax.tolist(), e.method) for e in split]
 
     def test_zero_polynomials(self):
         Z = HomogeneousPolynomial(2, 2, {})
-        assert [e.lower for e in sup_lower_batch([Z, Z], None, 10, [1, 2])] == [0.0, 0.0]
+        assert [e.lower for e in sup_lower_each([Z, Z], None, 10, [1, 2])] == [0.0, 0.0]
+
+    def test_a_generator_is_pulled_at_most_one_chunk_ahead(self, monkeypatch):
+        # A cap of 2 * 4 * (6 + 3) entries makes chunks of 2 at (2, 3) and 4
+        # starts; the (2, 2) case 3 has another exponent matrix, so it cuts
+        # a chunk before and after it.
+        monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", 2 * 4 * (6 + 3))
+        shapes = [(2, 3)] * 3 + [(2, 2)] + [(2, 3)] * 3
+        Ps = [random_homogeneous(m, n, "complex-gaussian", seed=s) for s, (m, n) in enumerate(shapes)]
+        pulled, ran, calls = [0], [0], []
+
+        def stream():
+            for P in Ps:
+                pulled[0] += 1
+                yield P
+
+        def ascent(A, Qs, *rest, kernel=torusnorm._ascent):
+            calls.append((len(Qs), pulled[0] - ran[0]))
+            ran[0] += len(Qs)
+            return kernel(A, Qs, *rest)
+
+        monkeypatch.setattr(torusnorm, "_ascent", ascent)
+        each = sup_lower_each(stream(), 4, 20, list(range(7)))
+        assert [size for size, _ in calls] == [2, 1, 1, 2, 1]
+        # Pulled but not yet run: the chunk itself, and at most the P that ended it.
+        assert all(size <= ahead <= size + 1 for size, ahead in calls)
+        for P, s, est in zip(Ps, range(7), each):
+            one = sup_lower(P, starts=4, iterations=20, seed=s)
+            assert (est.lower, est.argmax.tolist(), est.method) == (one.lower, one.argmax.tolist(), one.method)
 
     def test_validation(self):
         P = random_homogeneous(2, 3, "complex-gaussian", seed=1)
-        with pytest.raises(ValueError, match="empty batch"):
-            sup_lower_batch([], None, 10, [])
-        with pytest.raises(ValueError, match="one exponent matrix"):
-            sup_lower_batch([P, random_homogeneous(2, 2, "complex-gaussian", seed=1)], None, 10, [1, 2])
-        with pytest.raises(ValueError, match="one exponent matrix"):
-            sup_lower_batch([P, HomogeneousPolynomial(2, 3, {(1, 2): 1.0})], None, 10, [1, 2])
+
+        def never_pulled():
+            raise AssertionError("pulled before the arguments were checked")
+            yield
+
         with pytest.raises(ValueError, match="seeds"):
-            sup_lower_batch([P, P], None, 10, [1])
+            sup_lower_each([P, P], None, 10, [1])
         with pytest.raises(ValueError, match="starts"):
-            sup_lower_batch([P], 0, 10, [1])
+            sup_lower_each([P], 0, 10, [1])
         with pytest.raises(ValueError, match="iterations"):
-            sup_lower_batch([P], None, -1, [1])
+            sup_lower_each([P], None, -1, [1])
+        # A generator: too few P for the seeds, and arguments checked before any pull.
+        with pytest.raises(ValueError, match="seeds"):
+            sup_lower_each(iter([P, P]), None, 10, [1, 2, 3])
+        with pytest.raises(ValueError, match="starts"):
+            sup_lower_each(never_pulled(), 0, 10, [1])
+        with pytest.raises(ValueError, match="iterations"):
+            sup_lower_each(never_pulled(), None, -1, [1])
 
 
 class TestSupLowerEach:
@@ -404,3 +440,9 @@ class TestSupMultilinear:
             as_dense_form("nonsense")
         with pytest.raises(ValueError):
             as_dense_form({(1, 3): 1.0}, m=2, n=2)
+
+    @pytest.mark.parametrize("form", [np.zeros((0, 0)), {}])
+    def test_as_dense_form_rejects_an_empty_axis(self, form):
+        # n = 0 leaves no entries; sup_multilinear used to fail inside numpy.
+        with pytest.raises(ValueError, match="axis of length 0"):
+            as_dense_form(form, m=2, n=0)
