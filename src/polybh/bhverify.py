@@ -325,6 +325,16 @@ def check_bayart(
     mc_samples: int = 10**5,
     seed: int = 0,
 ) -> BayartReport:
+    """Bayart's comparison ||P||_2 <= (sqrt 2)^m ||P||_1 on the torus, with the
+    L^1 norm estimated by :func:`l1_torus_norm_mc` from ``mc_samples`` samples.
+
+    ``l2`` is exact (Parseval).  The check passes when
+    ``l2 <= bound * (1 + REL_TOL)`` for ``bound = (sqrt 2)^m (mean + 3 stderr)``,
+    the 3-sigma upper band of the estimate.  A failure is therefore a
+    statistical flag, not a proof that the inequality fails: under a normal
+    approximation the band falls below the true L^1 norm for about 0.1% of
+    seeds.
+    """
     if mc_samples < 10**3:
         raise ValueError("need at least 1000 Monte Carlo samples")
     l2 = coeff_norm(P, 2)

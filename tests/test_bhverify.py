@@ -289,6 +289,17 @@ class TestBayart:
         with pytest.raises(ValueError):
             check_bayart(Z1Z2, mc_samples=10)
 
+    @pytest.mark.parametrize("factor", [1e160, 1e-160, 1e300, 1e-300])
+    def test_scale_safe(self, factor):
+        # |P|^2 overflows at 1e160 and underflows at 1e-160 unless the
+        # estimate normalizes the coefficients (a NaN or zero stderr).
+        P = random_homogeneous(3, 2, "complex-gaussian", seed=4)
+        base = check_bayart(P, mc_samples=20_000, seed=1)
+        rep = check_bayart(scale(P, factor), mc_samples=20_000, seed=1)
+        for field in ("l2", "l1_estimate", "stderr", "bound"):
+            assert getattr(rep, field) / factor == pytest.approx(getattr(base, field), rel=1e-12, abs=0.0)
+        assert rep.passed == base.passed
+
 
 class TestProofStep:
     def test_hand_case_z1z2(self):

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polybh import polyalgebra
 from polybh.indexcore import index_to_exponent
 from polybh.polyalgebra import (
     GeneralPolynomial,
@@ -13,6 +15,7 @@ from polybh.polyalgebra import (
     coeff_norm,
     dimension_count,
     evaluate,
+    evaluate_points,
     from_json_dict,
     l1_torus_norm_mc,
     l2_torus_norm,
@@ -116,6 +119,48 @@ class TestEvaluate:
     def test_general_polynomial_includes_constant(self):
         G = GeneralPolynomial(2, {2: Z1Z2}, a0=5.0)
         assert evaluate(G, (1.0, 1.0)) == pytest.approx(6.0)
+
+
+@st.composite
+def points_cases(draw):
+    """A homogeneous or general P (general ones may have a0 and n = 0) and 1..40 points,
+    some coordinates exactly zero."""
+    general = draw(st.booleans())
+    n = draw(st.integers(0 if general else 1, 4))
+    degrees = draw(st.sets(st.integers(1, 4), max_size=3)) if general and n else {draw(st.integers(1, 4))}
+    rows = draw(st.integers(1, 40))
+    zero_frac = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = {}
+    for m in degrees if n else ():
+        dense = random_homogeneous(m, n, "complex-gaussian", seed=int(rng.integers(2**32)))
+        parts[m] = HomogeneousPolynomial(m, n, {j: c for j, c in dense.coeffs.items() if rng.random() < 0.7})
+    if general:
+        P = GeneralPolynomial(n, parts, a0=draw(st.sampled_from([0.0, 1.5 - 0.5j])))
+    else:
+        (P,) = parts.values()
+    Z = 2 * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    Z[rng.random((rows, n)) < zero_frac] = 0
+    return P, Z
+
+
+class TestEvaluatePoints:
+    @given(points_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_one_row_rule_and_power_reference(self, case):
+        P, Z = case
+        values = evaluate_points(P, Z)
+        for i in range(len(Z)):
+            assert np.complex128(evaluate(P, Z[i])).tobytes() == values[i].tobytes()
+        # Reference: every term as a product of coordinate powers.
+        A, c = term_arrays(P)
+        powers = np.prod(Z[:, None, :] ** A, axis=2)
+        want = np.einsum("ik,k->i", powers, c)
+        assert np.all(np.abs(values - want) <= 1e-13 * (np.abs(powers) @ np.abs(c)))
+
+    def test_empty_batch_and_zero_polynomial(self):
+        assert evaluate_points(SQUARE, np.zeros((0, 2))).shape == (0,)
+        assert list(evaluate_points(GeneralPolynomial(2), [[1.0, 2.0]])) == [0j]
 
 
 class TestCoeffNorm:
@@ -222,6 +267,31 @@ class TestL1MonteCarlo:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             l1_torus_norm_mc(Z1Z2, samples=1)
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 40])
+    def test_chunk_size_changes_no_bit(self, chunk, monkeypatch):
+        G = GeneralPolynomial(4, {1: random_homogeneous(1, 4, seed=1), 3: random_homogeneous(3, 4, seed=2)},
+                              a0=0.5)
+        # The estimate sums |P| over whole batches, which hides last-bit
+        # differences in single values, so the values are compared too.
+        Z = np.exp(2j * math.pi * np.random.default_rng(0).random((3000, 4)))
+        for P in (random_homogeneous(4, 4, "complex-gaussian", seed=3), G):
+            values = evaluate_points(P, Z)
+            want = l1_torus_norm_mc(P, samples=20_000, seed=5)
+            with monkeypatch.context() as mp:
+                mp.setattr(polyalgebra, "EVAL_CHUNK_ELEMENTS", chunk)
+                assert evaluate_points(P, Z).tobytes() == values.tobytes()
+                assert l1_torus_norm_mc(P, samples=20_000, seed=5) == want
+
+    def test_memory_bounded_at_6_6(self):
+        P = random_homogeneous(6, 6, "complex-gaussian", seed=1)
+        tracemalloc.start()
+        try:
+            l1_torus_norm_mc(P, samples=1 << 14, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRandomHomogeneous:
