@@ -126,6 +126,15 @@ class TestExitCodes:
         assert run(["sidon-N", "--N", "20", "--budget", "0"]) == 1
         assert capsys.readouterr().err.startswith("error: needs budget >= 1")
 
+    def test_sidon_N_over_the_candidate_cap_is_an_error_line(self, tmp_path, capsys):
+        # N = 8 at the default grids has 2.0e8 brute candidates and used to run for hours.
+        out = tmp_path / "sn.json"
+        assert run(["sidon-N", "--N", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the brute search at N = 8 has 199999488 candidates")
+        assert "--mag-points/--phase-points" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["random-campaign", "--count", "-1"],
                                       ["check-blei", "--m", "2", "--n", "2", "--count", "0"]])
     def test_count_below_one_is_a_usage_error(self, argv, tmp_path, capsys):

@@ -1,10 +1,15 @@
 import cmath
+import functools
 import json
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from polybh import dirichlet
 from polybh.dirichlet import (
     DirichletPolynomial,
     asymptotic_formula,
@@ -18,6 +23,7 @@ from polybh.dirichlet import (
     from_json_dict,
     primes_up_to,
     sidon_N_bounds,
+    SMALL_GRID_POINTS,
     to_json_dict,
 )
 from polybh.polyalgebra import evaluate, majorant_sum
@@ -198,6 +204,168 @@ class TestSidonN:
             sidon_N_bounds(20, budget=budget)
         # The brute grid below the heuristic range does not use the budget.
         assert sidon_N_bounds(3, budget=budget).lower >= 1.0
+
+
+# The brute search as it stood before blocks and pruning: one DirichletPolynomial
+# and one full-grid score per candidate, kept as the reference for the result bits.
+def _reference_candidates(N, mag_points, phase_points):
+    plist = primes_up_to(N)
+    pset = set(plist)
+    mags = np.linspace(0.0, 1.0, mag_points)
+    phases = np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False)
+    free_phase = [nn for nn in range(2, N + 1) if nn not in pset]
+    for mtuple in product(mags, repeat=N):
+        if max(mtuple) == 0.0:
+            continue
+        for ptuple in product(phases, repeat=len(free_phase)):
+            coeffs = {}
+            if mtuple[0]:
+                coeffs[1] = mtuple[0]
+            for nn in range(2, N + 1):
+                mag = mtuple[nn - 1]
+                if not mag:
+                    continue
+                if nn in pset:
+                    coeffs[nn] = mag
+                else:
+                    coeffs[nn] = mag * np.exp(1j * ptuple[free_phase.index(nn)])
+            yield DirichletPolynomial(N, coeffs)
+
+
+def _reference_ratio(Q, grid_points=SMALL_GRID_POINTS):
+    l1 = dirichlet_l1(Q)
+    if l1 == 0.0:
+        return 0.0
+    A = [Q.coeff(1), Q.coeff(2), Q.coeff(4), Q.coeff(8)]
+    B = [Q.coeff(3), Q.coeff(6)]
+    extra = abs(Q.coeff(5)) + abs(Q.coeff(7))
+    theta = np.arange(grid_points) * (2.0 * math.pi / grid_points)
+    z = np.exp(1j * theta)
+    va = np.abs(A[0] + A[1] * z + A[2] * z * z + A[3] * z * z * z)
+    vb = np.abs(B[0] + B[1] * z)
+    grid_max = float(np.max(va + vb))
+    lipschitz = math.fsum(k * abs(c) for k, c in enumerate(A)) + abs(B[1])
+    return l1 / (grid_max + lipschitz * (math.pi / grid_points) + extra)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_search(N, mag_points, phase_points):
+    best_ratio, best_Q = 1.0, DirichletPolynomial(N, {1: 1.0})
+    for Q in _reference_candidates(N, mag_points, phase_points):
+        ratio = _reference_ratio(Q)
+        if ratio > best_ratio:
+            best_ratio, best_Q = ratio, Q
+    return best_ratio, best_Q
+
+
+# N = 2..5 at the defaults, and small grids that reach a_6 (B_1 != 0) and a_8.
+BRUTE_CASES = [(2, 5, 8), (3, 5, 8), (4, 5, 8), (5, 5, 8),
+               (5, 4, 6), (6, 3, 2), (6, 2, 4), (7, 2, 2), (8, 2, 2), (8, 3, 1)]
+
+
+def _assert_reference_result(sb, N, mag_points, phase_points):
+    ratio, Q = _reference_search(N, mag_points, phase_points)
+    assert sb.lower.hex() == ratio.hex()
+    assert sb.witness == Q
+    assert repr(sb.witness.coeffs) == repr(Q.coeffs)
+
+
+class TestBruteSearch:
+    @pytest.mark.parametrize("N, mag_points, phase_points", BRUTE_CASES)
+    def test_same_bits_as_the_unpruned_loop(self, N, mag_points, phase_points):
+        sb = sidon_N_bounds(N, mag_points=mag_points, phase_points=phase_points)
+        _assert_reference_result(sb, N, mag_points, phase_points)
+        expected = (mag_points**N - 1) * phase_points ** (N - 1 - len(primes_up_to(N)))
+        assert sb.method["candidates"] == expected
+        assert 0 <= sb.method["scored"] <= expected
+
+    @pytest.mark.parametrize("elements", [1, 1 << 40])
+    @pytest.mark.parametrize("N, mag_points, phase_points",
+                             [(4, 5, 8), (6, 3, 2), (6, 2, 4), (8, 2, 2), (8, 3, 1)])
+    def test_block_size_does_not_matter(self, monkeypatch, elements, N, mag_points, phase_points):
+        monkeypatch.setattr(dirichlet, "BRUTE_BLOCK_ELEMENTS", elements)
+        sb = sidon_N_bounds(N, mag_points=mag_points, phase_points=phase_points)
+        _assert_reference_result(sb, N, mag_points, phase_points)
+
+    def test_coarse_nodes_are_fine_nodes(self, monkeypatch):
+        # The pruning bound is sound only if the coarse values are fine-grid values.
+        fine = dirichlet._small_nodes(SMALL_GRID_POINTS)
+        row_max, seen = dirichlet._row_max, []
+
+        def spy(rows, z):
+            seen.append(np.array(z))
+            return row_max(rows, z)
+
+        monkeypatch.setattr(dirichlet, "_row_max", spy)
+        sidon_N_bounds(4)
+        coarse = [z for z in seen if len(z) != SMALL_GRID_POINTS]
+        assert len(coarse) < len(seen)
+        assert all(np.array_equal(z, fine) for z in seen if len(z) == SMALL_GRID_POINTS)
+        assert coarse and all(np.array_equal(z, fine[::32]) and len(z) == 64 for z in coarse)
+
+    def test_pruning_leaves_few_to_score(self):
+        method = sidon_N_bounds(4).method
+        assert method["candidates"] == 4992
+        assert method["scored"] < method["candidates"]
+
+    def test_candidate_cap_raises_before_any_work(self, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("a candidate was evaluated")
+
+        monkeypatch.setattr(dirichlet, "_row_max", no_evaluation)
+        # (5^8 - 1) 8^3 candidates at the defaults would take hours.
+        with pytest.raises(ValueError, match=r"199999488 candidates.*10000000.*--mag-points/--phase-points"):
+            sidon_N_bounds(8)
+
+    def test_seven_fits_under_the_cap(self):
+        # N = 7 at the defaults has (5^7 - 1) 8^2 candidates, below the cap.
+        assert (5**7 - 1) * 8**2 <= dirichlet.BRUTE_CANDIDATES_MAX
+
+    def test_memory_is_flat(self):
+        tracemalloc.start()
+        try:
+            sidon_N_bounds(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+def _coefficient(draw, complex_phase):
+    if draw(st.booleans()):
+        return 0j
+    mag = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-3, 2))
+    if complex_phase:
+        return mag * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    return draw(st.sampled_from([mag, -mag])) + 0j
+
+
+@st.composite
+def coefficient_rows(draw):
+    """Nonzero rows a_1 .. a_8 with zeros, complex composites (4, 6, 8) and scales 1e-3 .. 1e3."""
+    n_rows = draw(st.integers(1, 12))
+    rows = [[_coefficient(draw, n in (4, 6, 8)) for n in range(1, 9)] for _ in range(n_rows)]
+    return [row for row in rows if any(row)]
+
+
+class TestPruningBound:
+    @given(coefficient_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_bound_is_above_the_certified_ratio(self, rows):
+        assume(rows)
+        z = dirichlet._small_nodes(SMALL_GRID_POINTS)
+        block = np.array(rows)
+        coarse_max = dirichlet._row_max(block, z[:: dirichlet.BRUTE_COARSE_STRIDE])
+        moduli = [[abs(c) for c in row] for row in rows]
+        prefilter = dirichlet._ratio_bounds(coarse_max, np.array(moduli), SMALL_GRID_POINTS)
+        for r, row in enumerate(rows):
+            grid_max = float(dirichlet._row_max(np.array([row]), z)[0])
+            assert coarse_max[r] <= grid_max
+            exact = certified_ratio_small(DirichletPolynomial(8, dict(enumerate(row, 1))))
+            assert exact == _reference_ratio(DirichletPolynomial(8, dict(enumerate(row, 1))))
+            bound = dirichlet._ratio_small(float(coarse_max[r]), moduli[r], SMALL_GRID_POINTS)
+            assert bound >= exact
+            assert prefilter[r] >= bound
 
 
 class TestAsymptoticFormula:
