@@ -36,6 +36,7 @@ import numpy as np
 from .indexcore import multiplicity, remove_coordinate
 from .polarization import polarize
 from .polyalgebra import (
+    REL_TOL,
     HomogeneousPolynomial,
     coeff_norm,
     l1_torus_norm_mc,
@@ -63,7 +64,6 @@ __all__ = [
     "check_proof_step",
 ]
 
-REL_TOL = 1e-9
 BLEI_REL_TOL = 1e-12  # check_blei's margin, tighter than REL_TOL
 
 VERIFIED = "verified"

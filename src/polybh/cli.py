@@ -59,6 +59,7 @@ from .dirichlet import (
 from .polarization import check_harris
 from .polyalgebra import (
     RANDOM_DISTRIBUTIONS,
+    REL_TOL,
     GeneralPolynomial,
     random_homogeneous,
     scale,
@@ -168,13 +169,13 @@ def _config(args, command: str) -> dict:
     return cfg
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
     return value
 
 
@@ -183,7 +184,7 @@ def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
     try:
-        return _positive_int(os.environ.get(ENV_THREADS, "1"))
+        return _int_at_least(os.environ.get(ENV_THREADS, "1"))
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"{ENV_THREADS} {exc}") from None
 
@@ -373,9 +374,9 @@ def _campaign(name: str, help: str, header: tuple[str, ...], block_rows: Callabl
         summary, failed = judge(rows)
         return f"{len(rows)} cases, {summary}", failed
 
-    count_option = ("--count", dict(type=_positive_int, default=count, help=count_help))
+    count_option = ("--count", dict(type=_int_at_least, default=count, help=count_help))
     return Command(name, help, header, rows, judge_cases, (_MN if mn else ()) + (count_option,)
-                   + options + (("--threads", dict(type=_positive_int, default=None)),))
+                   + options + (("--threads", dict(type=_int_at_least, default=None)),))
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +402,7 @@ def _judge_sidon_mn(rows, args) -> tuple[str, bool]:
     upper = min(hyper, trivial)
     label = "certified" if args.certified else "heuristic"
     return (f"S({m},{n}) in [{lower:.6g} ({label}), {upper:.6g}]",
-            not lower <= upper * (1 + 1e-9))
+            not lower <= upper * (1 + REL_TOL))
 
 
 def _rows_bohr_radius(args) -> list:
@@ -550,7 +551,7 @@ def _cmd_lift(args) -> int:
 # ----------------------------------------------------------------------
 
 def _add_common(p: _Parser, formats: tuple[str, ...] = ("json", "csv")) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=functools.partial(_int_at_least, low=0), default=DEFAULT_SEED)
     p.add_argument("--out", type=str, default=None, help="report file (stdout if omitted)")
     p.add_argument("--format", choices=formats, default="json")
 

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
 
 from .indexcore import exponent_to_index
 from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, _finite, _json_complex, _json_field, monomials
+from .sidonbohr import _firm_up, _sidon_ratios
 from .torusnorm import SupNormEstimate, sup_lower
 
 __all__ = [
@@ -393,8 +395,12 @@ def sidon_N_bounds(
     0.09 s at N = 5, 3 s at N = 6 and 15 s at N = 7 (scoring every
     candidate took 0.5 s, 3 s and 153 s for N = 4, 5 and 6); N = 8 needs
     smaller grids.
-    Larger N fall back to random candidates scored heuristically with ascent
-    sup estimates, plus the asymptotic shape for comparison.
+    Larger N score ``budget`` complex Gaussian patterns drawn from ``seed``
+    by S(m, n)'s scorer (sidonbohr._sidon_ratios): pattern idx's lift, built
+    at most one batched-ascent chunk ahead, gets 120 ascent iterations
+    seeded ``seed + idx``.  The first best is firmed up with 600 from
+    ``seed`` and floored by the witness a_1 = 1 (sidonbohr._firm_up).  The
+    asymptotic shape is added for comparison.
     """
     if N < 2:
         raise ValueError("needs N >= 2")
@@ -405,8 +411,6 @@ def sidon_N_bounds(
         # Fewer points can leave no nonzero candidate: S(N) >= 1 would be reported unscored.
         raise ValueError(f"needs mag_points >= 2 and phase_points >= 1, "
                          f"got {mag_points} and {phase_points}")
-    best_ratio = 1.0  # witness a_1 = 1 alone has ratio exactly 1
-    best_Q = DirichletPolynomial(N, {1: 1.0})
     if N <= BRUTE_N_MAX:
         best_ratio, best, candidates, scored = _brute_search(N, mag_points, phase_points)
         best_Q = DirichletPolynomial(N, best)
@@ -420,18 +424,18 @@ def sidon_N_bounds(
             "scored": scored,
         }
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        for idx in range(budget):
-            gauss = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2)
-            Q = DirichletPolynomial(N, dict(zip(range(1, N + 1), gauss)))
-            l1 = dirichlet_l1(Q)
-            denom = sup_lower(bohr_lift(Q).poly, iterations=120, seed=seed + idx).lower
-            ratio = l1 / denom if denom > 0 else 0.0
-            if ratio > best_ratio:
-                best_ratio, best_Q = ratio, Q
-        # Firm up the winner's denominator before reporting.
-        denom = sup_lower(bohr_lift(best_Q).poly, iterations=600, seed=seed).lower
-        best_ratio = max(1.0, min(best_ratio, dirichlet_l1(best_Q) / denom if denom else 1.0))
+        def draws():
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            for _ in range(budget):
+                gauss = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2)
+                yield DirichletPolynomial(N, dict(enumerate(gauss, 1)))
+
+        ratios = _sidon_ratios((bohr_lift(Q).poly for Q in draws()), False, 120, range(seed, seed + budget))
+        top = max(range(budget), key=ratios.__getitem__)
+        baseline = DirichletPolynomial(N, {1: 1.0})  # its ratio is exactly 1
+        best_Q = next(islice(draws(), top, None)) if ratios[top] > 1.0 else baseline
+        best_ratio, best_Q = _firm_up(best_Q, bohr_lift(best_Q).poly, max(1.0, ratios[top]), baseline,
+                                      False, 600, seed)
         method = {"kind": "random-search-heuristic", "certified": False, "budget": budget, "seed": seed}
     shape = asymptotic_formula(N, -1.0 / math.sqrt(2.0)) if N >= 16 else None
     return SidonNBounds(N=N, lower=best_ratio, witness=best_Q, method=method, asymptotic_sharp=shape)

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .indexcore import canonical, multiplicity, validate_index
-from .polyalgebra import HomogeneousPolynomial, evaluate_points, term_arrays
+from .polyalgebra import REL_TOL, HomogeneousPolynomial, evaluate_points, term_arrays
 from .polyalgebra import from_json_dict as poly_from_json, to_json_dict as poly_to_json
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "to_json_dict",
     "from_json_dict",
 ]
-
-HARRIS_REL_TOL = 1e-9  # = bhverify.REL_TOL (bhverify imports this module, so no import back)
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,7 @@ def check_harris(
         supnorm_bound=supnorm_bound,
         bound=bound,
         slack=bound - value,
-        passed=value <= bound * (1 + HARRIS_REL_TOL) + 1e-15,
+        passed=value <= bound * (1 + REL_TOL) + 1e-15,
     )
 
 

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 RANDOM_DISTRIBUTIONS = ("complex-gaussian", "uniform-disc", "random-signs")
+REL_TOL = 1e-9  # relative margin of the numerical pass/fail checks against a bound
 MC_BATCH = 1 << 14  # samples per seeded batch of l1_torus_norm_mc; fixes the seed -> estimate map
 # Cap on K x rows per chunk of evaluate_points.  On a 2-core Xeon (2 MiB of
 # L2 per core) 2**14 was the fastest of 2**12 .. 2**16 for 10^5-sample

@@ -36,11 +36,12 @@ from typing import Iterable, Sequence
 import mpmath
 import numpy as np
 
-from .bhverify import REL_TOL, bh_constant_hyper
+from .bhverify import bh_constant_hyper
 from .polyalgebra import (
+    REL_TOL,
     GeneralPolynomial,
     HomogeneousPolynomial,
-    coeff_norm,
+    Polynomial,
     dimension_count,
     majorant_sum,
     random_homogeneous,
@@ -155,15 +156,16 @@ class SidonBounds:
     method: dict = field(default_factory=dict)
 
 
-def _sidon_ratios(Ps: Iterable[HomogeneousPolynomial], certified: bool, iterations: int,
+def _sidon_ratios(Ps: Iterable[Polynomial], certified: bool, iterations: int,
                   seeds: Sequence[int]) -> list[float]:
     """Coefficient sum, taken as P streams through, over a sup-norm estimate
     of each P: its certified upper bound, or else batched ascents
-    (:func:`sup_lower_each`); 0 for P = 0 or a zero estimate."""
+    (:func:`sup_lower_each`); 0 for P = 0 or a zero estimate.  P may be
+    general, a Bohr lift say."""
     l1s = []
 
-    def measured(P: HomogeneousPolynomial) -> HomogeneousPolynomial:
-        l1s.append(coeff_norm(P, 1))
+    def measured(P: Polynomial) -> Polynomial:
+        l1s.append(majorant_sum(P, 1.0))
         return P
 
     stream = map(measured, Ps)
@@ -174,8 +176,14 @@ def _sidon_ratios(Ps: Iterable[HomogeneousPolynomial], certified: bool, iteratio
     return [l1 / est if l1 and est > 0 else 0.0 for l1, est in zip(l1s, ests)]
 
 
-def _sidon_ratio(P: HomogeneousPolynomial, certified: bool, iterations: int, seed: int) -> float:
-    return _sidon_ratios([P], certified, iterations, [seed])[0]
+def _firm_up(witness, P: Polynomial, ratio: float, baseline, certified: bool, iterations: int, seed: int):
+    """(lower, witness) to report for a search's best ``witness``, whose
+    polynomial P scored ``ratio``: P is scored again, a heuristic search
+    keeps the smaller of the two ratios, and below 1 ``baseline`` (of ratio
+    exactly 1) is reported with 1.0."""
+    final_ratio = _sidon_ratios([P], certified, iterations, [seed])[0]
+    lower = final_ratio if certified else min(ratio, final_ratio)
+    return (1.0, baseline) if lower < 1.0 else (lower, witness)
 
 
 def sidon_lower_search(
@@ -210,8 +218,7 @@ def sidon_lower_search(
     dist = "random-signs" if strategy == "random-sign" else "complex-gaussian"
     n_candidates = budget if strategy != "coordinate-ascent" else max(1, budget // 2)
 
-    best_P = HomogeneousPolynomial(m, n, {(1,) * m: 1.0})
-    best_ratio = 1.0  # the monomial ratio is exactly 1
+    baseline = HomogeneousPolynomial(m, n, {(1,) * m: 1.0})  # its ratio is exactly 1
     cand_seeds = [int(np.random.SeedSequence(seed, spawn_key=(0, idx)).generate_state(1)[0])
                   for idx in range(n_candidates)]
     # The candidates stream into the scoring, so few of them exist at once;
@@ -219,36 +226,24 @@ def sidon_lower_search(
     ratios = _sidon_ratios((random_homogeneous(m, n, dist, seed=s) for s in cand_seeds),
                            certified, iterations, cand_seeds)
     top = max(range(n_candidates), key=ratios.__getitem__)
-    if ratios[top] > best_ratio:
-        best_ratio, best_P = ratios[top], random_homogeneous(m, n, dist, seed=cand_seeds[top])
+    best_ratio = max(1.0, ratios[top])
+    best_P = random_homogeneous(m, n, dist, seed=cand_seeds[top]) if ratios[top] > 1.0 else baseline
 
-    moves = 0
     if strategy == "coordinate-ascent":
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        current = best_P
-        current_ratio = best_ratio
-        keys = sorted(current.coeffs) or [(1,) * m]
+        keys = sorted(best_P.coeffs) or [(1,) * m]
         for step in range(budget - n_candidates):
             key = keys[int(rng.integers(len(keys)))]
             twist = complex((1.0 + 0.3 * rng.normal()) * np.exp(1j * rng.normal(0.0, 0.7)))
-            coeffs = dict(current.coeffs)
+            coeffs = dict(best_P.coeffs)
             base = coeffs.get(key, 0j)
             coeffs[key] = base * twist if base != 0 else twist
             P = HomogeneousPolynomial(m, n, coeffs)
-            ratio = _sidon_ratio(P, certified, iterations, seed + 7919 * step)
-            moves += 1
-            if ratio > current_ratio:
-                current, current_ratio = P, ratio
-        if current_ratio > best_ratio:
-            best_ratio, best_P = current_ratio, current
+            ratio = _sidon_ratios([P], certified, iterations, [seed + 7919 * step])[0]
+            if ratio > best_ratio:
+                best_P, best_ratio = P, ratio
 
-    # Firm up the denominator for the reported witness; if polishing pushes
-    # the ratio below the monomial baseline, report the baseline witness.
-    final_ratio = _sidon_ratio(best_P, certified, 4 * iterations, seed)
-    lower = final_ratio if certified else min(best_ratio, final_ratio)
-    if lower < 1.0:
-        best_P = HomogeneousPolynomial(m, n, {(1,) * m: 1.0})
-        lower = 1.0
+    lower, best_P = _firm_up(best_P, best_P, best_ratio, baseline, certified, 4 * iterations, seed)
     return SidonBounds(
         m=m,
         n=n,
@@ -259,7 +254,7 @@ def sidon_lower_search(
         witness=best_P,
         certified=certified,
         method={"strategy": strategy, "budget": budget, "seed": seed,
-                "candidates": n_candidates, "ascent_moves": moves, "iterations": iterations},
+                "candidates": n_candidates, "ascent_moves": budget - n_candidates, "iterations": iterations},
     )
 
 

@@ -289,7 +289,7 @@ def sup_certified(
     moduli.  A homogeneous slice has L ** (d - 1) points; general P reach
     this grid from the library only through ``certified_upper`` (2M points).
     """
-    if grid_step <= 0:
+    if not grid_step > 0:  # NaN too
         raise ValueError("grid_step must be positive")
     A, c = term_arrays(P)
     n = P.n

@@ -79,11 +79,15 @@ class TestExitCodes:
             (["check-blei", "--m", "2", "--n", "0"], "axis of length 0"),  # was a vacuous pass
             (["verify-bh-multilinear", "--m", "2", "--n", "0"], "axis of length 0"),
             (["verify-bh-multilinear", "--m", "0", "--n", "2"], "at least one axis"),  # was a traceback
+            # NaN used to reach math.ceil, whose message named no option.
+            (["verify-bh", "--m", "2", "--n", "2", "--count", "2", "--certified", "--grid-step", "nan"],
+             "grid_step must be positive"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
              "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
              "sidon-N-mag-points-1", "multilinear-iters-0", "iters-negative",
-             "random-campaign-starts-0", "blei-n-0", "multilinear-n-0", "multilinear-m-0"],
+             "random-campaign-starts-0", "blei-n-0", "multilinear-n-0", "multilinear-m-0",
+             "grid-step-nan"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -143,6 +147,16 @@ class TestExitCodes:
         assert run(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("usage error: argument --count")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["constants-table"], ["sidon-N", "--N", "20", "--budget", "1"],
+                                      ["verify-bh", "--m", "2", "--n", "2", "--count", "1"]])
+    def test_negative_seed_is_a_usage_error(self, argv, tmp_path, capsys):
+        # NumPy's SeedSequence message named no flag, and constants-table exited 0.
+        out = tmp_path / "r.json"
+        assert run(argv + ["--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --seed: must be an integer >= 0")
+        assert not out.exists()
+        assert run(argv + ["--seed", "0", "--out", str(out)]) == 0
 
     def test_random_general_rejects_degree_below_one(self):
         with pytest.raises(ValueError, match="degree_max"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polybh import dirichlet
+from polybh import dirichlet, torusnorm
 from polybh.dirichlet import (
     DirichletPolynomial,
     asymptotic_formula,
@@ -27,6 +27,7 @@ from polybh.dirichlet import (
     to_json_dict,
 )
 from polybh.polyalgebra import evaluate, majorant_sum
+from polybh.torusnorm import sup_lower
 
 
 def is_prime(n):
@@ -329,6 +330,56 @@ class TestBruteSearch:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+# The random search above N = 8 as it stood with its own loop: one ascent per
+# candidate and its own firm-up, kept as the reference for the result bits.
+def _reference_random_search(N, budget, seed):
+    best_ratio, best_Q = 1.0, DirichletPolynomial(N, {1: 1.0})
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    for idx in range(budget):
+        gauss = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2)
+        Q = DirichletPolynomial(N, dict(zip(range(1, N + 1), gauss)))
+        denom = sup_lower(bohr_lift(Q).poly, iterations=120, seed=seed + idx).lower
+        ratio = dirichlet_l1(Q) / denom if denom > 0 else 0.0
+        if ratio > best_ratio:
+            best_ratio, best_Q = ratio, Q
+    denom = sup_lower(bohr_lift(best_Q).poly, iterations=600, seed=seed).lower
+    return max(1.0, min(best_ratio, dirichlet_l1(best_Q) / denom if denom else 1.0)), best_Q
+
+
+class TestRandomSearch:
+    @pytest.mark.parametrize("N, budget, seed", [(20, 50, 1), (20, 12, 0), (30, 20, 3), (25, 8, 11)])
+    def test_same_bits_as_the_one_ascent_loop(self, N, budget, seed):
+        sb = sidon_N_bounds(N, budget=budget, seed=seed)
+        ratio, Q = _reference_random_search(N, budget, seed)
+        assert ratio > 1.0  # a drawn candidate wins, not the a_1 = 1 witness
+        assert sb.lower.hex() == ratio.hex()
+        assert sb.witness == Q
+        assert repr(sb.witness.coeffs) == repr(Q.coeffs)
+
+    def test_lifts_are_scored_one_chunk_at_a_time(self, monkeypatch):
+        # At N = 20 a lift has 20 terms in 8 variables and 64 starts, so a
+        # cap of 3 * 64 * (20 + 8) entries makes ascent chunks of 3.  Each
+        # lift is built just before the ascent that scores it; the last call
+        # firms up the winner, lifted again.
+        whole = sidon_N_bounds(20, budget=20, seed=2)
+        events = []
+        lift, ascent = dirichlet.bohr_lift, torusnorm._ascent
+        monkeypatch.setattr(dirichlet, "bohr_lift", lambda Q: events.append("lift") or lift(Q))
+        monkeypatch.setattr(torusnorm, "_ascent", lambda A, Ps, *rest: events.append(len(Ps)) or ascent(A, Ps, *rest))
+        monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", 3 * 64 * (20 + 8))
+        split = sidon_N_bounds(20, budget=20, seed=2)
+        seen, pending = [], 0
+        for event in events:
+            if event == "lift":
+                pending += 1
+            else:
+                assert pending == event
+                seen.append(event)
+                pending = 0
+        assert seen == [3, 3, 3, 3, 3, 3, 2, 1]
+        assert (split.lower, split.witness) == (whole.lower, whole.witness)
 
 
 def _coefficient(draw, complex_phase):

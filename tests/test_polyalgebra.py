@@ -368,6 +368,14 @@ class TestMajorantSum:
         with pytest.raises(ValueError):
             majorant_sum(Z1Z2, -0.1)
 
+    @pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-disc", "random-signs"])
+    def test_radius_one_is_the_coefficient_sum_bit_for_bit(self, dist):
+        # The Sidon searches take sum |c| this way, for lifts and homogeneous P alike.
+        for seed in range(20):
+            for m, n in [(1, 3), (2, 4), (3, 3), (4, 2)]:
+                P = random_homogeneous(m, n, dist, seed=seed)
+                assert majorant_sum(P, 1.0).hex() == coeff_norm(P, 1).hex()
+
 
 class TestJson:
     def test_homogeneous_wire_format(self):

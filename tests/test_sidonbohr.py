@@ -118,6 +118,18 @@ class TestSidonSearch:
         assert seen == sizes
         assert (split.lower_search, split.witness.coeffs) == (whole.lower_search, whole.witness.coeffs)
 
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_firm_up_keeps_the_smaller_heuristic_ratio_and_floors_at_one(self, certified):
+        P = random_homogeneous(2, 3, "random-signs", seed=1)
+        final = sidonbohr._sidon_ratios([P], certified, 10, [0])[0]
+        assert final >= 1.0
+        assert sidonbohr._firm_up("best", P, math.inf, "baseline", certified, 10, 0) == (final, "best")
+        # A heuristic search keeps the smaller ratio, here below the baseline's 1.
+        expected = (final, "best") if certified else (1.0, "baseline")
+        assert sidonbohr._firm_up("best", P, 0.5, "baseline", certified, 10, 0) == expected
+        zero = HomogeneousPolynomial(2, 3, {})  # scores 0
+        assert sidonbohr._firm_up("best", zero, 3.0, "baseline", certified, 10, 0) == (1.0, "baseline")
+
     def test_signs_find_nontrivial_ratio(self):
         # Random signs beat the monomial baseline comfortably at (2, 6).
         sb = sidon_lower_search(2, 6, budget=30, seed=2)
