@@ -42,8 +42,7 @@ from .polyalgebra import (
     l1_torus_norm_mc,
     term_arrays,
 )
-from .torusnorm import (BudgetExceededError, SupNormEstimate, as_dense_form, sup_certified, sup_lower_each,
-                        sup_multilinear)
+from .torusnorm import SupNormEstimate, as_dense_form, sup_certified, sup_lower_each, sup_multilinear
 
 __all__ = [
     "bh_exponent",
@@ -247,7 +246,8 @@ def verify_bh_multilinear(
 
     lhs runs over ALL multi-indices (not permutation classes); the constant
     is the Davie-Kaijser (sqrt 2)^{m-1}; the sup is estimated by block
-    ascent, so the verdict can never be "violated-numerically".
+    ascent, so the verdict can never be "violated-numerically".  ``B`` is a
+    dense table, validated by ``torusnorm.as_dense_form``.
     """
     T = as_dense_form(B)
     m = T.ndim
@@ -269,7 +269,7 @@ class BleiReport:
     passed: bool
 
 
-def check_blei(c, max_entries: int = 10**7) -> BleiReport:
+def check_blei(c) -> BleiReport:
     """Blei's bound for a full table (c_i) over M(m, n):
 
         ( sum_i |c_i|^{2m/(m+1)} )^{(m+1)/2m}
@@ -278,17 +278,14 @@ def check_blei(c, max_entries: int = 10**7) -> BleiReport:
     Both sides are computed from the dense table divided by its largest
     modulus (both are 1-homogeneous, so they scale back exactly and neither
     overflows nor underflows); the report asserts lhs <= rhs within
-    ``BLEI_REL_TOL``.  A table with an axis of length 0 (n = 0) is a
-    ValueError: it has no entries to bound.
+    ``BLEI_REL_TOL``.  ``c`` is validated by ``torusnorm.as_dense_form``: an
+    ndarray of shape (n,) * m with n >= 1 and at most ``DENSE_ENTRIES_MAX``
+    entries.  A table with fewer than two axes is a ValueError.
     """
-    T = np.asarray(c, dtype=np.complex128)
+    T = as_dense_form(c)
     m = T.ndim
     if m < 2:
         raise ValueError("Blei's bound is stated for m >= 2")
-    if 0 in T.shape:
-        raise ValueError(f"table of shape {T.shape} has an axis of length 0")
-    if T.size > max_entries:
-        raise BudgetExceededError(f"table has {T.size} entries, cap is {max_entries}")
     a = np.abs(T)
     top = float(a.max(initial=0.0))
     if top == 0.0:

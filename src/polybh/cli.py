@@ -72,7 +72,7 @@ from .sidonbohr import (
     check_wiener,
     sidon_lower_search,
 )
-from .torusnorm import certified_upper
+from .torusnorm import DENSE_ENTRIES_MAX, BudgetExceededError, certified_upper
 
 DEFAULT_SEED = 123456789
 ENV_THREADS = "POLYBH_THREADS"
@@ -198,6 +198,9 @@ def _threads(args) -> int:
 # tests can substitute them on this module.
 
 def _random_table(m: int, n: int, seed: int) -> np.ndarray:
+    # Refused before drawing.  min(m, 64): for n >= 2 both powers exceed the cap, else they are equal.
+    if n ** min(m, 64) > DENSE_ENTRIES_MAX:
+        raise BudgetExceededError(f"a ({n},)*{m} table exceeds the cap of {DENSE_ENTRIES_MAX} entries")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     shape = (n,) * m
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)

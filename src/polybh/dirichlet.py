@@ -453,21 +453,16 @@ def asymptotic_formula(N: int, c: float) -> float:
     return math.sqrt(N) * math.exp(c * math.sqrt(logN * math.log(logN)))
 
 
-def bcq_partial_sum(Q, c: float, n_start: int = 3) -> float:
-    """Weighted coefficient sum sum_n |a_n| n^{-1/2} exp{c sqrt(log n log log n)}.
+def bcq_partial_sum(Q: DirichletPolynomial, c: float, n_start: int = 3) -> float:
+    """Weighted coefficient sum sum_n |a_n| n^{-1/2} exp{c sqrt(log n log log n)}
+    of a Dirichlet polynomial (whose frequencies are 1..N by construction).
 
     Terms with n < n_start (default 3) carry the weight n^{-1/2} alone:
     log log n is zero or negative there, so the exponential factor is
     omitted by convention rather than extrapolated.
     """
-    if isinstance(Q, DirichletPolynomial):
-        items = Q.coeffs.items()
-    else:
-        items = {int(k): complex(v) for k, v in dict(Q).items()}.items()
     terms = []
-    for nn, a in items:
-        if nn < 1:
-            raise ValueError("frequency indices must be positive")
+    for nn, a in Q.coeffs.items():
         w = nn ** (-0.5)
         if nn >= n_start and nn >= 3:
             w *= math.exp(c * math.sqrt(math.log(nn) * math.log(math.log(nn))))

@@ -49,7 +49,6 @@ __all__ = [
     "random_homogeneous",
     "dimension_count",
     "majorant_sum",
-    "add",
     "scale",
     "term_arrays",
     "monomials",
@@ -392,12 +391,6 @@ def random_homogeneous(
 # Majorants and arithmetic helpers
 # ----------------------------------------------------------------------
 
-def _as_general(P: Polynomial) -> GeneralPolynomial:
-    if isinstance(P, GeneralPolynomial):
-        return P
-    return GeneralPolynomial(P.n, {P.m: P}, 0j)
-
-
 def majorant_sum(P: Polynomial, r: float) -> float:
     """sup over the polydisc of radius r of the coefficient majorant sum.
 
@@ -412,24 +405,6 @@ def majorant_sum(P: Polynomial, r: float) -> float:
     # Python abs, not np.abs: the two differ in the last bit on some complex
     # values, and lift transport compares this sum exactly.
     return math.fsum(abs(a) * r**d for a, d in zip(c.tolist(), A.sum(axis=1).tolist()))
-
-
-def add(P: Polynomial, Q: Polynomial):
-    """Coefficient-wise sum of two polynomials of matching dimension."""
-    if isinstance(P, HomogeneousPolynomial) and isinstance(Q, HomogeneousPolynomial):
-        if (P.m, P.n) != (Q.m, Q.n):
-            raise ValueError("can only add homogeneous polynomials of equal degree and dimension")
-        merged = dict(P.coeffs)
-        for j, c in Q.coeffs.items():
-            merged[j] = merged.get(j, 0j) + c
-        return HomogeneousPolynomial(P.m, P.n, merged)
-    GP, GQ = _as_general(P), _as_general(Q)
-    if GP.n != GQ.n:
-        raise ValueError("dimension mismatch")
-    parts: dict[int, HomogeneousPolynomial] = dict(GP.parts)
-    for m, part in GQ.parts.items():
-        parts[m] = add(parts[m], part) if m in parts else part
-    return GeneralPolynomial(GP.n, parts, GP.a0 + GQ.a0)
 
 
 def scale(P: Polynomial, factor: complex):

@@ -46,7 +46,7 @@ from .polyalgebra import (
     majorant_sum,
     random_homogeneous,
 )
-from .torusnorm import certified_upper, sup_lower, sup_lower_each
+from .torusnorm import DENSE_ENTRIES_MAX, BudgetExceededError, certified_upper, sup_lower_each
 
 __all__ = [
     "sidon_upper_hyper",
@@ -66,7 +66,7 @@ __all__ = [
 
 SEARCH_STRATEGIES = ("random-sign", "gaussian", "coordinate-ascent")
 CROSSOVER_N_MAX = 10**9  # sidon_crossover_n searches n in 2..CROSSOVER_N_MAX
-WIENER_POINTS_CAP = 4_000_000  # grid evaluations per part in check_wiener's certified mode
+WIENER_POINTS_CAP = 4_000_000  # grid evaluations per part in check_wiener
 
 
 # ----------------------------------------------------------------------
@@ -276,42 +276,34 @@ class WienerReport:
     bound: float  # 1 - |a0|^2
     parts: tuple[WienerPart, ...]
     passed: bool
-    mode: str
 
 
 def check_wiener(
     P: GeneralPolynomial,
     supnorm_upper_P: float,
-    mode: str = "certified",
     target_correction: float = 0.02,
 ) -> WienerReport:
     """Check Wiener's bound: if sup |P| <= 1 then sup |P_m| <= 1 - |P_0|^2.
 
-    ``supnorm_upper_P`` must be a certified upper bound and at most 1.  In
-    ``certified`` mode each part is bounded above by a tight Bernstein grid
-    (falling back to the coefficient sum if the grid is too large), so a pass
-    is rigorous modulo rounding; in ``ascent`` mode only a lower estimate is
-    compared, which can expose violations but not certify the bound.
+    ``supnorm_upper_P`` must be a certified upper bound in [0, 1] (a NaN or
+    a value outside is a ValueError).  Each part is bounded above by a tight
+    Bernstein grid of relative correction ``target_correction`` (falling back
+    to the coefficient sum if the grid is over ``WIENER_POINTS_CAP``), so a
+    pass is rigorous modulo rounding.
     """
-    if supnorm_upper_P > 1.0 + 1e-12:
-        raise ValueError("supnorm_upper_P must be <= 1 (scale the polynomial first)")
-    if mode not in ("certified", "ascent"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if not 0.0 <= supnorm_upper_P <= 1.0 + 1e-12:  # NaN too
+        raise ValueError(f"supnorm_upper_P must be in [0, 1] (scale the polynomial first), "
+                         f"got {supnorm_upper_P}")
     bound = 1.0 - abs(P.a0) ** 2
     parts: list[WienerPart] = []
     for m, part in P.parts.items():
-        if mode == "certified":
-            est = certified_upper(part, target_correction=target_correction,
-                                  points_cap=WIENER_POINTS_CAP)
-        else:
-            est = sup_lower(part).lower
+        est = certified_upper(part, target_correction=target_correction, points_cap=WIENER_POINTS_CAP)
         parts.append(WienerPart(m, est, bound, est <= bound * (1.0 + REL_TOL) + 1e-15))
     return WienerReport(
         a0_modulus=abs(P.a0),
         bound=bound,
         parts=tuple(parts),
         passed=all(p.passed for p in parts),
-        mode=mode,
     )
 
 
@@ -495,26 +487,54 @@ def bohr_estimate_small(
     which must contain 1/3.  The grid itself is evaluated as a vectorized
     coefficient-times-radius-powers product; a subsample is cross-checked
     against ``majorant_sum`` on the actual polynomial objects.
+
+    The radii are k * r_step rounded to 12 digits.  At the first of them
+    above 1/3, g, the untruncated excess of f_a over 1,
+    (1 - a)(g (1 + 2a) - 1)/(1 - a g), peaks at
+    a* = (2 - sqrt(2 (1 - g^2)))/(2 g); a* joins the a grid (0, a_step, ...,
+    0.999), so the scan fails at g at the latest.  Refused before the scan:
+    a ValueError when the truncated f_{a*} does not exceed 1 + 1e-12 at g
+    (degree too low, or r_step too fine: the excess is about 5 (g - 1/3)^2,
+    so every r_step under 4.5e-7 is refused), or when r_step is below the
+    12-digit rounding or puts g past 0.45; a BudgetExceededError when the a
+    grid times (degree + 1) exceeds ``DENSE_ENTRIES_MAX`` entries.
     """
     if degree < 5:
         raise ValueError("truncation degree too small to be meaningful")
     if not (a_step > 0 and r_step > 0):  # r_step = 0 would never end the scan
         raise ValueError(f"a_step and r_step must be positive, got {a_step} and {r_step}")
+    if r_step < 1e-12:  # below the 12-digit rounding the radii would not advance
+        raise ValueError(f"r_step {r_step} is below the grid resolution 1e-12; use a coarser --r-step")
+    if (_A_MAX / a_step + 2) * (degree + 1) > DENSE_ENTRIES_MAX:  # float: no overflow
+        raise BudgetExceededError(f"the (a, r) scan needs about {_A_MAX / a_step:.3g} x {degree + 1} "
+                                  f"coefficients, cap is {DENSE_ENTRIES_MAX}")
+    k_g = math.floor(1.0 / (3.0 * r_step))
+    while round(k_g * r_step, 12) <= 1.0 / 3.0:
+        k_g += 1
+    g = round(k_g * r_step, 12)
+    if not g <= _R_MAX:  # an infinite r_step gives NaN
+        raise ValueError(f"r_step {r_step} leaves no grid radius in (1/3, {_R_MAX}]; use a finer --r-step")
+    a_star = (2.0 - math.sqrt(2.0 * (1.0 - g * g))) / (2.0 * g)
     # The bracket hinges on parameters close to 1 (the violation radius of
-    # f_a is 1/(1 + 2a)), so the endpoint _A_MAX is always sampled.
-    a_values = np.append(np.arange(0.0, _A_MAX, a_step), _A_MAX)
+    # f_a is 1/(1 + 2a)), so the endpoint _A_MAX and a* are always sampled.
+    a_values = np.append(np.arange(0.0, _A_MAX, a_step), [_A_MAX, a_star])
     # Row a: (|a0|, l1 of degree-1 part, ..., l1 of degree-`degree` part).
     coeff_l1 = np.zeros((len(a_values), degree + 1))
     coeff_l1[:, 0] = a_values
     for k in range(1, degree + 1):
         coeff_l1[:, k] = (1.0 - a_values**2) * a_values ** (k - 1)
+    peak = float(coeff_l1[-1] @ g ** np.arange(degree + 1))
+    if not peak > 1.0 + 1e-12:
+        raise ValueError(f"the truncated family does not exceed 1 + 1e-12 at r = {g}, the first grid "
+                         f"radius above 1/3 (peak excess {peak - 1.0:.3g}); use a coarser --r-step "
+                         f"or a higher --degree")
 
     spot = [(ia, _moebius_truncated(float(a_values[ia]), degree))
             for ia in range(0, len(a_values), max(1, len(a_values) // 7))]
 
     r_pass = 0.0
-    r = 0.0
-    while r <= _R_MAX:
+    for k in range(k_g + 1):
+        r = round(k * r_step, 12)
         rpow = r ** np.arange(degree + 1)
         majorants = coeff_l1 @ rpow
         for ia, P in spot:  # the closed form must match the polynomial route
@@ -524,5 +544,4 @@ def bohr_estimate_small(
         if float(majorants.max()) > 1.0 + 1e-12:
             return K1Bracket(r_pass, r, a_step, r_step, degree)
         r_pass = r
-        r = round(r + r_step, 12)
-    raise RuntimeError(f"no violation found up to r = {_R_MAX}")
+    raise RuntimeError(f"no violation found up to r = {g}")

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -67,6 +67,7 @@ ASCENT_STEP0 = 0.5  # initial phase step of each sup_lower start
 # entries, 3.4 MiB at S = 1 and (m, n) = (5, 6).
 ASCENT_BATCH_ELEMENTS = 1 << 14
 BLOCK_ASCENT_TOL = 1e-12  # relative sweep gain at which a sup_multilinear start stops
+DENSE_ENTRIES_MAX = 10**7  # entries of a dense form table (160 MB as complex128)
 
 
 class BudgetExceededError(RuntimeError):
@@ -304,6 +305,11 @@ def sup_certified(
     if grid_step >= 2.0 / (n * m_max):
         raise ValueError(f"grid_step {grid_step} too large; need h < 2/(n*m_max) = {2.0 / (n * m_max)}")
 
+    # Checked before the ceiling, which a tiny step overflows: there is an
+    # active axis, so the lattice has at least L >= 2 pi / h points.
+    if TWO_PI / grid_step > max_evaluations:
+        raise BudgetExceededError(f"grid_step {grid_step} needs more than the cap of "
+                                  f"{max_evaluations} evaluations")
     active = [k for k in range(n) if per_var_degree[k] > 0]
     L = int(math.ceil(TWO_PI / grid_step))
     h_eff = TWO_PI / L
@@ -351,36 +357,25 @@ def certified_upper(
 # Multilinear forms over products of polydiscs
 # ----------------------------------------------------------------------
 
-def as_dense_form(B, m: int | None = None, n: int | None = None) -> np.ndarray:
-    """Coerce a form coefficient table to a dense complex array of shape (n,) * m.
+def as_dense_form(T) -> np.ndarray:
+    """Validate a dense form coefficient table: ``T`` as a complex array of shape (n,) * m.
 
-    Accepts an ndarray, a mapping from 1-based multi-indices to coefficients,
-    or anything with a ``to_dense`` method (e.g. a SymmetricForm).  A table
-    with an axis of length 0 (n = 0) is a ValueError: it has no entries.
+    The one validator of dense tables (``sup_multilinear``,
+    ``verify_bh_multilinear`` and ``check_blei`` go through it).  ``T`` must
+    be an ndarray (TypeError otherwise) with at least one axis, a cubical
+    shape and no axis of length 0 (ValueError otherwise: such a table has no
+    entries), and at most ``DENSE_ENTRIES_MAX`` entries (BudgetExceededError
+    otherwise).
     """
-    if hasattr(B, "to_dense"):
-        out = np.asarray(B.to_dense(), dtype=np.complex128)
-    elif isinstance(B, (np.ndarray, np.generic)):  # a NumPy scalar is a table with no axis
-        out = np.asarray(B, dtype=np.complex128)
-        if out.ndim < 1 or len(set(out.shape)) > 1:
-            raise ValueError("form tensor must be cubical with at least one axis")
-    elif isinstance(B, Mapping):
-        if m is None or n is None:
-            keys = list(B)
-            if not keys:
-                raise ValueError("empty mapping needs explicit m and n")
-            m = len(keys[0])
-            n = max(max(k) for k in keys)
-        out = np.zeros((n,) * m, dtype=np.complex128)
-        for key, value in B.items():
-            if len(key) != m or any(not 1 <= v <= n for v in key):
-                raise ValueError(f"bad multi-index {key} for shape ({n},)*{m}")
-            out[tuple(v - 1 for v in key)] = complex(value)
-    else:
-        raise TypeError(f"cannot interpret {type(B).__name__} as a multilinear form")
-    if 0 in out.shape:
-        raise ValueError(f"form tensor of shape {out.shape} has an axis of length 0")
-    return out
+    if not isinstance(T, (np.ndarray, np.generic)):  # a NumPy scalar is a table with no axis
+        raise TypeError(f"a dense form table must be an ndarray, not {type(T).__name__}")
+    if T.ndim < 1 or len(set(T.shape)) > 1:
+        raise ValueError("form tensor must be cubical with at least one axis")
+    if 0 in T.shape:
+        raise ValueError(f"form tensor of shape {T.shape} has an axis of length 0")
+    if T.size > DENSE_ENTRIES_MAX:
+        raise BudgetExceededError(f"table has {T.size} entries, cap is {DENSE_ENTRIES_MAX}")
+    return np.asarray(T, dtype=np.complex128)
 
 
 def sup_multilinear(
@@ -396,7 +391,7 @@ def sup_multilinear(
     by z_{k,j} = conj(w_j)/|w_j|, giving sum_j |w_j|; sweeping k makes the
     value nondecreasing.  Of the ``starts`` starts, start 0 is the
     deterministic all-ones point and the others are random unimodular
-    initializations.
+    initializations.  ``B`` is a dense table, validated by :func:`as_dense_form`.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")

@@ -22,6 +22,7 @@ from polybh.bhverify import (
 from polybh.indexcore import multiplicity
 from polybh.polarization import polarize
 from polybh.polyalgebra import HomogeneousPolynomial, coeff_norm, random_homogeneous, scale
+from polybh import torusnorm
 from polybh.torusnorm import BudgetExceededError, certified_upper
 
 Z1Z2 = HomogeneousPolynomial(2, 2, {(1, 2): 1.0})
@@ -237,9 +238,12 @@ class TestBlei:
             T = rng.standard_normal((n,) * m) + 1j * rng.standard_normal((n,) * m)
             assert check_blei(T).passed
 
-    def test_entry_cap(self):
+    def test_entry_cap(self, monkeypatch):
+        monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 100)
         with pytest.raises(BudgetExceededError):
-            check_blei(np.zeros((10, 10, 10)), max_entries=100)
+            check_blei(np.zeros((10, 10, 10)))
+        with pytest.raises(BudgetExceededError):
+            verify_bh_multilinear(np.zeros((10, 10, 10)))
 
     def test_needs_two_axes(self):
         with pytest.raises(ValueError):

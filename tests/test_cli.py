@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -82,18 +83,42 @@ class TestExitCodes:
             # NaN used to reach math.ceil, whose message named no option.
             (["verify-bh", "--m", "2", "--n", "2", "--count", "2", "--certified", "--grid-step", "nan"],
              "grid_step must be positive"),
+            # 2 pi / 1e-320 is inf, and math.ceil(inf) used to be the message.
+            (["verify-bh", "--m", "2", "--n", "2", "--count", "1", "--certified", "--grid-step", "1e-320"],
+             "cap of"),
+            (["check-blei", "--m", "9", "--n", "10", "--count", "1"], "exceeds the cap"),
+            (["verify-bh-multilinear", "--m", "9", "--n", "10", "--count", "1"], "exceeds the cap"),
+            # These two used to exit 2, the bracket missing 1/3.
+            (["bohr-small", "--degree", "5"], "--degree"),
+            (["bohr-small", "--r-step", "1e-7"], "--r-step"),
+            (["bohr-small", "--a-step", "1e-7"], "cap is"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
              "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
              "sidon-N-mag-points-1", "multilinear-iters-0", "iters-negative",
              "random-campaign-starts-0", "blei-n-0", "multilinear-n-0", "multilinear-m-0",
-             "grid-step-nan"],
+             "grid-step-nan", "grid-step-tiny", "blei-over-cap", "multilinear-over-cap",
+             "bohr-small-degree-5", "bohr-small-r-step-1e-7", "bohr-small-table-cap"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check-blei", "verify-bh-multilinear"])
+    def test_dense_table_over_the_cap_is_refused_before_drawing(self, command, tmp_path, capsys):
+        # check-blei used to draw all 3163^2 entries (346 MB RSS) before refusing.
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            rc = run([command, "--m", "2", "--n", "3163", "--count", "1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1 and capsys.readouterr().err.startswith("error:")
+        assert peak < 1 << 20
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -316,6 +341,20 @@ class TestSingleShotCommands:
         assert rc == 0
         row = json.loads(out.read_text())["rows"][0]
         assert row["r_pass"] <= 1 / 3 <= row["r_fail"]
+
+    @pytest.mark.parametrize("r_step", ["5e-4", "2.5e-4", "2e-4", "1e-4"])
+    def test_bohr_small_fine_r_step_contains_one_third(self, r_step, tmp_path, capsys):
+        # Each used to exit 2 with MISSES 1/3.
+        out = tmp_path / "k1.json"
+        assert run(["bohr-small", "--r-step", r_step, "--out", str(out)]) == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["r_pass"] <= 1 / 3 <= row["r_fail"]
+
+    def test_bohr_small_default_report(self, tmp_path, capsys):
+        out = tmp_path / "k1.csv"
+        assert run(["bohr-small", "--format", "csv", "--out", str(out)]) == 0
+        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert body == ["r_pass,r_fail,a_step,r_step,degree", "0.333,0.334,0.001,0.001,50"]
 
     def test_lift_round_trip(self, tmp_path, capsys):
         q = tmp_path / "q.json"

@@ -442,7 +442,7 @@ class TestAsymptoticFormula:
 
 class TestBcqSum:
     def test_single_term_frozen(self):
-        assert bcq_partial_sum({4: 1.0}, 1 / math.sqrt(2)) == pytest.approx(
+        assert bcq_partial_sum(DirichletPolynomial(4, {4: 1.0}), 1 / math.sqrt(2)) == pytest.approx(
             0.8046674531326952, rel=1e-12
         )
 
@@ -452,16 +452,17 @@ class TestBcqSum:
         assert bcq_partial_sum(Q, 0.0) == pytest.approx(want, rel=1e-14)
 
     def test_zero_coefficients(self):
-        assert bcq_partial_sum({}, 1.0) == 0.0
+        assert bcq_partial_sum(DirichletPolynomial(1), 1.0) == 0.0
 
     def test_small_n_convention(self):
         # n < 3 never receives the exponential factor.
-        val = bcq_partial_sum({1: 1.0, 2: 1.0}, 5.0)
+        val = bcq_partial_sum(DirichletPolynomial(2, {1: 1.0, 2: 1.0}), 5.0)
         assert val == pytest.approx(1.0 + 1 / math.sqrt(2), rel=1e-14)
 
     def test_n_start_moves_threshold(self):
-        with_factor = bcq_partial_sum({5: 1.0}, 1.0, n_start=3)
-        without = bcq_partial_sum({5: 1.0}, 1.0, n_start=6)
+        Q = DirichletPolynomial(5, {5: 1.0})
+        with_factor = bcq_partial_sum(Q, 1.0, n_start=3)
+        without = bcq_partial_sum(Q, 1.0, n_start=6)
         assert without == pytest.approx(5 ** (-0.5))
         assert with_factor > without
 

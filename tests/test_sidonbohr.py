@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from polybh.sidonbohr import (
     sidon_upper_trivial,
 )
 from polybh import sidonbohr, torusnorm
-from polybh.torusnorm import certified_upper
+from polybh.torusnorm import BudgetExceededError, certified_upper
 
 
 class TestSidonUpperBounds:
@@ -184,12 +185,11 @@ class TestWiener:
         with pytest.raises(ValueError):
             check_wiener(G, supnorm_upper_P=2.0)
 
-    def test_ascent_mode(self):
-        P = _moebius_truncated(0.3, 8)
-        s = certified_upper(P) * (1 + 1e-9)
-        rep = check_wiener(scale(P, 1 / s), 1.0, mode="ascent")
-        assert rep.mode == "ascent"
-        assert rep.passed
+    @pytest.mark.parametrize("upper", [math.nan, -3.0])
+    def test_rejects_a_nan_or_negative_sup_bound(self, upper):
+        # Both used to pass: nan > 1 + 1e-12 is False.
+        with pytest.raises(ValueError, match="supnorm_upper_P"):
+            check_wiener(GeneralPolynomial(2, {}, a0=0.5), upper)
 
 
 class TestBohrRadius:
@@ -264,6 +264,38 @@ class TestK1Bracket:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             bohr_estimate_small(degree=2)
+
+    @pytest.mark.parametrize("r_step, r_fail", [(5e-4, 0.3335), (2.5e-4, 0.3335), (2e-4, 0.3334),
+                                                 (1e-4, 0.3334), (0.1, 0.4)])
+    def test_fails_at_the_first_grid_radius_above_one_third(self, r_step, r_fail):
+        # The fine steps used to miss 1/3: a = 0.999 violates only from 0.333556 on.
+        br = bohr_estimate_small(r_step=r_step)
+        assert br.r_fail == r_fail
+        assert br.r_pass == pytest.approx(r_fail - r_step, abs=1e-12)
+        assert br.r_pass <= 1 / 3 <= br.r_fail
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"degree": 5}, "--degree"),  # truncation hides the violation at 0.334
+        ({"r_step": 1e-7}, "--r-step"),  # the excess at 0.3333334 is 2e-14
+        ({"r_step": 1e-13}, "resolution"),
+        ({"r_step": 0.3}, "no grid radius"),
+        ({"r_step": math.inf}, "no grid radius"),
+    ], ids=["degree-5", "r-step-1e-7", "r-step-1e-13", "r-step-0.3", "r-step-inf"])
+    def test_refuses_a_grid_that_cannot_fail_above_one_third(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            bohr_estimate_small(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"a_step": 1e-7}, {"degree": 10**6}, {"a_step": 5e-324}])
+    def test_table_cap(self, kwargs):
+        # Refused before allocating: the first two would take 4.1 GB and 8 GB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="cap is"):
+                bohr_estimate_small(**kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("steps", [{"r_step": 0.0}, {"a_step": 0.0}, {"a_step": -1.0}],
                              ids=["r-step-0", "a-step-0", "a-step-negative"])

@@ -293,6 +293,11 @@ class TestSupCertified:
         with pytest.raises(BudgetExceededError):
             sup_certified(P, 0.01, max_evaluations=1000)
 
+    def test_tiny_step_hits_the_cap_before_the_ceiling(self):
+        # 2 pi / h overflows to inf here; math.ceil(inf) used to be the error.
+        with pytest.raises(BudgetExceededError, match="cap of 1000 evaluations"):
+            sup_certified(SQUARE, 1e-320, max_evaluations=1000)
+
     def test_constant_polynomial_exact(self):
         G = GeneralPolynomial(2, {}, a0=2 - 1j)
         est = sup_certified(G, 0.3)
@@ -414,10 +419,6 @@ class TestSupMultilinear:
         T = np.array([1.0, 2.0, 2.0], dtype=complex)
         assert sup_multilinear(T, seed=1).lower == pytest.approx(5.0)
 
-    def test_dict_input(self):
-        est = sup_multilinear({(1, 1): 1.0, (2, 2): 1.0}, seed=0)
-        assert est.lower == pytest.approx(2.0, abs=1e-10)
-
     def test_zero_form(self):
         assert sup_multilinear(np.zeros((2, 2), dtype=complex)).lower == 0.0
 
@@ -436,13 +437,23 @@ class TestSupMultilinear:
     def test_as_dense_form_validation(self):
         with pytest.raises(ValueError):
             as_dense_form(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="at least one axis"):
+            as_dense_form(np.complex128(1.0))
         with pytest.raises(TypeError):
             as_dense_form("nonsense")
-        with pytest.raises(ValueError):
-            as_dense_form({(1, 3): 1.0}, m=2, n=2)
+        with pytest.raises(TypeError):  # an ndarray is the only table form
+            as_dense_form([[1.0, 0.0], [0.0, 1.0]])
 
-    @pytest.mark.parametrize("form", [np.zeros((0, 0)), {}])
+    @pytest.mark.parametrize("form", [np.zeros((0, 0)), np.zeros((0, 0, 0))])
     def test_as_dense_form_rejects_an_empty_axis(self, form):
         # n = 0 leaves no entries; sup_multilinear used to fail inside numpy.
         with pytest.raises(ValueError, match="axis of length 0"):
-            as_dense_form(form, m=2, n=0)
+            as_dense_form(form)
+
+    def test_as_dense_form_entry_cap(self, monkeypatch):
+        monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 8)
+        assert as_dense_form(np.ones((2, 2, 2))).dtype == np.complex128
+        with pytest.raises(BudgetExceededError, match="cap is 8"):
+            as_dense_form(np.ones((3, 3)))
+        with pytest.raises(BudgetExceededError):
+            sup_multilinear(np.ones((3, 3)))
