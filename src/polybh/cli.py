@@ -58,8 +58,10 @@ from .dirichlet import (
 )
 from .polarization import check_harris
 from .polyalgebra import (
+    DENSE_ENTRIES_MAX,
     RANDOM_DISTRIBUTIONS,
     REL_TOL,
+    BudgetExceededError,
     GeneralPolynomial,
     random_homogeneous,
     scale,
@@ -72,7 +74,7 @@ from .sidonbohr import (
     check_wiener,
     sidon_lower_search,
 )
-from .torusnorm import DENSE_ENTRIES_MAX, BudgetExceededError, certified_upper
+from .torusnorm import certified_upper
 
 DEFAULT_SEED = 123456789
 ENV_THREADS = "POLYBH_THREADS"
@@ -201,9 +203,13 @@ def _random_table(m: int, n: int, seed: int) -> np.ndarray:
     # Refused before drawing.  min(m, 64): for n >= 2 both powers exceed the cap, else they are equal.
     if n ** min(m, 64) > DENSE_ENTRIES_MAX:
         raise BudgetExceededError(f"a ({n},)*{m} table exceeds the cap of {DENSE_ENTRIES_MAX} entries")
+    # Drawn into one complex array and scaled in place: a table near the cap is 160 MB.
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    shape = (n,) * m
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    T = np.empty((n,) * m, dtype=np.complex128)
+    T.real = rng.standard_normal(T.shape)
+    T.imag = rng.standard_normal(T.shape)
+    T /= math.sqrt(2)
+    return T
 
 
 def _random_general(n: int, degree_max: int, seed: int) -> GeneralPolynomial:

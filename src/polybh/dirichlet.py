@@ -29,6 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .indexcore import exponent_to_index
+from .polyalgebra import DENSE_ENTRIES_MAX, BudgetExceededError
 from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, _finite, _json_complex, _json_field, monomials
 from .sidonbohr import _firm_up, _sidon_ratios
 from .torusnorm import SupNormEstimate, sup_lower
@@ -134,13 +135,28 @@ class LiftResult:
     monomial_map: dict[int, tuple[int, ...]]
 
 
+def _lift_primes(N: int, terms: int) -> tuple[int, ...]:
+    """The primes up to N, the variables of a lift of ``terms`` terms; a
+    BudgetExceededError when the sieve's N + 1 bytes or the lift's terms x
+    pi(N) exponent entries exceed ``DENSE_ENTRIES_MAX``, each before it is built."""
+    if N + 1 > DENSE_ENTRIES_MAX:
+        raise BudgetExceededError(f"the prime sieve up to N = {N} needs {N + 1} bytes, "
+                                  f"cap is {DENSE_ENTRIES_MAX}")
+    plist = tuple(primes_up_to(N))
+    if terms * len(plist) > DENSE_ENTRIES_MAX:
+        raise BudgetExceededError(f"a lift of {terms} terms in {len(plist)} variables needs "
+                                  f"{terms * len(plist)} exponent entries, cap is {DENSE_ENTRIES_MAX}")
+    return plist
+
+
 def bohr_lift(Q: DirichletPolynomial) -> LiftResult:
     """Substitute z_j = p_j^{-s}: coefficient a_n moves to the monomial
     z^{alpha(n)} with alpha(n) the prime-exponent vector of n.  The lift is
     linear and carries coefficients over unchanged, so the coefficient sum
     is preserved exactly; each monomial's degree is the number of prime
-    factors of n counted with multiplicity."""
-    plist = tuple(primes_up_to(Q.N))
+    factors of n counted with multiplicity.  Its sieve and exponent table
+    are capped by ``DENSE_ENTRIES_MAX`` (see :func:`_lift_primes`)."""
+    plist = _lift_primes(Q.N, len(Q.coeffs))
     nv = len(plist)
     a0 = 0j
     by_degree: dict[int, dict[tuple[int, ...], complex]] = {}
@@ -424,6 +440,8 @@ def sidon_N_bounds(
             "scored": scored,
         }
     else:
+        _lift_primes(N, N)  # each draw has N terms: refused here, before any is drawn
+
         def draws():
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             for _ in range(budget):

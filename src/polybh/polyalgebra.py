@@ -38,6 +38,7 @@ from .indexcore import (
 )
 
 __all__ = [
+    "BudgetExceededError",
     "HomogeneousPolynomial",
     "GeneralPolynomial",
     "MCEstimate",
@@ -65,6 +66,14 @@ MC_BATCH = 1 << 14  # samples per seeded batch of l1_torus_norm_mc; fixes the se
 # longer, 2**15 36%, 2**16 95%).  l1_torus_norm_mc at (6, 6) with 16384
 # samples then peaks at 5 MiB (tracemalloc).
 EVAL_CHUNK_ELEMENTS = 1 << 14
+# The one cap on the entries of an array sized from an input: a dense form
+# table (160 MB as complex128), a certified grid, a random polynomial's index
+# and exponent entries, a Bohr lift's exponent table.
+DENSE_ENTRIES_MAX = 10**7
+
+
+class BudgetExceededError(RuntimeError):
+    """An input would need more than ``DENSE_ENTRIES_MAX`` entries; raised before allocating."""
 
 
 def _finite(value) -> complex:
@@ -370,13 +379,19 @@ def random_homogeneous(
 
     Distributions: ``complex-gaussian`` (standard complex normal),
     ``uniform-disc`` (uniform on the closed unit disc), ``random-signs``
-    (independent +-1).  Deterministic for a fixed seed.
+    (independent +-1).  Deterministic for a fixed seed.  Refused with
+    BudgetExceededError before enumerating when the K = C(n + m - 1, m)
+    index tuples and the (K, n) exponent matrix, K (m + n) entries, exceed
+    ``DENSE_ENTRIES_MAX``.
     """
     if distribution not in RANDOM_DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}; choose from {RANDOM_DISTRIBUTIONS}")
+    K = dimension_count(m, n)
+    if K * (m + n) > DENSE_ENTRIES_MAX:
+        raise BudgetExceededError(f"J({m}, {n}) has {K} terms, {K * (m + n)} index and exponent entries; "
+                                  f"cap is {DENSE_ENTRIES_MAX}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     J = enumerate_J(m, n)
-    K = len(J)
     if distribution == "complex-gaussian":
         values = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / math.sqrt(2)
     elif distribution == "uniform-disc":

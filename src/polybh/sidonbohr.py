@@ -38,7 +38,9 @@ import numpy as np
 
 from .bhverify import bh_constant_hyper
 from .polyalgebra import (
+    DENSE_ENTRIES_MAX,
     REL_TOL,
+    BudgetExceededError,
     GeneralPolynomial,
     HomogeneousPolynomial,
     Polynomial,
@@ -46,7 +48,7 @@ from .polyalgebra import (
     majorant_sum,
     random_homogeneous,
 )
-from .torusnorm import DENSE_ENTRIES_MAX, BudgetExceededError, certified_upper, sup_lower_each
+from .torusnorm import certified_upper, sup_lower_each
 
 __all__ = [
     "sidon_upper_hyper",
@@ -493,16 +495,20 @@ def bohr_estimate_small(
     (1 - a)(g (1 + 2a) - 1)/(1 - a g), peaks at
     a* = (2 - sqrt(2 (1 - g^2)))/(2 g); a* joins the a grid (0, a_step, ...,
     0.999), so the scan fails at g at the latest.  Refused before the scan:
-    a ValueError when the truncated f_{a*} does not exceed 1 + 1e-12 at g
-    (degree too low, or r_step too fine: the excess is about 5 (g - 1/3)^2,
-    so every r_step under 4.5e-7 is refused), or when r_step is below the
-    12-digit rounding or puts g past 0.45; a BudgetExceededError when the a
-    grid times (degree + 1) exceeds ``DENSE_ENTRIES_MAX`` entries.
+    a ValueError for a step that is not positive or an infinite a_step,
+    when the truncated f_{a*} does not exceed 1 + 1e-12 at g (degree too
+    low, or r_step too fine: the excess is about 5 (g - 1/3)^2, so every
+    r_step under 4.5e-7 is refused), or when r_step is below the 12-digit
+    rounding or puts g past 0.45 (an infinite r_step too); a
+    BudgetExceededError when the a grid times (degree + 1) exceeds
+    ``DENSE_ENTRIES_MAX`` entries.
     """
     if degree < 5:
         raise ValueError("truncation degree too small to be meaningful")
     if not (a_step > 0 and r_step > 0):  # r_step = 0 would never end the scan
-        raise ValueError(f"a_step and r_step must be positive, got {a_step} and {r_step}")
+        raise ValueError(f"--a-step and --r-step must be positive, got {a_step} and {r_step}")
+    if a_step == math.inf:  # an infinite r_step is refused below: it leaves no radius
+        raise ValueError("--a-step must be finite, got inf")
     if r_step < 1e-12:  # below the 12-digit rounding the radii would not advance
         raise ValueError(f"r_step {r_step} is below the grid resolution 1e-12; use a coarser --r-step")
     if (_A_MAX / a_step + 2) * (degree + 1) > DENSE_ENTRIES_MAX:  # float: no overflow

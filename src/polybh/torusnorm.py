@@ -42,11 +42,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .polyalgebra import DENSE_ENTRIES_MAX, BudgetExceededError
 from .polyalgebra import Polynomial, majorant_sum, monomials, term_arrays
 
 __all__ = [
     "SupNormEstimate",
-    "BudgetExceededError",
     "sup_lower",
     "sup_lower_each",
     "sup_certified",
@@ -67,11 +67,6 @@ ASCENT_STEP0 = 0.5  # initial phase step of each sup_lower start
 # entries, 3.4 MiB at S = 1 and (m, n) = (5, 6).
 ASCENT_BATCH_ELEMENTS = 1 << 14
 BLOCK_ASCENT_TOL = 1e-12  # relative sweep gain at which a sup_multilinear start stops
-DENSE_ENTRIES_MAX = 10**7  # entries of a dense form table (160 MB as complex128)
-
-
-class BudgetExceededError(RuntimeError):
-    """A grid or search would exceed its configured evaluation budget."""
 
 
 @dataclass
@@ -256,11 +251,7 @@ def _grid_values(A: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
     return np.fft.ifftn(W, norm="forward")
 
 
-def sup_certified(
-    P: Polynomial,
-    grid_step: float,
-    max_evaluations: int = 10**8,
-) -> SupNormEstimate:
+def sup_certified(P: Polynomial, grid_step: float) -> SupNormEstimate:
     """Bracket sup |P| by exhaustive evaluation on a uniform phase lattice.
 
     ``grid_step`` must satisfy h < 2 / (n * m_max), with m_max the largest
@@ -282,13 +273,12 @@ def sup_certified(
     argmax is the slice's own first maximum.  General P keep all active axes.
     ``method["evaluations"]`` counts the points evaluated.
 
-    Raises BudgetExceededError when the lattice, L ** (active variables)
-    points, exceeds ``max_evaluations``.  The budget counts the lattice, not
-    the slice: ``certified_upper`` picks between this bound and sum |c| by
-    it, and counting the slice would change its choice.  Memory: the tensor
-    and its transform, 16 bytes per evaluated point each, plus 8 for the
-    moduli.  A homogeneous slice has L ** (d - 1) points; general P reach
-    this grid from the library only through ``certified_upper`` (2M points).
+    Raises BudgetExceededError when the points evaluated, L ** (d - 1) for a
+    homogeneous P with d active variables and L ** d otherwise, exceed
+    ``DENSE_ENTRIES_MAX``, and before L is rounded up when 2 pi / h alone
+    does: a step below 2 pi / DENSE_ENTRIES_MAX is refused whatever the size
+    of the slice.  Memory: the tensor and its transform, 16 bytes per
+    evaluated point each, plus 8 for the moduli, so at most 400 MB.
     """
     if not grid_step > 0:  # NaN too
         raise ValueError("grid_step must be positive")
@@ -307,18 +297,16 @@ def sup_certified(
 
     # Checked before the ceiling, which a tiny step overflows: there is an
     # active axis, so the lattice has at least L >= 2 pi / h points.
-    if TWO_PI / grid_step > max_evaluations:
+    if TWO_PI / grid_step > DENSE_ENTRIES_MAX:
         raise BudgetExceededError(f"grid_step {grid_step} needs more than the cap of "
-                                  f"{max_evaluations} evaluations")
+                                  f"{DENSE_ENTRIES_MAX} evaluations")
     active = [k for k in range(n) if per_var_degree[k] > 0]
     L = int(math.ceil(TWO_PI / grid_step))
     h_eff = TWO_PI / L
-    points = L ** len(active)
-    if points > max_evaluations:
-        raise BudgetExceededError(f"grid needs {points} evaluations, cap is {max_evaluations}")
-
     degrees = A.sum(axis=1)
     axes = active[1:] if (degrees == degrees[0]).all() else active
+    if L ** len(axes) > DENSE_ENTRIES_MAX:
+        raise BudgetExceededError(f"grid needs {L ** len(axes)} evaluations, cap is {DENSE_ENTRIES_MAX}")
     V = np.abs(_grid_values(A[:, axes], c, L))
     best = np.unravel_index(int(np.argmax(V)), V.shape)
     arg = np.zeros(n)
@@ -334,23 +322,27 @@ def certified_upper(
     target_correction: float = 0.25,
     points_cap: int = 2_000_000,
 ) -> float:
-    """A cheap certified upper bound for sup |P|.
+    """A cheap certified upper bound for sup |P|: the coefficient sum
+    (sup |P| <= sum |a_alpha|), or the :func:`sup_certified` bound at the
+    step h = 2 ``target_correction`` / (n m_max) if that is smaller.
 
-    Always bounded by the coefficient sum (sup |P| <= sum |a_alpha|); when a
-    Bernstein grid with relative correction ``target_correction`` fits inside
-    ``points_cap`` evaluations, the grid bound is computed too and the
-    smaller of the two is returned.
+    The grid runs only when the full lattice, ceil(2 pi / h) ** (active
+    variables), is at most ``points_cap``.  The rule counts the lattice, not
+    the L times smaller slice a homogeneous P is evaluated on, so that its
+    bounds stay as they were: counting the slice would grid the dense (2, 4)
+    P of the proof-chain campaigns too (1.03M points, about 40 MB).
     """
     l1 = majorant_sum(P, 1.0)
     A, _ = term_arrays(P)
     m_max = int(A.max(initial=0))
     if m_max == 0:
         return l1
-    try:
-        grid = sup_certified(P, 2.0 * target_correction / (P.n * m_max), max_evaluations=points_cap)
-    except BudgetExceededError:
+    h = 2.0 * target_correction / (P.n * m_max)
+    # 2 pi / h first, since a tiny step overflows math.ceil; sup_certified refuses h <= 0.
+    if h > 0 and (TWO_PI / h > points_cap
+                  or math.ceil(TWO_PI / h) ** int(np.count_nonzero(A.max(axis=0))) > points_cap):
         return l1
-    return min(l1, grid.upper)
+    return min(l1, sup_certified(P, h).upper)
 
 
 # ----------------------------------------------------------------------

@@ -92,19 +92,36 @@ class TestExitCodes:
             (["bohr-small", "--degree", "5"], "--degree"),
             (["bohr-small", "--r-step", "1e-7"], "--r-step"),
             (["bohr-small", "--a-step", "1e-7"], "cap is"),
+            # Only the report writer used to refuse it, with a message that named no option.
+            (["bohr-small", "--a-step", "inf"], "--a-step"),
+            # These two used to allocate tens of GB: C(37, 8) index tuples, and
+            # 200000 exponent vectors over 17984 primes.
+            (["verify-bh", "--m", "8", "--n", "30", "--count", "1"], "cap is"),
+            (["sidon-N", "--N", "200000", "--budget", "1"], "cap is"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
              "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
              "sidon-N-mag-points-1", "multilinear-iters-0", "iters-negative",
              "random-campaign-starts-0", "blei-n-0", "multilinear-n-0", "multilinear-m-0",
              "grid-step-nan", "grid-step-tiny", "blei-over-cap", "multilinear-over-cap",
-             "bohr-small-degree-5", "bohr-small-r-step-1e-7", "bohr-small-table-cap"],
+             "bohr-small-degree-5", "bohr-small-r-step-1e-7", "bohr-small-table-cap",
+             "bohr-small-a-step-inf", "random-polynomial-over-cap", "lift-over-cap"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"
-        assert run(argv + ["--out", str(out)]) == 1
+        # A first call imports modules (numpy.random, gettext); they load untraced.
+        run(argv + ["--out", str(out)])
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            rc = run(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert peak < 1 << 20  # refused before anything sized from the input is allocated
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["check-blei", "verify-bh-multilinear"])
@@ -273,6 +290,15 @@ class TestVerifyBh:
         for row in json.loads(out.read_text())["rows"]:
             assert row["sup_upper"] >= row["sup_lower"]
             assert row["verdict"] == "verified"
+
+    def test_certified_mode_runs_where_only_the_slice_fits(self, tmp_path, capsys):
+        # At the default step the (2, 4) lattice has 101^4 > 10^7 points and
+        # used to be refused; the slice evaluated has 101^3.
+        out = tmp_path / "cert.json"
+        assert run(["verify-bh", "--m", "2", "--n", "4", "--count", "1", "--certified",
+                    "--out", str(out)]) == 0
+        row, = json.loads(out.read_text())["rows"]
+        assert row["sup_upper"] >= row["sup_lower"]
 
     def test_json_campaign_embeds_config(self, tmp_path, capsys):
         out = tmp_path / "vb.json"

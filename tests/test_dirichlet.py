@@ -95,6 +95,18 @@ class TestBohrLift:
         assert sum(lift.monomial_map[30]) == 3
         assert sum(lift.monomial_map[9]) == 2
 
+    def test_entry_cap(self, monkeypatch):
+        # Four terms over the ten primes up to 30: 40 exponent entries, and a 31-byte sieve.
+        Q = DirichletPolynomial(30, {8: 1.0, 9: 1.0, 12: 1.0, 30: 1.0})
+        monkeypatch.setattr(dirichlet, "DENSE_ENTRIES_MAX", 40)
+        assert bohr_lift(Q).poly.n == 10
+        monkeypatch.setattr(dirichlet, "DENSE_ENTRIES_MAX", 39)
+        with pytest.raises(torusnorm.BudgetExceededError, match="40 exponent entries"):
+            bohr_lift(Q)
+        monkeypatch.setattr(dirichlet, "DENSE_ENTRIES_MAX", 30)
+        with pytest.raises(torusnorm.BudgetExceededError, match="sieve"):
+            bohr_lift(Q)
+
     def test_l1_transport_exact(self):
         rng = np.random.default_rng(7)
         for _ in range(60):

@@ -320,6 +320,14 @@ class TestRandomHomogeneous:
         with pytest.raises(ValueError):
             random_homogeneous(2, 2, "cauchy", seed=0)
 
+    def test_entry_cap(self, monkeypatch):
+        # J(2, 2) has 3 terms: 3 x (2 + 2) index and exponent entries.
+        monkeypatch.setattr(polyalgebra, "DENSE_ENTRIES_MAX", 12)
+        assert len(random_homogeneous(2, 2, seed=0).coeffs) == 3
+        monkeypatch.setattr(polyalgebra, "DENSE_ENTRIES_MAX", 11)
+        with pytest.raises(polyalgebra.BudgetExceededError, match="12 index and exponent entries"):
+            random_homogeneous(2, 2, seed=0)
+
 
 class TestDimensionCount:
     def test_values(self):

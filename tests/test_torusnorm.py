@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from polybh.polyalgebra import (
     HomogeneousPolynomial,
     coeff_norm,
     evaluate,
+    majorant_sum,
     monomials,
     random_homogeneous,
     scale,
@@ -288,25 +290,39 @@ class TestSupCertified:
         with pytest.raises(ValueError):
             sup_certified(SQUARE, -1.0)
 
-    def test_budget_cap(self):
+    def test_budget_cap(self, monkeypatch):
+        monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 1000)
         P = random_homogeneous(2, 3, "complex-gaussian", seed=1)
         with pytest.raises(BudgetExceededError):
-            sup_certified(P, 0.01, max_evaluations=1000)
+            sup_certified(P, 0.01)
 
-    def test_tiny_step_hits_the_cap_before_the_ceiling(self):
+    def test_tiny_step_hits_the_cap_before_the_ceiling(self, monkeypatch):
         # 2 pi / h overflows to inf here; math.ceil(inf) used to be the error.
+        monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 1000)
         with pytest.raises(BudgetExceededError, match="cap of 1000 evaluations"):
-            sup_certified(SQUARE, 1e-320, max_evaluations=1000)
+            sup_certified(SQUARE, 1e-320)
+
+    def test_budget_counts_the_slice(self, monkeypatch):
+        # 2 pi / 0.1 -> L = 63: the lattice has 63^3 points, the slice 63^2.
+        monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 63**2)
+        P = random_homogeneous(2, 3, "complex-gaussian", seed=4)
+        est = sup_certified(P, 0.1)
+        assert est.method["grid_points_per_axis"] == 63
+        assert est.method["evaluations"] == 63**2
+        monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 63**2 - 1)
+        with pytest.raises(BudgetExceededError, match=f"needs {63**2} evaluations"):
+            sup_certified(P, 0.1)
 
     def test_constant_polynomial_exact(self):
         G = GeneralPolynomial(2, {}, a0=2 - 1j)
         est = sup_certified(G, 0.3)
         assert est.lower == est.upper == pytest.approx(abs(2 - 1j))
 
-    def test_inactive_variables_skipped(self):
+    def test_inactive_variables_skipped(self, monkeypatch):
         # P depends only on z1; the grid should not blow up with n.
+        monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 10_000)
         P = HomogeneousPolynomial(2, 6, {(1, 1): 1.0})
-        est = sup_certified(P, 0.05, max_evaluations=10_000)
+        est = sup_certified(P, 0.05)
         assert est.method["evaluations"] <= 200
         assert est.lower == pytest.approx(1.0, abs=1e-12)
 
@@ -337,7 +353,8 @@ class TestFFTGrid:
         m, n = pair
         P = random_homogeneous(m, n, dist, seed=seed)
         try:
-            est = sup_certified(P, 1.9 / (n * m), max_evaluations=2_000_000)
+            with mock.patch.object(torusnorm, "DENSE_ENTRIES_MAX", 2_000_000):
+                est = sup_certified(P, 1.9 / (n * m))
         except BudgetExceededError:
             return  # degree-one forms in six or more variables: grid too large here
         low = sup_lower(P, starts=4, iterations=80, seed=seed % 1000).lower
@@ -384,6 +401,16 @@ class TestGridSlice:
 
 
 class TestCertifiedUpper:
+    def test_lattice_rule(self):
+        # The step 2 * 0.25 / (4 * 2) gives L = 101: the lattice, 101^4, is
+        # over the 2M points_cap, so the coefficient sum is returned, though
+        # sup_certified evaluates the 101^3-point slice and bounds lower.
+        P = random_homogeneous(2, 4, "random-signs", seed=2)
+        grid = sup_certified(P, 0.5 / 8)
+        assert grid.method["grid_points_per_axis"] == 101
+        assert grid.upper < majorant_sum(P, 1.0)
+        assert certified_upper(P) == majorant_sum(P, 1.0)
+
     def test_bounded_by_coefficient_sum(self):
         for seed in range(10):
             P = random_homogeneous(2, 5, "complex-gaussian", seed=seed)
