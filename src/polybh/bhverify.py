@@ -214,7 +214,7 @@ def verify_bh_batch(
     gets the sup norms from :func:`sup_lower_each`, so consecutive P with
     one exponent matrix (e.g. random P of one (m, n)) run as one batched
     ascent; certified mode maps :func:`sup_certified` over the stream, at
-    ``grid_step`` or 0.5 / (n m), and uses no seed.
+    ``grid_step`` or 0.5 / m (a Bernstein correction of 3/4), and uses no seed.
     """
     if grid_step is not None and supnorm_mode != "certified":
         raise ValueError("grid_step needs supnorm_mode 'certified'")
@@ -232,7 +232,7 @@ def verify_bh_batch(
     if supnorm_mode == "ascent":
         ests = sup_lower_each(stream, starts, iterations, seeds)
     else:
-        ests = [sup_certified(P, grid_step if grid_step is not None else 0.5 / (P.n * P.m)) for P in stream]
+        ests = [sup_certified(P, grid_step if grid_step is not None else 0.5 / P.m) for P in stream]
     return [_report(norm, constant, est) for (norm, constant), est in zip(lhs, ests)]
 
 

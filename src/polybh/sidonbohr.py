@@ -68,7 +68,6 @@ __all__ = [
 
 SEARCH_STRATEGIES = ("random-sign", "gaussian", "coordinate-ascent")
 CROSSOVER_N_MAX = 10**9  # sidon_crossover_n searches n in 2..CROSSOVER_N_MAX
-WIENER_POINTS_CAP = 4_000_000  # grid evaluations per part in check_wiener
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +288,8 @@ def check_wiener(
 
     ``supnorm_upper_P`` must be a certified upper bound in [0, 1] (a NaN or
     a value outside is a ValueError).  Each part is bounded above by a tight
-    Bernstein grid of relative correction ``target_correction`` (falling back
-    to the coefficient sum if the grid is over ``WIENER_POINTS_CAP``), so a
+    Bernstein grid of relative correction ``target_correction`` (see
+    :func:`certified_upper`, which falls back to the coefficient sum), so a
     pass is rigorous modulo rounding.
     """
     if not 0.0 <= supnorm_upper_P <= 1.0 + 1e-12:  # NaN too
@@ -299,7 +298,7 @@ def check_wiener(
     bound = 1.0 - abs(P.a0) ** 2
     parts: list[WienerPart] = []
     for m, part in P.parts.items():
-        est = certified_upper(part, target_correction=target_correction, points_cap=WIENER_POINTS_CAP)
+        est = certified_upper(part, target_correction=target_correction)
         parts.append(WienerPart(m, est, bound, est <= bound * (1.0 + REL_TOL) + 1e-15))
     return WienerReport(
         a0_modulus=abs(P.a0),

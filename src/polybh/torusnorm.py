@@ -12,18 +12,15 @@ Three estimators:
   runs it on a stream of polynomials, with the same bits per case, batching
   each run of polynomials with one exponent matrix.
 
-* ``sup_certified``: evaluates |P| on a uniform phase grid of step h and
-  converts the grid maximum into an upper bound through the Bernstein
-  derivative estimate for trigonometric polynomials: if d_k is the degree of
-  P in theta_k then |P| moves by at most sum_k d_k * (h/2) * sup|P| between
-  a point and its nearest grid node, hence
+* ``sup_certified``: evaluates |P| on a uniform phase grid of step h (the
+  slice theta_1 = 0 for homogeneous P) and, by Bernstein's inequality in the
+  total degree D = max |alpha|, bounds
 
-      sup |P| <= grid_max / (1 - n * m_max * h / 2),
+      sup |P| <= grid_max / (1 - D * h / 2),   for h < 2 / D,
 
-  with m_max the maximal per-variable degree.  The bound is rigorous up to
-  floating-point rounding only (no interval arithmetic).  For homogeneous P
-  the grid is the slice theta_1 = 0: |P(theta + t (1, ..., 1))| = |P(theta)|
-  and a node shifted by -theta_1 (1, ..., 1) is a node with theta_1 = 0.
+  rigorously up to floating-point rounding (no interval arithmetic).
+  ``certified_upper`` takes the smaller of this bound on a small grid and
+  the coefficient sum.
 
 * ``sup_multilinear``: block-coordinate phase ascent for an m-linear form
   over a product of polydiscs; aligning one argument at a time is exact per
@@ -67,6 +64,10 @@ ASCENT_STEP0 = 0.5  # initial phase step of each sup_lower start
 # entries, 3.4 MiB at S = 1 and (m, n) = (5, 6).
 ASCENT_BATCH_ELEMENTS = 1 << 14
 BLOCK_ASCENT_TOL = 1e-12  # relative sweep gain at which a sup_multilinear start stops
+# Points a certified_upper grid may evaluate: at 40 bytes each (tensor and
+# transform, 16 each, moduli 8) about 2.5 MiB, which keeps campaigns that bound
+# every case this way within 10% of their peak RSS (bench ``peak_rss_mb``).
+CERTIFIED_UPPER_POINTS = 1 << 16
 
 
 @dataclass
@@ -251,34 +252,52 @@ def _grid_values(A: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
     return np.fft.ifftn(W, norm="forward")
 
 
+def _lattice(A: np.ndarray, grid_step: float, cap: int) -> tuple[int, np.ndarray]:
+    """(L, axes) of the lattice :func:`sup_certified` evaluates for the
+    exponents ``A`` at step h > 0: L = ceil(2 pi / h) nodes on each of the
+    active axes, less the first when every term has one degree (the slice
+    theta_1 = 0).  Raises BudgetExceededError when its L ** len(axes) points
+    exceed ``cap``, and before the ceiling, which a tiny step overflows, when
+    2 pi / h does: a step below 2 pi / cap is refused whatever the slice."""
+    active = np.flatnonzero(A.max(axis=0))
+    degrees = A.sum(axis=1)
+    axes = active[1:] if (degrees == degrees[0]).all() else active
+    if TWO_PI / grid_step > cap:
+        raise BudgetExceededError(f"grid_step {grid_step} needs more than the cap of {cap} evaluations")
+    L = math.ceil(TWO_PI / grid_step)
+    if L ** len(axes) > cap:
+        raise BudgetExceededError(f"grid needs {L ** len(axes)} evaluations, cap is {cap}")
+    return L, axes
+
+
 def sup_certified(P: Polynomial, grid_step: float) -> SupNormEstimate:
     """Bracket sup |P| by exhaustive evaluation on a uniform phase lattice.
 
-    ``grid_step`` must satisfy h < 2 / (n * m_max), with m_max the largest
-    per-variable degree; the step used is h_eff = 2 pi / L, L = ceil(2 pi / h).
-    The lattice spans the variables P depends on, but the correction keeps
-    the n * m_max form: the upper bound is the module docstring's with h_eff
-    for h, and ``lower`` is the lattice maximum.  Every exponent is at most
-    m_max < L (L >= 2 pi / h > pi * n * m_max), so :func:`_grid_values`
-    gives P on the lattice by one inverse FFT.
+    ``grid_step`` must satisfy h < 2 / D, with D = max |alpha| the total
+    degree; the step used is h_eff = 2 pi / L, L = ceil(2 pi / h).  ``lower``
+    is the lattice maximum and ``upper = lower / (1 - D h_eff / 2)``.
+
+    Proof.  Let S = sup |P| be attained at theta* and theta* + s u be the
+    nearest node, with |u|_inf = 1 and s <= h_eff / 2 (L h_eff = 2 pi).
+    g(t) = P(theta* + t u) = sum_alpha a_alpha e^{i theta* . alpha} e^{i t alpha . u}
+    has frequencies |alpha . u| <= |alpha|_1 <= D and |g| <= S on the line,
+    so Bernstein's inequality (Boas, *Entire Functions*, 1954, ch. 11) gives
+    |g'| <= D S and lower >= |g(s)| >= S (1 - D h_eff / 2) > 0.  Since
+    D <= n m_max, m_max the largest per-variable degree, this is never
+    looser than the per-variable bound lower / (1 - n m_max h_eff / 2).
+    Every exponent is at most D < pi D < L, so :func:`_grid_values` gives P
+    on the lattice by one inverse FFT.
 
     A homogeneous P (all terms of one degree m) is evaluated on the slice
     k_1 = 0 of its first active axis alone, L times fewer points, with the
     same maximum: P(theta + t (1, ..., 1)) = e^{i m t} P(theta), so the node
     h k shifted by -k_1 h (1, ..., 1) is a node with k_1 = 0 and the same
-    modulus.  Ties go to the first maximum in C order; with exact values
-    that node is unchanged too, since the first lattice maximum has k_1 = 0
-    (some maximum has) and C order on the slice is C order on the lattice.
-    In floating point the nodes of one orbit differ by rounding, so the
-    argmax is the slice's own first maximum.  General P keep all active axes.
-    ``method["evaluations"]`` counts the points evaluated.
-
-    Raises BudgetExceededError when the points evaluated, L ** (d - 1) for a
-    homogeneous P with d active variables and L ** d otherwise, exceed
-    ``DENSE_ENTRIES_MAX``, and before L is rounded up when 2 pi / h alone
-    does: a step below 2 pi / DENSE_ENTRIES_MAX is refused whatever the size
-    of the slice.  Memory: the tensor and its transform, 16 bytes per
-    evaluated point each, plus 8 for the moduli, so at most 400 MB.
+    modulus.  Ties go to the slice's first maximum in C order (with exact
+    values, the lattice's: some maximum has k_1 = 0).  General P keep all
+    active axes.  ``method["evaluations"]`` counts the points evaluated;
+    over ``DENSE_ENTRIES_MAX`` they raise BudgetExceededError (see
+    :func:`_lattice`).  Memory: 40 bytes per point (tensor, transform,
+    moduli), so at most 400 MB.
     """
     if not grid_step > 0:  # NaN too
         raise ValueError("grid_step must be positive")
@@ -287,60 +306,41 @@ def sup_certified(P: Polynomial, grid_step: float) -> SupNormEstimate:
     meta = {"mode": "certified-grid", "grid_step": grid_step, "note": "certified-modulo-floating-point"}
     if len(c) == 0:
         return SupNormEstimate(0.0, 0.0, np.zeros(n), meta | {"evaluations": 0})
-    per_var_degree = A.max(axis=0) if n else np.zeros(0, dtype=np.int64)
-    m_max = int(per_var_degree.max()) if n else 0
-    if m_max == 0:
+    degree = int(A.sum(axis=1).max())
+    if degree == 0:
         value = float(abs(c.sum()))
-        return SupNormEstimate(value, value, np.zeros(n), meta | {"evaluations": 1, "m_max": 0})
-    if grid_step >= 2.0 / (n * m_max):
-        raise ValueError(f"grid_step {grid_step} too large; need h < 2/(n*m_max) = {2.0 / (n * m_max)}")
-
-    # Checked before the ceiling, which a tiny step overflows: there is an
-    # active axis, so the lattice has at least L >= 2 pi / h points.
-    if TWO_PI / grid_step > DENSE_ENTRIES_MAX:
-        raise BudgetExceededError(f"grid_step {grid_step} needs more than the cap of "
-                                  f"{DENSE_ENTRIES_MAX} evaluations")
-    active = [k for k in range(n) if per_var_degree[k] > 0]
-    L = int(math.ceil(TWO_PI / grid_step))
+        return SupNormEstimate(value, value, np.zeros(n), meta | {"evaluations": 1, "degree": 0})
+    if grid_step >= 2.0 / degree:
+        raise ValueError(f"grid_step {grid_step} too large; need h < 2/D = {2.0 / degree} (total degree D)")
+    L, axes = _lattice(A, grid_step, DENSE_ENTRIES_MAX)
     h_eff = TWO_PI / L
-    degrees = A.sum(axis=1)
-    axes = active[1:] if (degrees == degrees[0]).all() else active
-    if L ** len(axes) > DENSE_ENTRIES_MAX:
-        raise BudgetExceededError(f"grid needs {L ** len(axes)} evaluations, cap is {DENSE_ENTRIES_MAX}")
     V = np.abs(_grid_values(A[:, axes], c, L))
     best = np.unravel_index(int(np.argmax(V)), V.shape)
     arg = np.zeros(n)
     arg[axes] = np.array(best) * h_eff
     best_val = float(V[best])
-    correction = 1.0 - n * m_max * h_eff / 2.0
-    meta.update({"evaluations": V.size, "grid_points_per_axis": L, "h_eff": h_eff, "m_max": m_max})
-    return SupNormEstimate(best_val, best_val / correction, arg, meta)
+    meta.update({"evaluations": V.size, "grid_points_per_axis": L, "h_eff": h_eff, "degree": degree})
+    return SupNormEstimate(best_val, best_val / (1.0 - degree * h_eff / 2.0), arg, meta)
 
 
-def certified_upper(
-    P: Polynomial,
-    target_correction: float = 0.25,
-    points_cap: int = 2_000_000,
-) -> float:
+def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
     """A cheap certified upper bound for sup |P|: the coefficient sum
     (sup |P| <= sum |a_alpha|), or the :func:`sup_certified` bound at the
-    step h = 2 ``target_correction`` / (n m_max) if that is smaller.
-
-    The grid runs only when the full lattice, ceil(2 pi / h) ** (active
-    variables), is at most ``points_cap``.  The rule counts the lattice, not
-    the L times smaller slice a homogeneous P is evaluated on, so that its
-    bounds stay as they were: counting the slice would grid the dense (2, 4)
-    P of the proof-chain campaigns too (1.03M points, about 40 MB).
-    """
+    step h = 2 ``target_correction`` / D, D the total degree, if that is
+    smaller; ``target_correction`` lies in (0, 1).  The grid runs only when
+    its evaluated points (see :func:`_lattice`) are at most
+    ``CERTIFIED_UPPER_POINTS``."""
+    if not 0.0 < target_correction < 1.0:  # NaN too
+        raise ValueError(f"target_correction must be in (0, 1), got {target_correction}")
     l1 = majorant_sum(P, 1.0)
     A, _ = term_arrays(P)
-    m_max = int(A.max(initial=0))
-    if m_max == 0:
+    degree = int(A.sum(axis=1).max(initial=0))
+    if degree == 0:
         return l1
-    h = 2.0 * target_correction / (P.n * m_max)
-    # 2 pi / h first, since a tiny step overflows math.ceil; sup_certified refuses h <= 0.
-    if h > 0 and (TWO_PI / h > points_cap
-                  or math.ceil(TWO_PI / h) ** int(np.count_nonzero(A.max(axis=0))) > points_cap):
+    h = 2.0 * target_correction / degree
+    try:
+        _lattice(A, h, CERTIFIED_UPPER_POINTS)
+    except BudgetExceededError:
         return l1
     return min(l1, sup_certified(P, h).upper)
 

@@ -128,6 +128,9 @@ class TestExitCodes:
     def test_dense_table_over_the_cap_is_refused_before_drawing(self, command, tmp_path, capsys):
         # check-blei used to draw all 3163^2 entries (346 MB RSS) before refusing.
         out = tmp_path / "r.json"
+        # A first call imports modules (numpy.random, gettext); they load untraced.
+        run([command, "--m", "2", "--n", "3163", "--count", "1", "--out", str(out)])
+        capsys.readouterr()
         tracemalloc.start()
         try:
             rc = run([command, "--m", "2", "--n", "3163", "--count", "1", "--out", str(out)])
@@ -292,13 +295,30 @@ class TestVerifyBh:
             assert row["verdict"] == "verified"
 
     def test_certified_mode_runs_where_only_the_slice_fits(self, tmp_path, capsys):
-        # At the default step the (2, 4) lattice has 101^4 > 10^7 points and
-        # used to be refused; the slice evaluated has 101^3.
+        # At the default step 0.5 / m the (2, 4) grid has L = 26 nodes per
+        # axis; the slice evaluated has 26^3 points, the lattice 26^4.
         out = tmp_path / "cert.json"
         assert run(["verify-bh", "--m", "2", "--n", "4", "--count", "1", "--certified",
                     "--out", str(out)]) == 0
         row, = json.loads(out.read_text())["rows"]
         assert row["sup_upper"] >= row["sup_lower"]
+
+    def test_certified_mode_reaches_five_variables(self, tmp_path, capsys):
+        # The (3, 5) slice has 38^4 = 2.09M points, under the 10^7 cap.
+        out = tmp_path / "cert.json"
+        assert run(["verify-bh", "--m", "3", "--n", "5", "--count", "1", "--certified",
+                    "--out", str(out)]) == 0
+        row, = json.loads(out.read_text())["rows"]
+        assert isinstance(row["sup_upper"], float) and row["sup_upper"] >= row["sup_lower"]
+
+    def test_certified_mode_over_the_cap_is_an_error_line(self, tmp_path, capsys):
+        # The (5, 5) slice has 63^4 = 15.8M points, over the 10^7 cap.
+        out = tmp_path / "cert.json"
+        assert run(["verify-bh", "--m", "5", "--n", "5", "--count", "1", "--certified",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "cap is" in err[0]
+        assert not out.exists()
 
     def test_json_campaign_embeds_config(self, tmp_path, capsys):
         out = tmp_path / "vb.json"

@@ -285,10 +285,21 @@ class TestSupCertified:
         assert gaps[0] >= gaps[1] >= gaps[2]
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            sup_certified(SQUARE, 0.5)  # needs h < 2/(2*2)
+        with pytest.raises(ValueError, match="need h < 2/D = 1.0"):
+            sup_certified(SQUARE, 1.0)  # needs h < 2/D, total degree D = 2
         with pytest.raises(ValueError):
             sup_certified(SQUARE, -1.0)
+
+    def test_total_degree_sets_the_correction(self):
+        # D = 2 < n m_max = 4: a step in [2/(n m_max), 2/D) is legal, and the
+        # correction is 1 - D h_eff / 2.  sup = 2, attained at theta = 0.
+        P = HomogeneousPolynomial(2, 2, {(1, 1): 1.0, (2, 2): 1.0})
+        for h in (0.5, 0.9):
+            est = sup_certified(P, h)
+            h_eff = est.method["h_eff"]
+            assert est.method["degree"] == 2 and h_eff <= h
+            assert est.lower == pytest.approx(2.0, abs=1e-12)
+            assert est.upper == est.lower / (1.0 - 2 * h_eff / 2.0)
 
     def test_budget_cap(self, monkeypatch):
         monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 1000)
@@ -401,15 +412,30 @@ class TestGridSlice:
 
 
 class TestCertifiedUpper:
-    def test_lattice_rule(self):
-        # The step 2 * 0.25 / (4 * 2) gives L = 101: the lattice, 101^4, is
-        # over the 2M points_cap, so the coefficient sum is returned, though
-        # sup_certified evaluates the 101^3-point slice and bounds lower.
+    def test_lattice_rule(self, monkeypatch):
+        # The step 2 * 0.25 / D = 0.25 gives L = 26, and the (2, 4) slice
+        # evaluated has 26^3 points: at a cap of exactly that the grid bound,
+        # below the coefficient sum, is returned; one point less, the sum.
         P = random_homogeneous(2, 4, "random-signs", seed=2)
-        grid = sup_certified(P, 0.5 / 8)
-        assert grid.method["grid_points_per_axis"] == 101
+        grid = sup_certified(P, 0.25)
+        assert grid.method["grid_points_per_axis"] == 26 and grid.method["evaluations"] == 26**3
         assert grid.upper < majorant_sum(P, 1.0)
+        monkeypatch.setattr(torusnorm, "CERTIFIED_UPPER_POINTS", 26**3)
+        assert certified_upper(P) == grid.upper
+        monkeypatch.setattr(torusnorm, "CERTIFIED_UPPER_POINTS", 26**3 - 1)
         assert certified_upper(P) == majorant_sum(P, 1.0)
+
+    def test_default_cap(self):
+        # (4, 4): L = ceil(2 pi / (0.5 / 4)) = 51, and the slice has 51^3 > 2^16 points.
+        P = random_homogeneous(4, 4, "random-signs", seed=2)
+        assert torusnorm.CERTIFIED_UPPER_POINTS == 1 << 16 < 51**3
+        assert sup_certified(P, 0.125).upper < majorant_sum(P, 1.0)
+        assert certified_upper(P) == majorant_sum(P, 1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -0.1, 1.0, math.nan])
+    def test_target_correction_validation(self, target):
+        with pytest.raises(ValueError, match="target_correction"):
+            certified_upper(SQUARE, target_correction=target)
 
     def test_bounded_by_coefficient_sum(self):
         for seed in range(10):
@@ -420,6 +446,63 @@ class TestCertifiedUpper:
         for seed in range(10):
             P = random_homogeneous(3, 2, "complex-gaussian", seed=seed)
             assert certified_upper(P) >= sup_lower(P, seed=seed).lower * (1 - 1e-12)
+
+
+def _random_polynomial(pair, dist, seed, general):
+    m, n = pair
+    if not general:
+        return random_homogeneous(m, n, dist, seed=seed)
+    parts = {k: random_homogeneous(k, n, dist, seed=seed + k) for k in range(1, m + 1)}
+    return GeneralPolynomial(n, parts, a0=complex(*np.random.default_rng(seed).standard_normal(2)))
+
+
+def _permuted(P, perm):
+    if isinstance(P, GeneralPolynomial):
+        return GeneralPolynomial(P.n, {k: _permuted(part, perm) for k, part in P.parts.items()}, P.a0)
+    return HomogeneousPolynomial(P.m, P.n, {tuple(perm[i - 1] + 1 for i in j): c for j, c in P.coeffs.items()})
+
+
+BOUND_PAIRS = [(m, n) for m, n in SMALL_PAIRS if n <= 4]
+
+
+class TestTotalDegreeBound:
+    # sup |P| <= grid_max / (1 - D h_eff / 2) with D the total degree.
+    @given(st.sampled_from(BOUND_PAIRS), st.sampled_from(RANDOM_DISTRIBUTIONS),
+           st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.3, 0.99))
+    @settings(max_examples=40, deadline=None)
+    def test_upper_bounds_every_value(self, pair, dist, seed, general, frac):
+        P = _random_polynomial(pair, dist, seed, general)
+        D = int(term_arrays(P)[0].sum(axis=1).max())
+        # Random phases and the ascent's best point, a near-maximizer.
+        theta = np.random.default_rng(seed).random((64, P.n)) * TWO_PI
+        theta[0] = sup_lower(P, starts=4, iterations=80, seed=seed % 1000).argmax
+        values = np.abs([evaluate(P, np.exp(1j * t)) for t in theta])
+        est = sup_certified(P, frac * 2 / D)
+        assert est.upper >= values.max() * (1 - 1e-12)
+        assert est.upper >= est.lower
+        assert certified_upper(P) >= values.max() * (1 - 1e-12)
+
+    @given(st.sampled_from(BOUND_PAIRS), st.sampled_from(RANDOM_DISTRIBUTIONS),
+           st.integers(0, 2**32 - 1), st.booleans(), st.floats(1e-3, 1e3))
+    @settings(max_examples=30, deadline=None)
+    def test_scaling_covariance(self, pair, dist, seed, general, factor):
+        P = _random_polynomial(pair, dist, seed, general)
+        Q = scale(P, factor)
+        D = int(term_arrays(P)[0].sum(axis=1).max())
+        assert certified_upper(Q) == pytest.approx(factor * certified_upper(P), rel=1e-12)
+        assert sup_certified(Q, 1 / D).upper == pytest.approx(factor * sup_certified(P, 1 / D).upper, rel=1e-12)
+
+    @given(st.sampled_from(BOUND_PAIRS), st.sampled_from(RANDOM_DISTRIBUTIONS),
+           st.integers(0, 2**32 - 1), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_invariant_under_permuting_variables(self, pair, dist, seed, general, rnd):
+        P = _random_polynomial(pair, dist, seed, general)
+        perm = list(range(P.n))
+        rnd.shuffle(perm)
+        Q = _permuted(P, perm)
+        D = int(term_arrays(P)[0].sum(axis=1).max())
+        assert certified_upper(Q) == pytest.approx(certified_upper(P), rel=1e-12)
+        assert sup_certified(Q, 1 / D).upper == pytest.approx(sup_certified(P, 1 / D).upper, rel=1e-12)
 
 
 class TestSupMultilinear:
