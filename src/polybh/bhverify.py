@@ -290,9 +290,13 @@ def check_blei(c) -> BleiReport:
     top = float(a.max(initial=0.0))
     if top == 0.0:
         return BleiReport(0.0, 0.0, True)
-    a /= top  # in place, as the squares below: the table is up to DENSE_ENTRIES_MAX entries
+    # One float copy ``a`` holds the moduli, their powers, then the moduli
+    # again and their squares: the table is up to DENSE_ENTRIES_MAX entries.
+    a /= top
     p = float(bh_exponent(m))
-    lhs = top * float(np.sum(a**p)) ** (1.0 / p)
+    lhs = top * float(np.sum(np.power(a, p, out=a))) ** (1.0 / p)
+    np.abs(T, out=a)
+    a /= top
     a *= a
     log_factors = []
     for k in range(m):

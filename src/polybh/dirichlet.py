@@ -7,8 +7,9 @@ the imaginary axis s = it each z_j = p_j^{-it} is unimodular, and since the
 numbers log p_j are rationally independent the line orbit is dense in the
 torus (Kronecker); the sup of |Q| over the line therefore equals the sup of
 the lifted polynomial over the torus.  That equivalence is adopted here as a
-documented modeling assumption and cross-checked one-sidedly: a finite scan
-of |Q(it)| can approach but never exceed the torus sup.
+documented modeling assumption: :func:`dirichlet_sup` takes the torus sup of
+the lift.  A finite scan of |Q(it)| (:func:`evaluate_line`) can approach but
+never exceed it.
 
 The Sidon constant S(N) is the best C with sum |a_n| <= C sup_t |Q(it)|.
 Tiny N admit brute-force values on the lift (at most four variables for
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 BRUTE_N_MAX = 8
-LINE_SCAN_T_MAX, LINE_SCAN_POINTS = 200.0, 4001  # dirichlet_sup's t grid on [0, T]
 SMALL_GRID_POINTS = 2048  # phase grid of the N <= 8 certified sup bound
 BRUTE_COARSE_STRIDE = 32  # every 32nd grid node (64 of 2048) prunes brute candidates
 # Candidate rows x coarse nodes per brute block.  At N = 6 (mag_points 4) on a
@@ -181,40 +181,24 @@ def dirichlet_l1(Q: DirichletPolynomial) -> float:
     return math.fsum(abs(c) for c in Q.coeffs.values())
 
 
-def _line_values(Q: DirichletPolynomial, ts: np.ndarray) -> np.ndarray:
-    logs = np.array([math.log(nn) for nn in Q.coeffs])
-    cs = np.array(list(Q.coeffs.values()), dtype=np.complex128)
-    return monomials(-ts[:, None], logs[:, None]) @ cs
-
-
 def evaluate_line(Q: DirichletPolynomial, t: float) -> complex:
     """Q(it) = sum a_n n^{-it} = sum a_n e^{-i t log n}."""
-    return complex(_line_values(Q, np.array([float(t)]))[0])
+    logs = np.array([[math.log(nn)] for nn in Q.coeffs])
+    cs = np.array(list(Q.coeffs.values()), dtype=np.complex128)
+    return complex((monomials(np.array([[-float(t)]]), logs) @ cs)[0])
 
 
 def dirichlet_sup(Q: DirichletPolynomial, seed: int = 0) -> SupNormEstimate:
-    """Estimate sup_t |Q(it)| through the lifted polynomial's torus sup.
+    """Estimate sup_t |Q(it)| as the torus sup of the Bohr lift.
 
-    Runs phase ascent on the lift and a direct scan of |Q(it)| on a uniform
-    t grid.  The scan values are genuine lower bounds too (the line orbit is
-    in the torus closure), so the reported lower bound is the larger of the
-    two; the gap between them is kept in the metadata as a consistency
-    check.
+    Runs phase ascent (:func:`torusnorm.sup_lower`) on the lift; its value
+    is a lower bound of the line sup too, since the line orbit is dense in
+    the torus.  ``method`` is the ascent's, plus ``n_vars``, the number of
+    lift variables.
     """
     lift = bohr_lift(Q)
     est = sup_lower(lift.poly, seed=seed)
-    ts = np.linspace(0.0, LINE_SCAN_T_MAX, LINE_SCAN_POINTS)
-    scan = float(np.max(np.abs(_line_values(Q, ts))))
-    lower = max(est.lower, scan)
-    meta = dict(est.method)
-    meta.update({
-        "torus_ascent": est.lower,
-        "line_scan_max": scan,
-        "line_scan_t_max": LINE_SCAN_T_MAX,
-        "line_scan_points": LINE_SCAN_POINTS,
-        "n_vars": lift.poly.n,
-    })
-    return SupNormEstimate(lower, None, est.argmax, meta)
+    return SupNormEstimate(est.lower, None, est.argmax, {**est.method, "n_vars": lift.poly.n})
 
 
 # ----------------------------------------------------------------------
@@ -271,15 +255,6 @@ def _ratio_small(grid_max: float, moduli, grid_points: int) -> float:
     """sum |a_n| over the bound _upper_small(grid_max, moduli, grid_points)."""
     l1 = math.fsum(moduli)
     return l1 / _upper_small(grid_max, moduli, grid_points) if l1 else 0.0
-
-
-def certified_ratio_small(Q: DirichletPolynomial, grid_points: int = SMALL_GRID_POINTS) -> float:
-    """Coefficient sum over a certified sup upper bound (true S(N) lower bound), N <= 8."""
-    if Q.N > BRUTE_N_MAX:
-        raise ValueError("small-lift bound only valid for N <= 8")
-    coeffs = [Q.coeff(n) for n in range(1, BRUTE_N_MAX + 1)]
-    grid_max = float(_row_max(np.array([coeffs]), _small_nodes(grid_points))[0])
-    return _ratio_small(grid_max, [abs(c) for c in coeffs], grid_points)
 
 
 def _ratio_bounds(coarse_max: np.ndarray, moduli: np.ndarray, grid_points: int) -> np.ndarray:

@@ -36,9 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .indexcore import canonical, multiplicity, validate_index
-from .polyalgebra import REL_TOL, HomogeneousPolynomial, evaluate_points, term_arrays
-from .polyalgebra import from_json_dict as poly_from_json, to_json_dict as poly_to_json
+from .indexcore import multiplicity
+from .polyalgebra import DENSE_ENTRIES_MAX, REL_TOL, BudgetExceededError, HomogeneousPolynomial
+from .polyalgebra import evaluate_points, term_arrays
 
 __all__ = [
     "SymmetricForm",
@@ -48,8 +48,6 @@ __all__ = [
     "evaluate_form",
     "harris_factor",
     "check_harris",
-    "to_json_dict",
-    "from_json_dict",
 ]
 
 
@@ -79,28 +77,15 @@ class SymmetricForm:
         """The b_j table over the stored support in J(m, n)."""
         return {j: c / multiplicity(j) for j, c in self.diagonal.coeffs.items()}
 
-    @classmethod
-    def from_coefficients(cls, m: int, n: int, b) -> "SymmetricForm":
-        """Build a form from a table of b values keyed by multi-indices.
-
-        Keys are canonicalized; duplicate classes must agree exactly (a
-        non-symmetric table is rejected).
-        """
-        diag: dict[tuple[int, ...], complex] = {}
-        seen: dict[tuple[int, ...], complex] = {}
-        for key, value in dict(b).items():
-            j = canonical(validate_index(key, n))
-            v = complex(value)
-            if j in seen and abs(seen[j] - v) > 0.0:  # not !=: NaN goes on to the finiteness check
-                raise ValueError(f"coefficients for class {j} disagree: {seen[j]} vs {v}")
-            seen[j] = v
-            diag[j] = v * multiplicity(j)
-        return cls(HomogeneousPolynomial(m, n, diag))
-
     def to_dense(self) -> np.ndarray:
         """Dense coefficient tensor b over all of M(m, n), shape (n,) * m: each
-        multi-index reads b_j = c_j / |j| at its sorted representative j."""
+        multi-index reads b_j = c_j / |j| at its sorted representative j.
+        Raises BudgetExceededError, before allocating, when the table and its
+        (m, n^m) index table, (m + 1) n^m entries, exceed ``DENSE_ENTRIES_MAX``."""
         m, n = self.m, self.n
+        if (m + 1) * n**m > DENSE_ENTRIES_MAX:
+            raise BudgetExceededError(f"a ({n},)*{m} table and its indices need {(m + 1) * n**m} entries, "
+                                      f"cap is {DENSE_ENTRIES_MAX}")
         shape = (n,) * m
         A, c = term_arrays(self.diagonal)
         # Row k of A expanded to its nondecreasing 0-based multi-index.
@@ -128,9 +113,14 @@ def evaluate_form(B: SymmetricForm, points: Sequence[Sequence[complex]]) -> comp
     terms and memory proportional to 2^m K, so sparse forms in many variables
     stay cheap.  The +-1 form amplifies rounding by sum_eps |sum eps|^m /
     (2^m m!) (2.3 at m = 5), far less than the subset form over sums of
-    subsets of the points (92 at m = 5).
+    subsets of the points (92 at m = 5).  Raises BudgetExceededError,
+    before allocating, when the (2^m, m) sign table and the 2^m signed points,
+    2^m (m + n) entries, exceed ``DENSE_ENTRIES_MAX``.
     """
     m = B.m
+    if 2**m * (m + B.n) > DENSE_ENTRIES_MAX:
+        raise BudgetExceededError(f"polarizing at m = {m}, n = {B.n} needs {2**m * (m + B.n)} sign and point "
+                                  f"entries, cap is {DENSE_ENTRIES_MAX}")
     if len(points) != m:
         raise ValueError(f"need exactly {m} points, got {len(points)}")
     W = np.array([[complex(w) for w in p] for p in points], dtype=np.complex128)
@@ -200,21 +190,3 @@ def check_harris(
         slack=bound - value,
         passed=value <= bound * (1 + REL_TOL) + 1e-15,
     )
-
-
-def to_json_dict(B: SymmetricForm) -> dict:
-    """Serialize a form as its diagonal polynomial plus a "polarized" flag."""
-    data = poly_to_json(B.diagonal)
-    data["polarized"] = True
-    return data
-
-
-def from_json_dict(data) -> SymmetricForm:
-    """Inverse of :func:`to_json_dict`: a polynomial object (checked as by
-    ``polyalgebra.from_json_dict``) whose "polarized" key is JSON true."""
-    poly = poly_from_json(data)
-    if data.get("polarized") is not True:
-        raise ValueError("not a serialized symmetric form: key 'polarized' must be true")
-    if not isinstance(poly, HomogeneousPolynomial):
-        raise ValueError("a symmetric form serializes through a homogeneous diagonal")
-    return SymmetricForm(poly)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -244,6 +245,18 @@ class TestBlei:
             check_blei(np.zeros((10, 10, 10)))
         with pytest.raises(BudgetExceededError):
             verify_bh_multilinear(np.zeros((10, 10, 10)))
+
+    def test_peak_is_one_float_copy(self):
+        # The moduli, their powers and their squares share one float array;
+        # the powers used to be a second one.
+        T = np.random.default_rng(8).standard_normal((1000, 1000)).astype(complex)
+        tracemalloc.start()
+        try:
+            check_blei(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * T.size * 8
 
     def test_needs_two_axes(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,8 @@ class TestExitCodes:
             # 200000 exponent vectors over 17984 primes.
             (["verify-bh", "--m", "8", "--n", "30", "--count", "1"], "cap is"),
             (["sidon-N", "--N", "200000", "--budget", "1"], "cap is"),
+            # The polarization formula's 2^26 x 26 sign table used to end in a MemoryError traceback.
+            (["check-harris", "--m", "26", "--n", "2", "--count", "1"], "cap is"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
              "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
@@ -105,7 +107,8 @@ class TestExitCodes:
              "random-campaign-starts-0", "blei-n-0", "multilinear-n-0", "multilinear-m-0",
              "grid-step-nan", "grid-step-tiny", "blei-over-cap", "multilinear-over-cap",
              "bohr-small-degree-5", "bohr-small-r-step-1e-7", "bohr-small-table-cap",
-             "bohr-small-a-step-inf", "random-polynomial-over-cap", "lift-over-cap"],
+             "bohr-small-a-step-inf", "random-polynomial-over-cap", "lift-over-cap",
+             "harris-over-cap"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -15,7 +15,6 @@ from polybh.dirichlet import (
     asymptotic_formula,
     bcq_partial_sum,
     bohr_lift,
-    certified_ratio_small,
     dirichlet_l1,
     dirichlet_sup,
     evaluate_line,
@@ -155,19 +154,33 @@ class TestDirichletSup:
         # Kronecker direction: the line orbit lies in the torus closure, so a
         # finite scan of |Q(it)| can approach but never beat the torus sup.
         rng = np.random.default_rng(11)
+        ts = np.linspace(0.0, 200.0, 4001)
         for case in range(8):
             N = int(rng.integers(2, 30))
             coeffs = {int(k): complex(rng.standard_normal(), rng.standard_normal())
                       for k in rng.choice(np.arange(1, N + 1), size=min(N, 6), replace=False)}
             Q = DirichletPolynomial(N, coeffs)
             est = dirichlet_sup(Q, seed=case)
-            assert est.method["line_scan_max"] <= est.method["torus_ascent"] * (1 + 1e-6)
-            assert est.lower >= est.method["torus_ascent"]
+            logs = np.log(np.array(list(Q.coeffs), dtype=float))
+            scan = float(np.max(np.abs(np.exp(-1j * np.outer(ts, logs)) @ np.array(list(Q.coeffs.values())))))
+            assert scan <= est.lower * (1 + 1e-6)  # est.lower is the lift's ascent (next test)
             # spot-check raw line values as well, against the explicit sum
             t = float(rng.uniform(0, 50))
             assert abs(evaluate_line(Q, t)) <= est.lower * (1 + 1e-9)
             direct = sum(c * cmath.exp(-1j * t * math.log(k)) for k, c in Q.coeffs.items())
             assert abs(evaluate_line(Q, t) - direct) <= 1e-12 * max(1.0, abs(direct))
+
+    def test_lower_is_the_lift_ascent(self):
+        rng = np.random.default_rng(12)
+        for seed in range(6):
+            N = int(rng.integers(2, 120))
+            coeffs = {int(k): complex(rng.standard_normal(), rng.standard_normal())
+                      for k in rng.choice(np.arange(1, N + 1), size=min(N, 12), replace=False)}
+            Q = DirichletPolynomial(N, coeffs)
+            est = dirichlet_sup(Q, seed=seed)
+            ascent = sup_lower(bohr_lift(Q).poly, seed=seed)
+            assert est.lower.hex() == ascent.lower.hex()
+            assert est.method == {**ascent.method, "n_vars": len(bohr_lift(Q).primes)}
 
 
 class TestSidonN:
@@ -183,7 +196,7 @@ class TestSidonN:
     def test_known_witness_ratio(self):
         # Q = 1 + sqrt(2) i 2^{-s} + 4^{-s} has ratio (2 + sqrt 2)/sqrt 6.
         Q = DirichletPolynomial(4, {1: 1.0, 2: math.sqrt(2) * 1j, 4: 1.0})
-        ratio = certified_ratio_small(Q, grid_points=1 << 14)
+        ratio = _certified_ratio(Q, grid_points=1 << 14)
         assert ratio == pytest.approx((2 + math.sqrt(2)) / math.sqrt(6), rel=2e-3)
 
     def test_nondecreasing_in_N(self):
@@ -243,6 +256,13 @@ def _reference_candidates(N, mag_points, phase_points):
                 else:
                     coeffs[nn] = mag * np.exp(1j * ptuple[free_phase.index(nn)])
             yield DirichletPolynomial(N, coeffs)
+
+
+def _certified_ratio(Q, grid_points=SMALL_GRID_POINTS):
+    """The brute search's score of Q (N <= 8): coefficient sum over the certified sup bound."""
+    coeffs = [Q.coeff(n) for n in range(1, 9)]
+    grid_max = float(dirichlet._row_max(np.array([coeffs]), dirichlet._small_nodes(grid_points))[0])
+    return dirichlet._ratio_small(grid_max, [abs(c) for c in coeffs], grid_points)
 
 
 def _reference_ratio(Q, grid_points=SMALL_GRID_POINTS):
@@ -424,7 +444,7 @@ class TestPruningBound:
         for r, row in enumerate(rows):
             grid_max = float(dirichlet._row_max(np.array([row]), z)[0])
             assert coarse_max[r] <= grid_max
-            exact = certified_ratio_small(DirichletPolynomial(8, dict(enumerate(row, 1))))
+            exact = _certified_ratio(DirichletPolynomial(8, dict(enumerate(row, 1))))
             assert exact == _reference_ratio(DirichletPolynomial(8, dict(enumerate(row, 1))))
             bound = dirichlet._ratio_small(float(coarse_max[r]), moduli[r], SMALL_GRID_POINTS)
             assert bound >= exact

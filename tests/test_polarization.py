@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polybh import polarization
 from polybh.indexcore import enumerate_J, multiplicity
 from polybh.polarization import (
-    SymmetricForm,
     check_harris,
     evaluate_form,
     harris_factor,
@@ -16,6 +17,7 @@ from polybh.polarization import (
 )
 from polybh.polyalgebra import (
     RANDOM_DISTRIBUTIONS,
+    BudgetExceededError,
     HomogeneousPolynomial,
     evaluate,
     evaluate_points,
@@ -49,20 +51,6 @@ class TestPolarize:
             for n in range(1, 5):
                 P = random_homogeneous(m, n, "complex-gaussian", seed=10 * m + n)
                 assert restrict_diagonal(polarize(P)).coeffs == P.coeffs
-
-    def test_from_coefficients(self):
-        B = SymmetricForm.from_coefficients(2, 2, {(1, 2): 0.5})
-        P = restrict_diagonal(B)
-        assert P.coeffs == {(1, 2): 1.0}
-
-    def test_from_coefficients_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SymmetricForm.from_coefficients(2, 2, {(1, 2): 0.5, (2, 1): 0.7})
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_from_coefficients_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="not finite"):
-            SymmetricForm.from_coefficients(2, 2, {(1, 2): bad, (2, 1): bad})
 
     def test_zero_form(self):
         B = polarize(HomogeneousPolynomial(3, 3, {}))
@@ -228,42 +216,6 @@ class TestCheckHarris:
             check_harris(Z1Z2, (1, 1), [(1, 0)], 1.0)
 
 
-class TestFormJson:
-    def test_round_trip_with_flag(self):
-        import json
-
-        from polybh.polarization import from_json_dict, to_json_dict
-
-        P = HomogeneousPolynomial(2, 2, {(1, 2): 1.0, (1, 1): 2.0})
-        data = to_json_dict(polarize(P))
-        assert data["polarized"] is True
-        B = from_json_dict(json.loads(json.dumps(data)))
-        assert B.diagonal.coeffs == P.coeffs
-        assert B.coeff((2, 1)) == pytest.approx(0.5)
-
-    def test_flag_required(self):
-        from polybh.polarization import from_json_dict
-        from polybh.polyalgebra import to_json_dict as poly_to_json
-
-        with pytest.raises(ValueError):
-            from_json_dict(poly_to_json(Z1Z2))
-
-    @pytest.mark.parametrize("flag", ["yes", 1, [True]], ids=["string", "number", "list"])
-    def test_flag_must_be_true(self, flag):
-        from polybh.polarization import from_json_dict, to_json_dict
-
-        data = to_json_dict(polarize(Z1Z2)) | {"polarized": flag}
-        with pytest.raises(ValueError, match="'polarized'"):
-            from_json_dict(data)
-
-    @pytest.mark.parametrize("data", [[1], "form", None], ids=["list", "string", "null"])
-    def test_non_object_rejected(self, data):
-        from polybh.polarization import from_json_dict
-
-        with pytest.raises(ValueError, match="JSON object"):
-            from_json_dict(data)
-
-
 class TestDenseTensor:
     def test_to_dense_symmetry_and_values(self):
         P = HomogeneousPolynomial(2, 2, {(1, 2): 1.0, (1, 1): 3.0})
@@ -281,3 +233,37 @@ class TestDenseTensor:
             want = B.coeff(j) * multiplicity(j)
             got = sum(T[tuple(v - 1 for v in i)] for i in set(permutations(j)))
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestEntryCap:
+    def test_to_dense_cap(self, monkeypatch):
+        B = polarize(Z1Z2)  # the table and its indices: (m + 1) n^m = 12 entries
+        monkeypatch.setattr(polarization, "DENSE_ENTRIES_MAX", 12)
+        assert B.to_dense()[0, 1] == 0.5
+        monkeypatch.setattr(polarization, "DENSE_ENTRIES_MAX", 11)
+        with pytest.raises(BudgetExceededError, match="cap is 11"):
+            B.to_dense()
+
+    def test_evaluate_form_cap(self, monkeypatch):
+        B = polarize(Z1Z2)  # the signs and the signed points: 2^m (m + n) = 16 entries
+        monkeypatch.setattr(polarization, "DENSE_ENTRIES_MAX", 16)
+        assert evaluate_form(B, [(1, 0), (0, 1)]) == pytest.approx(0.5)
+        monkeypatch.setattr(polarization, "DENSE_ENTRIES_MAX", 15)
+        with pytest.raises(BudgetExceededError, match="cap is 15"):
+            evaluate_form(B, [(1, 0), (0, 1)])
+
+    @pytest.mark.parametrize("m, n, call", [
+        (7, 10, lambda B, points: B.to_dense()),  # 8 * 10^7 table and index entries
+        (26, 2, lambda B, points: evaluate_form(B, points)),  # a 2^26 x 26 sign table
+    ], ids=["to_dense", "evaluate_form"])
+    def test_refused_before_allocating(self, m, n, call):
+        B = polarize(HomogeneousPolynomial(m, n, {(1,) * m: 1.0}))
+        points = [[1.0] + [0.0] * (n - 1)] * m
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="cap is"):
+                call(B, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
