@@ -42,7 +42,8 @@ from .polyalgebra import (
     l1_torus_norm_mc,
     term_arrays,
 )
-from .torusnorm import SupNormEstimate, as_dense_form, sup_certified, sup_lower_each, sup_multilinear
+from .torusnorm import SupNormEstimate, _finite_bound, as_dense_form
+from .torusnorm import sup_certified, sup_lower_each, sup_multilinear
 
 __all__ = [
     "bh_exponent",
@@ -170,6 +171,8 @@ def _verdict(lhs: float, constant: float, est: SupNormEstimate) -> str:
 
 
 def _report(lhs: float, constant: float, est: SupNormEstimate) -> InequalityReport:
+    # The estimators refuse non-finite sup bounds themselves.
+    _finite_bound(lhs, "coefficient norm")
     ratio = 0.0 if lhs == 0.0 else (lhs / est.lower if est.lower > 0 else math.inf)
     return InequalityReport(
         lhs=lhs,
@@ -280,7 +283,8 @@ def check_blei(c) -> BleiReport:
     overflows nor underflows); the report asserts lhs <= rhs within
     ``BLEI_REL_TOL``.  ``c`` is validated by ``torusnorm.as_dense_form``: an
     ndarray of shape (n,) * m with n >= 1 and at most ``DENSE_ENTRIES_MAX``
-    entries.  A table with fewer than two axes is a ValueError.
+    entries.  A table with fewer than two axes is a ValueError, and a side
+    past the float range an OverflowError.
     """
     T = as_dense_form(c)
     m = T.ndim
@@ -294,7 +298,7 @@ def check_blei(c) -> BleiReport:
     # again and their squares: the table is up to DENSE_ENTRIES_MAX entries.
     a /= top
     p = float(bh_exponent(m))
-    lhs = top * float(np.sum(np.power(a, p, out=a))) ** (1.0 / p)
+    lhs = _finite_bound(top * float(np.sum(np.power(a, p, out=a))) ** (1.0 / p), "Blei left side")
     np.abs(T, out=a)
     a /= top
     a *= a
@@ -303,7 +307,7 @@ def check_blei(c) -> BleiReport:
         other = tuple(ax for ax in range(m) if ax != k)
         # At least 1: the largest normalised modulus is 1.
         log_factors.append(math.log(float(np.sqrt(a.sum(axis=other)).sum())))
-    rhs = top * math.exp(math.fsum(log_factors) / m)
+    rhs = _finite_bound(top * math.exp(math.fsum(log_factors) / m), "Blei right side")
     return BleiReport(lhs, rhs, lhs <= rhs * (1.0 + BLEI_REL_TOL))
 
 

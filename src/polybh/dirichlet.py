@@ -183,7 +183,7 @@ def dirichlet_l1(Q: DirichletPolynomial) -> float:
 
 def evaluate_line(Q: DirichletPolynomial, t: float) -> complex:
     """Q(it) = sum a_n n^{-it} = sum a_n e^{-i t log n}."""
-    logs = np.array([[math.log(nn)] for nn in Q.coeffs])
+    logs = np.array([math.log(nn) for nn in Q.coeffs]).reshape(-1, 1)  # (K, 1), K = 0 too
     cs = np.array(list(Q.coeffs.values()), dtype=np.complex128)
     return complex((monomials(np.array([[-float(t)]]), logs) @ cs)[0])
 
@@ -220,7 +220,7 @@ def _small_nodes(grid_points: int) -> np.ndarray:
 
 
 def _row_max(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """max_j |A(z_j)| + |B(z_j)| for each row a_1 .. a_8 of ``rows`` (see _upper_small).
+    """max_j |A(z_j)| + |B(z_j)| for each row a_1 .. a_8 of ``rows`` (see _ratio_small).
 
     The expressions are evaluated elementwise in one association order, so a
     row's value at a node has the same bits whatever the other rows and
@@ -228,13 +228,22 @@ def _row_max(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     a1, a2, a3, a4, _, a6, _, a8 = (rows[:, k, None] for k in range(BRUTE_N_MAX))
     z = np.tile(z, (len(rows), 1))  # a (rows, 1) x (nodes,) product is about 5x slower in NumPy
-    va = np.abs(a1 + a2 * z + a4 * z * z + a8 * z * z * z)
-    vb = np.abs(a3 + a6 * z)
-    return np.max(va + vb, axis=1)
+    # |a1 + a2 z + a4 z z + a8 z z z| + |a3 + a6 z| in place, in that order.
+    va, t = a2 * z, a4 * z
+    va += a1
+    t *= z
+    va += t
+    np.multiply(a8, z, out=t)
+    t *= z
+    t *= z
+    va += t
+    np.multiply(a6, z, out=t)
+    t += a3
+    return np.max(np.abs(va) + np.abs(t), axis=1)
 
 
-def _upper_small(grid_max: float, moduli, grid_points: int) -> float:
-    """Rigorous sup upper bound for N <= 8, reduced to one phase variable.
+def _ratio_small(grid_max: float, moduli, grid_points: int) -> float:
+    """Certified ratio sum |a_n| / sup |Q| for N <= 8, reduced to one phase variable.
 
     For N <= 8 every prime except 2 enters the lift linearly: with z the
     variable of prime 2,
@@ -244,17 +253,15 @@ def _upper_small(grid_max: float, moduli, grid_points: int) -> float:
 
     and aligning the unimodular z_3, z_5, z_7 gives sup = max_theta (|A| +
     |B|) + |a_5| + |a_7|.  ``grid_max`` is that max over the rigid grid of
-    ``grid_points`` nodes; it is corrected by the Lipschitz bound
-    |d/dtheta| <= sum_k k (|A_k| + |B_k|).  ``moduli[n - 1]`` is |a_n|.
+    ``grid_points`` nodes; it is corrected upward by the Lipschitz bound
+    |d/dtheta| <= sum_k k (|A_k| + |B_k|).  ``moduli[n - 1]`` is |a_n|; an
+    all-zero pattern has ratio 0.
     """
-    lipschitz = math.fsum(k * moduli[n - 1] for k, n in enumerate((1, 2, 4, 8))) + moduli[5]
-    return grid_max + lipschitz * (math.pi / grid_points) + (moduli[4] + moduli[6])
-
-
-def _ratio_small(grid_max: float, moduli, grid_points: int) -> float:
-    """sum |a_n| over the bound _upper_small(grid_max, moduli, grid_points)."""
     l1 = math.fsum(moduli)
-    return l1 / _upper_small(grid_max, moduli, grid_points) if l1 else 0.0
+    if not l1:
+        return 0.0
+    lipschitz = math.fsum(k * moduli[n - 1] for k, n in enumerate((1, 2, 4, 8))) + moduli[5]
+    return l1 / (grid_max + lipschitz * (math.pi / grid_points) + (moduli[4] + moduli[6]))
 
 
 def _ratio_bounds(coarse_max: np.ndarray, moduli: np.ndarray, grid_points: int) -> np.ndarray:
@@ -297,44 +304,31 @@ def _brute_search(N: int, mag_points: int, phase_points: int):
             else:
                 table[nn - 1, i] = complex(mags[i])
     moduli = np.array([abs(complex(c)) for c in table.ravel()]).reshape(table.shape)
-    # Mixed-radix place values: magnitudes of a_1 .. a_N, then composite phases.
-    mag_place = [mag_points ** (N - nn) for nn in range(1, N + 1)]
-    phase_place = {nn: phase_points ** (len(composites) - 1 - j) for j, nn in enumerate(composites)}
+    # Candidate k has the C-order digits of k + per_mag (magnitude code 0 is all
+    # zero): magnitudes of a_1 .. a_N, a_1 most significant, then composite phases.
+    radices = (mag_points,) * N + (phase_points,) * len(composites)
+    phase_axis = {nn: N + j for j, nn in enumerate(composites)}
 
     z = _small_nodes(SMALL_GRID_POINTS)
     coarse = z[::BRUTE_COARSE_STRIDE]
     step = max(1, BRUTE_BLOCK_ELEMENTS // len(coarse))
     best_ratio, best, scored = 1.0, {1: 1.0}, 0  # the witness a_1 = 1 alone has ratio exactly 1
-    for start in range(0, candidates, step):
-        k = np.arange(start, min(start + step, candidates))
-        mag_code, phase_code = 1 + k // per_mag, k % per_mag  # magnitude code 0 is all zero
-        rows = np.zeros((len(k), BRUTE_N_MAX), dtype=complex)
-        mods = np.zeros((len(k), BRUTE_N_MAX))
+    for start in range(per_mag, candidates + per_mag, step):
+        digits = np.unravel_index(np.arange(start, min(start + step, candidates + per_mag)), radices)
+        rows = np.zeros((len(digits[0]), BRUTE_N_MAX), dtype=complex)
+        mods = np.zeros(rows.shape)
         for nn in range(1, N + 1):
-            i = mag_code // mag_place[nn - 1] % mag_points
-            j = phase_code // phase_place[nn] % phase_points if nn in phase_place else 0
+            i, j = digits[nn - 1], digits[phase_axis[nn]] if nn in phase_axis else 0
             rows[:, nn - 1], mods[:, nn - 1] = table[nn - 1, i, j], moduli[nn - 1, i, j]
-        # Prefilter in NumPy, then bound the survivors by the exact score's own
-        # terms with the coarse max in place of the grid max.
-        coarse_max = _row_max(rows, coarse)
-        live = []
-        for r in np.flatnonzero(_ratio_bounds(coarse_max, mods, SMALL_GRID_POINTS) > best_ratio):
-            moduli_r = mods[r].tolist()
-            bound = _ratio_small(float(coarse_max[r]), moduli_r, SMALL_GRID_POINTS)
-            if bound > best_ratio:
-                live.append((-bound, r, moduli_r))
-        live.sort()  # descending bound, ties in index order
-        # Largest (ratio, -index) wins; the start key admits only ratios above best_ratio.
-        block_key = (best_ratio, math.inf)
-        for neg_bound, r, moduli_r in live:
-            if -neg_bound < block_key[0]:
-                break
-            scored += 1
-            grid_max = float(_row_max(rows[r : r + 1], z)[0])
-            block_key = max(block_key, (_ratio_small(grid_max, moduli_r, SMALL_GRID_POINTS), -r))
-        if block_key[1] != math.inf:
-            best_ratio = block_key[0]
-            best = {nn: complex(c) for nn, c in enumerate(rows[-block_key[1], :N], 1) if c != 0}
+        bounds = _ratio_bounds(_row_max(rows, coarse), mods, SMALL_GRID_POINTS)
+        # Index order and strict `>`, as in a loop scoring every candidate.
+        for r in np.flatnonzero(bounds > best_ratio):
+            if bounds[r] > best_ratio:
+                scored += 1
+                grid_max = float(_row_max(rows[r : r + 1], z)[0])
+                ratio = _ratio_small(grid_max, mods[r].tolist(), SMALL_GRID_POINTS)
+                if ratio > best_ratio:
+                    best_ratio, best = ratio, {nn: complex(c) for nn, c in enumerate(rows[r, :N], 1) if c != 0}
     return best_ratio, best, candidates, scored
 
 
@@ -352,40 +346,42 @@ def sidon_N_bounds(
     prime) nonnegative without loss, so these take ``mag_points`` magnitudes
     in [0, 1] and each composite index also one of ``phase_points`` phases;
     the all-zero pattern is skipped.  Each candidate is scored by coefficient
-    sum over the certified sup upper bound of _upper_small on the
+    sum over the certified sup upper bound of _ratio_small on the
     2048-node grid, so the result is a true lower bound to grid accuracy.
     It is the first candidate, in the order magnitudes outer (a_1 most
     significant) and phases inner, of largest ratio, or the witness a_1 = 1
     of ratio 1 if none exceeds 1.
 
-    Candidates are built in blocks of consecutive indices (mixed-radix
-    digits over the magnitudes, then the composite phases), about
-    BRUTE_BLOCK_ELEMENTS rows x coarse nodes each, so memory does not grow
-    with their number.  Only the winner becomes a DirichletPolynomial.  A
-    block is pruned before the full grid is used.  The coarse nodes are
-    every BRUTE_COARSE_STRIDE-th fine node (64 of 2048), and _row_max
-    evaluates each node elementwise, so their values have the fine grid's
-    bits and coarse_max <= grid_max.  The bound
+    Candidates are built in blocks of consecutive indices (the C-order
+    digits of np.unravel_index over the magnitudes, then the composite
+    phases), about BRUTE_BLOCK_ELEMENTS rows x coarse nodes each, so memory
+    does not grow with their number.  Only the winner becomes a
+    DirichletPolynomial.  Each block is prefiltered before the full grid is
+    used.  The coarse nodes are every BRUTE_COARSE_STRIDE-th fine node (64
+    of 2048), and _row_max evaluates each node elementwise, so their values
+    have the fine grid's bits and coarse_max <= grid_max.  The chain
 
-        sum |a_n| / (coarse_max + lipschitz * pi / G + (|a_5| + |a_7|))
+        _ratio_bounds(coarse_max) >= _ratio_small(coarse_max) >= _ratio_small(grid_max)
 
-    is the exact score with coarse_max in place of grid_max.  Floating-point
-    addition, multiplication and division are monotone in each argument, so
-    the bound is >= the exact computed ratio.  A NumPy prefilter
-    (_ratio_bounds) is >= the bound in turn, and drops most candidates
-    before the moduli reach Python.  Within a block the candidates whose
-    bound exceeds the best ratio so far are scored exactly in descending
-    bound order, until a bound falls below the block's best.  Equal bounds
-    are still scored, so ties go to the lower index, as in a strict `>`
-    loop over all candidates.  Pruning therefore cannot change the result.
-    The ``method`` dict counts the ``candidates`` and the ``scored`` ones.
+    holds for every candidate: the first by the widened NumPy sums (see
+    _ratio_bounds), the second because the exact score sum |a_n| /
+    (max + lipschitz * pi / G + (|a_5| + |a_7|)) is computed by rounded
+    additions, multiplications and a division, each monotone in its
+    arguments, so a smaller max cannot give a smaller ratio.  The
+    candidates are taken in index order, as a strict `>` loop over all of
+    them takes them: one is skipped when its prefilter bound is not above
+    the best ratio so far (then its exact ratio is not either), the others
+    are scored on the full grid, and a strictly larger ratio replaces the
+    best, so ties go to the lower index.  Pruning therefore cannot change
+    the result.  The ``method`` dict counts the ``candidates`` and the
+    ``scored`` ones.
 
     Searches above BRUTE_CANDIDATES_MAX candidates ((mag_points^N - 1)
     phase_points^(number of composites)) raise ValueError before any work.
-    On a 2-vCPU x86_64 machine the defaults take about 0.02 s at N = 4,
-    0.09 s at N = 5, 3 s at N = 6 and 15 s at N = 7 (scoring every
-    candidate took 0.5 s, 3 s and 153 s for N = 4, 5 and 6); N = 8 needs
-    smaller grids.
+    On a 2-vCPU x86_64 machine (one BLAS thread, best of 3) the defaults
+    take about 0.013 s at N = 4, 0.09 s at N = 5, 2.5 s at N = 6 and 12 s
+    at N = 7 (scoring every candidate took 0.5 s, 3 s and 153 s for N = 4,
+    5 and 6); N = 8 needs smaller grids.
     Larger N score ``budget`` complex Gaussian patterns drawn from ``seed``
     by S(m, n)'s scorer (sidonbohr._sidon_ratios): pattern idx's lift, built
     at most one batched-ascent chunk ahead, gets 120 ascent iterations

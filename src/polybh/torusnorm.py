@@ -86,6 +86,14 @@ def _abs2(v: np.ndarray) -> np.ndarray:
     return v.real * v.real + v.imag * v.imag
 
 
+def _finite_bound(value: float, what: str) -> float:
+    """``value``, or OverflowError if it is infinite or NaN: finite inputs
+    whose sup or norm leaves the float range have no bound to report."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} is {value}: the input is too large for floating point")
+    return value
+
+
 # ----------------------------------------------------------------------
 # Multistart phase ascent
 # ----------------------------------------------------------------------
@@ -132,7 +140,8 @@ def sup_lower_each(
     Each case keeps its own seeded starts, step vector and stop: a case
     whose steps all fall below 1e-16 is frozen, so no later proposal is
     accepted for it, while the others run on.  No case's bits depend on its
-    chunk (see :func:`_ascent`).
+    chunk (see :func:`_ascent`).  A lower bound past the float range (huge
+    coefficients) raises OverflowError.
     """
     if starts is not None and starts < 1:
         raise ValueError("starts must be >= 1")
@@ -228,7 +237,7 @@ def _ascent(A: np.ndarray, Ps: Sequence[Polynomial], starts: int | None, iterati
         lower = float(np.abs(monomials(arg, Af) @ cn[b])) * float(cmax[b])
         meta = {"mode": "ascent", "starts": S, "iterations": iterations,
                 "iterations_run": int(stopped[b]), "seed": seed}
-        out.append(SupNormEstimate(lower, None, arg, meta))
+        out.append(SupNormEstimate(_finite_bound(lower, "sup |P| lower bound"), None, arg, meta))
     return out
 
 
@@ -275,7 +284,8 @@ def sup_certified(P: Polynomial, grid_step: float) -> SupNormEstimate:
 
     ``grid_step`` must satisfy h < 2 / D, with D = max |alpha| the total
     degree; the step used is h_eff = 2 pi / L, L = ceil(2 pi / h).  ``lower``
-    is the lattice maximum and ``upper = lower / (1 - D h_eff / 2)``.
+    is the lattice maximum and ``upper = lower / (1 - D h_eff / 2)``; an
+    upper bound past the float range raises OverflowError.
 
     Proof.  Let S = sup |P| be attained at theta* and theta* + s u be the
     nearest node, with |u|_inf = 1 and s <= h_eff / 2 (L h_eff = 2 pi).
@@ -314,13 +324,15 @@ def sup_certified(P: Polynomial, grid_step: float) -> SupNormEstimate:
         raise ValueError(f"grid_step {grid_step} too large; need h < 2/D = {2.0 / degree} (total degree D)")
     L, axes = _lattice(A, grid_step, DENSE_ENTRIES_MAX)
     h_eff = TWO_PI / L
-    V = np.abs(_grid_values(A[:, axes], c, L))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite maximum raises below
+        V = np.abs(_grid_values(A[:, axes], c, L))
     best = np.unravel_index(int(np.argmax(V)), V.shape)
     arg = np.zeros(n)
     arg[axes] = np.array(best) * h_eff
     best_val = float(V[best])
     meta.update({"evaluations": V.size, "grid_points_per_axis": L, "h_eff": h_eff, "degree": degree})
-    return SupNormEstimate(best_val, best_val / (1.0 - degree * h_eff / 2.0), arg, meta)
+    upper = _finite_bound(best_val / (1.0 - degree * h_eff / 2.0), "sup |P| upper bound")
+    return SupNormEstimate(best_val, upper, arg, meta)
 
 
 def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
@@ -356,8 +368,8 @@ def as_dense_form(T) -> np.ndarray:
     ``verify_bh_multilinear`` and ``check_blei`` go through it).  ``T`` must
     be an ndarray (TypeError otherwise) with at least one axis, a cubical
     shape and no axis of length 0 (ValueError otherwise: such a table has no
-    entries), and at most ``DENSE_ENTRIES_MAX`` entries (BudgetExceededError
-    otherwise).
+    entries), at most ``DENSE_ENTRIES_MAX`` entries (BudgetExceededError
+    otherwise) and only finite entries (ValueError otherwise).
     """
     if not isinstance(T, (np.ndarray, np.generic)):  # a NumPy scalar is a table with no axis
         raise TypeError(f"a dense form table must be an ndarray, not {type(T).__name__}")
@@ -367,7 +379,10 @@ def as_dense_form(T) -> np.ndarray:
         raise ValueError(f"form tensor of shape {T.shape} has an axis of length 0")
     if T.size > DENSE_ENTRIES_MAX:
         raise BudgetExceededError(f"table has {T.size} entries, cap is {DENSE_ENTRIES_MAX}")
-    return np.asarray(T, dtype=np.complex128)
+    T = np.asarray(T, dtype=np.complex128)
+    if not np.isfinite(T).all():
+        raise ValueError("form tensor has a non-finite entry")
+    return T
 
 
 def sup_multilinear(
@@ -384,6 +399,7 @@ def sup_multilinear(
     value nondecreasing.  Of the ``starts`` starts, start 0 is the
     deterministic all-ones point and the others are random unimodular
     initializations.  ``B`` is a dense table, validated by :func:`as_dense_form`.
+    A lower bound past the float range raises OverflowError.
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
@@ -428,4 +444,5 @@ def sup_multilinear(
         if val > best_val:
             best_val = val
             best_Z = Z.copy()
-    return SupNormEstimate(best_val * scale, None, np.mod(np.angle(best_Z), TWO_PI), meta)
+    lower = _finite_bound(best_val * scale, "sup |B| lower bound")
+    return SupNormEstimate(lower, None, np.mod(np.angle(best_Z), TWO_PI), meta)

@@ -24,7 +24,7 @@ from polybh.indexcore import multiplicity
 from polybh.polarization import polarize
 from polybh.polyalgebra import HomogeneousPolynomial, coeff_norm, random_homogeneous, scale
 from polybh import torusnorm
-from polybh.torusnorm import BudgetExceededError, certified_upper
+from polybh.torusnorm import BudgetExceededError, certified_upper, sup_certified, sup_lower, sup_multilinear
 
 Z1Z2 = HomogeneousPolynomial(2, 2, {(1, 2): 1.0})
 SQUARE = HomogeneousPolynomial(2, 2, {(1, 1): 1.0, (1, 2): 2.0, (2, 2): 1.0})
@@ -211,6 +211,45 @@ class TestVerifyMultilinear:
         assert scaled.lhs == pytest.approx(scale_factor * base.lhs, rel=1e-12, abs=0.0)
         assert scaled.ratio == pytest.approx(base.ratio, rel=1e-12)
         assert scaled.verdict == base.verdict == "verified"
+
+
+NON_FINITE = [math.nan, math.inf, complex(0.0, -math.inf)]
+DENSE_ENTRY_POINTS = [check_blei, verify_bh_multilinear, sup_multilinear]
+HUGE = HomogeneousPolynomial(2, 2, {(1, 1): 1e308, (1, 2): 1e308})  # 10^308 (z_1^2 + z_1 z_2)
+
+
+class TestNonFiniteAndOverflow:
+    @pytest.mark.parametrize("entry", NON_FINITE)
+    @pytest.mark.parametrize("call", DENSE_ENTRY_POINTS)
+    def test_non_finite_table_is_refused(self, call, entry):
+        # Such a table used to give a NaN lhs or lower bound and a verdict.
+        T = np.ones((2, 2), dtype=complex)
+        T[0, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            call(T)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["ascent", "certified"])
+    def test_overflowing_sup_is_an_error(self, mode):
+        # sup |P| = 2e308 used to come back as an infinite bound, ratio 0 and "verified".
+        with pytest.raises(OverflowError, match="sup"):
+            verify_bh(HUGE, supnorm_mode=mode)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_estimators_raise(self):
+        with pytest.raises(OverflowError, match="lower bound"):
+            sup_lower(HUGE)
+        with pytest.raises(OverflowError, match="upper bound"):
+            sup_certified(HUGE, 0.25)
+        with pytest.raises(OverflowError, match="lower bound"):
+            sup_multilinear(np.full((2, 2), 1e308 + 0j))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("call", [verify_bh_multilinear, check_blei])
+    def test_overflowing_table_is_an_error(self, call):
+        # verify_bh_multilinear used to report lhs inf, ratio nan and "verified".
+        with pytest.raises(OverflowError):
+            call(np.full((2, 2), 1e308 + 0j))
 
 
 class TestBlei:

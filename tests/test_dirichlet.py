@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,6 +171,10 @@ class TestDirichletSup:
             direct = sum(c * cmath.exp(-1j * t * math.log(k)) for k, c in Q.coeffs.items())
             assert abs(evaluate_line(Q, t) - direct) <= 1e-12 * max(1.0, abs(direct))
 
+    def test_empty_polynomial_on_the_line(self):
+        # Its log table used to have shape (0,), which the line kernel refused.
+        assert evaluate_line(DirichletPolynomial(5, {}), 1.0) == 0j
+
     def test_lower_is_the_lift_ascent(self):
         rng = np.random.default_rng(12)
         for seed in range(6):
@@ -311,6 +316,16 @@ class TestBruteSearch:
         expected = (mag_points**N - 1) * phase_points ** (N - 1 - len(primes_up_to(N)))
         assert sb.method["candidates"] == expected
         assert 0 <= sb.method["scored"] <= expected
+
+    @given(N=st.integers(2, 8), mag_points=st.integers(2, 3), phase_points=st.integers(1, 3),
+           one_per_block=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_same_bits_as_the_unpruned_loop_on_small_grids(self, N, mag_points, phase_points, one_per_block):
+        assume((mag_points**N - 1) * phase_points ** (N - 1 - len(primes_up_to(N))) <= 3000)
+        elements = 1 if one_per_block else dirichlet.BRUTE_BLOCK_ELEMENTS
+        with mock.patch.object(dirichlet, "BRUTE_BLOCK_ELEMENTS", elements):
+            sb = sidon_N_bounds(N, mag_points=mag_points, phase_points=phase_points)
+        _assert_reference_result(sb, N, mag_points, phase_points)
 
     @pytest.mark.parametrize("elements", [1, 1 << 40])
     @pytest.mark.parametrize("N, mag_points, phase_points",
