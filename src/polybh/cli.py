@@ -15,7 +15,9 @@ Conventions:
   ``numpy.random.SeedSequence(seed, spawn_key=(index,))``; cases are
   computed independently and collected in case order, so reports are
   byte-identical for a fixed seed regardless of the thread count
-  (``--threads`` or the POLYBH_THREADS environment variable).
+  (``--threads`` or the POLYBH_THREADS environment variable).  verify-bh
+  and random-campaign run in the calling thread, one batched call per
+  (m, n); the thread count spreads the cases of the other campaigns.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -63,6 +66,7 @@ from .polyalgebra import (
     REL_TOL,
     BudgetExceededError,
     GeneralPolynomial,
+    dimension_count,
     random_homogeneous,
     scale,
     to_json_dict as poly_to_json,
@@ -195,9 +199,11 @@ def _threads(args) -> int:
 # Campaigns: one random case per index, one report row per case
 # ----------------------------------------------------------------------
 #
-# Row workers take (args, case index, case seed), block workers (args, case
-# indices, case seeds); both look library functions up at call time, so
-# tests can substitute them on this module.
+# Row workers take (args, case index, case seed) and give one case's row;
+# _each runs them over a campaign's cases, on args.threads pool threads.
+# The batched workers of verify-bh and random-campaign take (args, case
+# indices, case seeds) and run in the calling thread.  All look library
+# functions up at call time, so tests can substitute them on this module.
 
 def _random_table(m: int, n: int, seed: int) -> np.ndarray:
     # Refused before drawing.  min(m, 64): for n >= 2 both powers exceed the cap, else they are equal.
@@ -215,6 +221,13 @@ def _random_table(m: int, n: int, seed: int) -> np.ndarray:
 def _random_general(n: int, degree_max: int, seed: int) -> GeneralPolynomial:
     if degree_max < 1:
         raise ValueError(f"degree_max must be >= 1, got {degree_max}")
+    entries = 0
+    for m in range(1, degree_max + 1):
+        # Summed before any part is drawn, and stopped as soon as it passes the cap.
+        entries += dimension_count(m, n) * (m + n)
+        if entries > DENSE_ENTRIES_MAX:
+            raise BudgetExceededError(f"the parts of degree 1 to {m} (of {degree_max}) in {n} variables have "
+                                      f"{entries} index and exponent entries; cap is {DENSE_ENTRIES_MAX}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     parts = {}
     for m in range(1, degree_max + 1):
@@ -271,8 +284,8 @@ def _row_check_wiener(args, i: int, seed: int):
 
 def _verify_bh_block(args, m: int, n: int, dists: Sequence[str], cases: range, seeds: list[int],
                      **mode) -> Iterable[tuple]:
-    """(case, distribution, case seed, report) for a block of random P of one
-    (m, n), case i drawn from ``dists[i % len(dists)]``.  The P share J(m, n)
+    """(case, distribution, case seed, report) for the random P of ``cases``,
+    all of one (m, n), case i drawn from ``dists[i % len(dists)]``.  The P share J(m, n)
     and stream into one :func:`verify_bh_batch`, built as it pulls them."""
     case_dists = [dists[i % len(dists)] for i in cases]
     Ps = (random_homogeneous(m, n, dist, seed=seed) for dist, seed in zip(case_dists, seeds))
@@ -290,15 +303,22 @@ def _rows_verify_bh(args, cases: range, seeds: list[int]) -> list:
 
 
 def _rows_random_campaign(args, cases: range, seeds: list[int]) -> list:
-    pairs = [(m, n) for m in args.m_set for n in args.n_set]
-    m, n = pairs[cases[0] // args.count]
+    c = args.count  # pair p, in order, holds the cases p c .. (p + 1) c - 1
     return [(i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
-            for i, dist, seed, rep in _verify_bh_block(args, m, n, DISTRIBUTIONS, cases, seeds)]
+            for p, (m, n) in enumerate(itertools.product(args.m_set, args.n_set))
+            for i, dist, seed, rep in _verify_bh_block(args, m, n, DISTRIBUTIONS, cases[p * c:(p + 1) * c],
+                                                       seeds[p * c:(p + 1) * c])]
 
 
 def _each(row: Callable) -> Callable:
-    """The block worker of a row worker: one row per case."""
-    return lambda args, cases, seeds: [row(args, i, seed) for i, seed in zip(cases, seeds)]
+    """The worker of a per-case campaign: ``row(args, i, seed)`` for each
+    case, on ``args.threads`` pool threads, collected in case order."""
+    def rows(args, cases: range, seeds: list[int]) -> list:
+        if args.threads == 1:
+            return [row(args, i, seed) for i, seed in zip(cases, seeds)]
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            return list(pool.map(functools.partial(row, args), cases, seeds))
+    return rows
 
 
 def _violations(rows) -> tuple[str, bool]:
@@ -353,31 +373,23 @@ def _run(command: Command, args) -> int:
 _MN = (("--m", dict(type=int, required=True)), ("--n", dict(type=int, required=True)))
 
 
-def _campaign(name: str, help: str, header: tuple[str, ...], block_rows: Callable, judge: Callable,
+def _campaign(name: str, help: str, header: tuple[str, ...], case_rows: Callable, judge: Callable,
               count: int, options: tuple = (), mn: bool = True,
               cases: Callable = operator.attrgetter("count"),
-              block: Callable = lambda args: 1,
               count_help: str | None = None) -> Command:
-    """A campaign of ``cases(args)`` random cases, one row per case.  The
-    cases run in blocks of ``block(args)`` consecutive indices, the block
-    ``cases`` giving the rows ``block_rows(args, cases, case seeds)``; the
-    thread pool takes whole blocks.  It takes --m and --n when ``mn`` is
-    set, --count (default ``count``), the extra ``options`` and --threads;
-    ``judge(rows)`` gives the summary after the case count.
+    """A campaign of ``cases(args)`` random cases, one row per case, given
+    by one call ``case_rows(args, case indices, case seeds)``.  It takes
+    --m and --n when ``mn`` is set, --count (default ``count``), the extra
+    ``options`` and --threads, resolved into ``args.threads`` before the
+    call; ``judge(rows)`` gives the summary after the case count.  More
+    than ``DENSE_ENTRIES_MAX`` cases are refused before any seed is drawn.
     """
     def rows(args) -> list:
-        def worker(block_cases: range) -> list:
-            return block_rows(args, block_cases, [case_seed(args.seed, i) for i in block_cases])
-
-        total, size = cases(args), block(args)
-        blocks = [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
-        threads = _threads(args)
-        if threads == 1:
-            parts = [worker(b) for b in blocks]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(worker, blocks))
-        return [row for part in parts for row in part]
+        args.threads = _threads(args)
+        total = cases(args)
+        if total > DENSE_ENTRIES_MAX:
+            raise BudgetExceededError(f"a campaign of {total} cases; cap is {DENSE_ENTRIES_MAX}")
+        return case_rows(args, range(total), [case_seed(args.seed, i) for i in range(total)])
 
     def judge_cases(rows, args) -> tuple[str, bool]:
         summary, failed = judge(rows)
@@ -468,8 +480,7 @@ COMMANDS = (
                ("--iters", dict(type=int, default=200)),
                ("--certified", dict(action="store_true",
                                     help="bracket the sup norm on a Bernstein grid (small n only)")),
-               ("--grid-step", dict(type=float, default=None))),
-              block=operator.attrgetter("count")),
+               ("--grid-step", dict(type=float, default=None)))),
     _campaign("verify-bh-multilinear", "multilinear inequality campaign",
               ("case", "m", "n", "case_seed", "lhs", "sup_lower", "ratio", "constant", "verdict"),
               _each(_row_verify_bh_multilinear), _violations, 100,
@@ -501,7 +512,7 @@ COMMANDS = (
                ("--starts", dict(type=int, default=4)),
                ("--iters", dict(type=int, default=80))),
               mn=False, cases=lambda args: len(args.m_set) * len(args.n_set) * args.count,
-              block=operator.attrgetter("count"), count_help="cases per (m, n) pair"),
+              count_help="cases per (m, n) pair"),
     Command("sidon-mn", "Sidon constant bracket for degree-m monomials",
             ("m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file"),
             _rows_sidon_mn, _judge_sidon_mn,
@@ -596,6 +607,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
     except (OSError, ValueError, RuntimeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:  # the last resort for an allocation no cap refused first
+        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return EXIT_ERROR
 
 

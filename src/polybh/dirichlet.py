@@ -294,9 +294,10 @@ def _brute_search(N: int, mag_points: int, phase_points: int):
                          f"of {BRUTE_CANDIDATES_MAX}; lower --mag-points/--phase-points "
                          f"(now {mag_points} and {phase_points})")
     mags = np.linspace(0.0, 1.0, mag_points)
-    phases = np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False)
     # table[n - 1, i, j] is a_n at magnitude i and phase j; a_1 and the a_p are real.
-    table = np.zeros((BRUTE_N_MAX, mag_points, phase_points), dtype=complex)
+    # Without a composite index no phase is read, so the phase axis has length 1.
+    phases = np.linspace(0.0, 2.0 * math.pi, phase_points if composites else 1, endpoint=False)
+    table = np.zeros((N, mag_points, len(phases)), dtype=complex)
     for nn in range(1, N + 1):
         for i in range(1, mag_points):
             if nn in composites:

@@ -140,7 +140,9 @@ def sup_lower_each(
     Each case keeps its own seeded starts, step vector and stop: a case
     whose steps all fall below 1e-16 is frozen, so no later proposal is
     accepted for it, while the others run on.  No case's bits depend on its
-    chunk (see :func:`_ascent`).  A lower bound past the float range (huge
+    chunk (see :func:`_ascent`).  A case whose own S (K + n) entries exceed
+    ``DENSE_ENTRIES_MAX`` is refused with BudgetExceededError before its
+    ascent allocates them.  A lower bound past the float range (huge
     coefficients) raises OverflowError.
     """
     if starts is not None and starts < 1:
@@ -160,9 +162,13 @@ def sup_lower_each(
         if chunk and not np.array_equal(term_arrays(P)[0], A):
             run()
         A = term_arrays(P)[0]
-        chunk.append(P)
         K, n = A.shape
-        if (len(chunk) + 1) * _start_count(n, starts) * (K + n) > ASCENT_BATCH_ELEMENTS:
+        entries = _start_count(n, starts) * (K + n)
+        if entries > DENSE_ENTRIES_MAX:
+            raise BudgetExceededError(f"one case's ascent has {entries} phase and monomial entries "
+                                      f"(starts x (terms + variables)); cap is {DENSE_ENTRIES_MAX}")
+        chunk.append(P)
+        if (len(chunk) + 1) * entries > ASCENT_BATCH_ELEMENTS:
             run()
     if chunk:
         run()

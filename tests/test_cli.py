@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -100,6 +102,15 @@ class TestExitCodes:
             (["sidon-N", "--N", "200000", "--budget", "1"], "cap is"),
             # The polarization formula's 2^26 x 26 sign table used to end in a MemoryError traceback.
             (["check-harris", "--m", "26", "--n", "2", "--count", "1"], "cap is"),
+            # These used to end in MemoryError tracebacks: 10^9 ascent starts (14.9 GiB),
+            # parts of degree 1 to 10^5 whose sum the per-part cap missed, and a
+            # list of 10^12 case blocks.  10^9 parts are refused as soon as the sum passes the cap.
+            (["verify-bh", "--m", "2", "--n", "2", "--count", "1", "--starts", "1000000000"], "cap is"),
+            (["random-campaign", "--m-set", "2", "--n-set", "2", "--count", "1", "--starts", "1000000000"],
+             "cap is"),
+            (["check-wiener", "--n", "2", "--count", "1", "--degree-max", "100000"], "cap is"),
+            (["check-wiener", "--n", "2", "--count", "1", "--degree-max", "1000000000"], "cap is"),
+            (["check-blei", "--m", "2", "--n", "2", "--count", "1000000000000"], "cap is"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
              "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
@@ -108,7 +119,8 @@ class TestExitCodes:
              "grid-step-nan", "grid-step-tiny", "blei-over-cap", "multilinear-over-cap",
              "bohr-small-degree-5", "bohr-small-r-step-1e-7", "bohr-small-table-cap",
              "bohr-small-a-step-inf", "random-polynomial-over-cap", "lift-over-cap",
-             "harris-over-cap"],
+             "harris-over-cap", "verify-bh-starts-over-cap", "random-campaign-starts-over-cap",
+             "degree-max-over-cap", "degree-max-far-over-cap", "case-count-over-cap"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -142,6 +154,23 @@ class TestExitCodes:
             tracemalloc.stop()
         assert rc == 1 and capsys.readouterr().err.startswith("error:")
         assert peak < 1 << 20
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 9.9 TiB"), "error: out of memory: Unable to allocate 9.9 TiB"),
+        (MemoryError(), "error: out of memory: an allocation was refused"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_is_an_error_line(self, threads, exc, line, monkeypatch, tmp_path, capsys):
+        # The last resort for an allocation no cap refuses first, also from a pool thread.
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "check_blei", refuse)
+        out = tmp_path / "r.json"
+        assert run(["check-blei", "--m", "2", "--n", "2", "--count", "3", "--threads", threads,
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -484,11 +513,11 @@ class TestDeterminism:
     ])
     def test_random_campaign_rows_are_per_case_verify_bh(self, argv, threads, chunk, chunks, tmp_path,
                                                          capsys, monkeypatch):
-        # Each (m, n) block runs as one batched ascent: random-campaign has
-        # one block per pair, verify-bh one block of its --count cases.  A
-        # chunk cap of 144 entries holds the whole (2, 3) block, 4 cases of
-        # 4 * (6 + 3), but splits a (4, 3) block into chunks of 2 cases of
-        # 4 * (15 + 3).  A certified block runs no ascent.
+        # The cases of each (m, n) run as one batched ascent: random-campaign
+        # walks its pairs in order, verify-bh has the --count cases of its
+        # one pair.  A chunk cap of 144 entries holds all four (2, 3) cases,
+        # 4 * (6 + 3) entries each, but splits the four (4, 3) cases into
+        # chunks of 2 cases of 4 * (15 + 3).  A certified run has no ascent.
         if chunk is not None:
             monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", chunk)
         built, seen, make, ascent = [], [], cli.random_homogeneous, torusnorm._ascent
@@ -509,6 +538,39 @@ class TestDeterminism:
             assert (row["lhs"], row["sup_lower"], row["ratio"], row["verdict"]) == \
                 (rep.lhs, rep.supnorm.lower, rep.ratio, rep.verdict)
             assert row.get("sup_upper", "") == (rep.supnorm.upper if mode == "certified" else "")
+
+    @pytest.mark.parametrize("argv", [RANDOM_CAMPAIGN, VERIFY_BH, VERIFY_BH + ["--certified"]],
+                             ids=["random-campaign", "verify-bh", "verify-bh-certified"])
+    def test_batched_campaigns_run_without_a_pool(self, argv, tmp_path, capsys, monkeypatch):
+        # One batched call per (m, n) in the calling thread: a pool would only add contention.
+        rows = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"rc-{threads}.json"
+            assert run(argv + ["--seed", "17", "--threads", threads, "--out", str(out)]) == 0
+            rows[threads] = json.loads(out.read_text())["rows"]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was constructed")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        out = tmp_path / "rc-2-no-pool.json"
+        assert run(argv + ["--seed", "17", "--threads", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"] == rows["2"] == rows["1"]
+
+    def test_per_case_campaigns_run_on_the_pool(self, tmp_path, capsys, monkeypatch):
+        seen, blei = set(), cli.check_blei
+
+        def spy(T):
+            seen.add(threading.get_ident())
+            time.sleep(0.05)  # long enough that a second pool thread takes a case
+            return blei(T)
+
+        monkeypatch.setattr(cli, "check_blei", spy)
+        out = tmp_path / "blei.json"
+        assert run(["check-blei", "--m", "2", "--n", "2", "--count", "8", "--threads", "2",
+                    "--out", str(out)]) == 0
+        assert len(seen) == 2 and threading.get_ident() not in seen
+        assert [row["case"] for row in json.loads(out.read_text())["rows"]] == list(range(8))
 
     def test_rerun_identical(self, tmp_path, capsys):
         outs = []
@@ -539,6 +601,18 @@ class TestDeterminism:
         assert run(["check-blei", "--m", "2", "--n", "2", "--count", "2", "--threads", "2",
                     "--out", str(out)]) == 0
         assert run(["constants-table", "--m-max", "3", "--out", str(tmp_path / "ct.json")]) == 0
+
+    @pytest.mark.parametrize("argv", [["random-campaign", "--m-set", "2", "--n-set", "2", "--count", "1"],
+                                      ["verify-bh", "--m", "2", "--n", "2", "--count", "1"]],
+                             ids=["random-campaign", "verify-bh"])
+    def test_bad_env_threads_is_a_usage_error_without_a_pool(self, argv, tmp_path, capsys, monkeypatch):
+        # The batched campaigns build no pool, but still read and check the thread count.
+        monkeypatch.setenv(cli.ENV_THREADS, "abc")
+        out = tmp_path / "r.json"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and cli.ENV_THREADS in err
+        assert not out.exists()
 
     def test_env_thread_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.ENV_THREADS, "4")

@@ -378,6 +378,22 @@ class TestBruteSearch:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_no_phase_is_allocated_without_a_composite(self, N):
+        # No index up to 3 is composite, so no phase is read: these used to
+        # allocate a 7.45 GiB phase grid and a (8, 5, 10^9) complex table.
+        tracemalloc.start()
+        try:
+            sb = sidon_N_bounds(N, phase_points=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        one = sidon_N_bounds(N, phase_points=1)
+        assert sb.lower.hex() == one.lower.hex()
+        assert repr(sb.witness.coeffs) == repr(one.witness.coeffs)
+        assert sb.method["candidates"] == 5**N - 1
+
 
 # The random search above N = 8 as it stood with its own loop: one ascent per
 # candidate and its own firm-up, kept as the reference for the result bits.

@@ -256,6 +256,21 @@ class TestSupLowerEach:
         with pytest.raises(ValueError, match="seeds"):
             sup_lower_each([Z1_PLUS_Z2], None, 10, [1, 2])
 
+    def test_a_case_over_the_entry_cap_is_refused_before_its_ascent(self, monkeypatch):
+        # 10^9 starts of a (2, 2) polynomial used to end in a 14.9 GiB MemoryError.
+        def no_ascent(*args):
+            raise AssertionError("an ascent ran")
+
+        monkeypatch.setattr(torusnorm, "_ascent", no_ascent)
+        P = random_homogeneous(2, 2, "complex-gaussian", seed=1)  # K = 3 terms, n = 2
+        with pytest.raises(BudgetExceededError, match="5000000000 phase and monomial entries"):
+            sup_lower_each([P], 10**9, 10, [1])
+        monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 4 * 5)
+        with pytest.raises(BudgetExceededError, match="cap is 20"):
+            sup_lower_each([P], 5, 10, [1])
+        monkeypatch.setattr(torusnorm, "_ascent", lambda A, Ps, *rest: [None] * len(Ps))
+        assert sup_lower_each([P], 4, 10, [1]) == [None]  # exactly at the cap runs
+
 
 class TestSupCertified:
     def test_single_variable(self):
