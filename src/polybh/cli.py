@@ -16,8 +16,9 @@ Conventions:
   computed independently and collected in case order, so reports are
   byte-identical for a fixed seed regardless of the thread count
   (``--threads`` or the POLYBH_THREADS environment variable).  verify-bh
-  and random-campaign run in the calling thread, one batched call per
-  (m, n); the thread count spreads the cases of the other campaigns.
+  and random-campaign make one batched call per (m, n): verify-bh runs
+  its one pair in the calling thread, random-campaign spreads its pairs
+  over the threads, and the other campaigns spread their cases.
 """
 
 from __future__ import annotations
@@ -200,10 +201,11 @@ def _threads(args) -> int:
 # ----------------------------------------------------------------------
 #
 # Row workers take (args, case index, case seed) and give one case's row;
-# _each runs them over a campaign's cases, on args.threads pool threads.
-# The batched workers of verify-bh and random-campaign take (args, case
-# indices, case seeds) and run in the calling thread.  All look library
-# functions up at call time, so tests can substitute them on this module.
+# _each runs them over a campaign's cases through _map, on args.threads
+# pool threads.  The batched workers take (args, case indices, case seeds):
+# verify-bh runs its one (m, n) in the calling thread, random-campaign maps
+# its (m, n) pairs through _map.  All look library functions up at call
+# time, so tests can substitute them on this module.
 
 def _random_table(m: int, n: int, seed: int) -> np.ndarray:
     # Refused before drawing.  min(m, 64): for n >= 2 both powers exceed the cap, else they are equal.
@@ -303,22 +305,30 @@ def _rows_verify_bh(args, cases: range, seeds: list[int]) -> list:
 
 
 def _rows_random_campaign(args, cases: range, seeds: list[int]) -> list:
-    c = args.count  # pair p, in order, holds the cases p c .. (p + 1) c - 1
-    return [(i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
-            for p, (m, n) in enumerate(itertools.product(args.m_set, args.n_set))
-            for i, dist, seed, rep in _verify_bh_block(args, m, n, DISTRIBUTIONS, cases[p * c:(p + 1) * c],
-                                                       seeds[p * c:(p + 1) * c])]
+    pairs = list(itertools.product(args.m_set, args.n_set))
+    c = args.count  # pair p holds the cases p c .. (p + 1) c - 1
+
+    def pair_rows(p: int) -> list:
+        m, n = pairs[p]
+        return [(i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
+                for i, dist, seed, rep in _verify_bh_block(args, m, n, DISTRIBUTIONS, cases[p * c:(p + 1) * c],
+                                                           seeds[p * c:(p + 1) * c])]
+
+    return [row for part in _map(args, pair_rows, range(len(pairs))) for row in part]
+
+
+def _map(args, fn: Callable, *items) -> list:
+    """``fn`` over ``items`` (zipped), on ``args.threads`` pool threads,
+    collected in order."""
+    if args.threads == 1:
+        return list(map(fn, *items))
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        return list(pool.map(fn, *items))
 
 
 def _each(row: Callable) -> Callable:
-    """The worker of a per-case campaign: ``row(args, i, seed)`` for each
-    case, on ``args.threads`` pool threads, collected in case order."""
-    def rows(args, cases: range, seeds: list[int]) -> list:
-        if args.threads == 1:
-            return [row(args, i, seed) for i, seed in zip(cases, seeds)]
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            return list(pool.map(functools.partial(row, args), cases, seeds))
-    return rows
+    """The worker of a per-case campaign: ``row(args, i, seed)`` for each case."""
+    return lambda args, cases, seeds: _map(args, functools.partial(row, args), cases, seeds)
 
 
 def _violations(rows) -> tuple[str, bool]:

@@ -539,10 +539,10 @@ class TestDeterminism:
                 (rep.lhs, rep.supnorm.lower, rep.ratio, rep.verdict)
             assert row.get("sup_upper", "") == (rep.supnorm.upper if mode == "certified" else "")
 
-    @pytest.mark.parametrize("argv", [RANDOM_CAMPAIGN, VERIFY_BH, VERIFY_BH + ["--certified"]],
-                             ids=["random-campaign", "verify-bh", "verify-bh-certified"])
-    def test_batched_campaigns_run_without_a_pool(self, argv, tmp_path, capsys, monkeypatch):
-        # One batched call per (m, n) in the calling thread: a pool would only add contention.
+    @pytest.mark.parametrize("argv", [VERIFY_BH, VERIFY_BH + ["--certified"]],
+                             ids=["verify-bh", "verify-bh-certified"])
+    def test_verify_bh_runs_without_a_pool(self, argv, tmp_path, capsys, monkeypatch):
+        # One batched call for its one (m, n), in the calling thread: a pool would have nothing to spread.
         rows = {}
         for threads in ("1", "2"):
             out = tmp_path / f"rc-{threads}.json"
@@ -556,6 +556,29 @@ class TestDeterminism:
         out = tmp_path / "rc-2-no-pool.json"
         assert run(argv + ["--seed", "17", "--threads", "2", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["rows"] == rows["2"] == rows["1"]
+
+    def test_random_campaign_spreads_its_pairs_on_the_pool(self, tmp_path, capsys, monkeypatch):
+        # One batched call per (m, n) pair; at --threads 2 the pairs go to two pool threads.
+        rows, batch = {}, cli.verify_bh_batch
+        for threads in ("1", "2"):
+            calls = []
+
+            def spy(Ps, *rest, **mode):
+                calls.append(threading.get_ident())
+                time.sleep(0.05)  # long enough that a second pool thread takes a pair
+                return batch(Ps, *rest, **mode)
+
+            monkeypatch.setattr(cli, "verify_bh_batch", spy)
+            out = tmp_path / f"rc-{threads}.json"
+            assert run(RANDOM_CAMPAIGN + ["--seed", "17", "--threads", threads, "--out", str(out)]) == 0
+            rows[threads] = json.loads(out.read_text())["rows"]
+            main = threading.get_ident()
+            if threads == "1":
+                assert calls == [main, main]
+            else:
+                assert len(set(calls)) == 2 and main not in calls
+        assert rows["2"] == rows["1"]
+        assert [row["case"] for row in rows["2"]] == list(range(8))
 
     def test_per_case_campaigns_run_on_the_pool(self, tmp_path, capsys, monkeypatch):
         seen, blei = set(), cli.check_blei
@@ -605,8 +628,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("argv", [["random-campaign", "--m-set", "2", "--n-set", "2", "--count", "1"],
                                       ["verify-bh", "--m", "2", "--n", "2", "--count", "1"]],
                              ids=["random-campaign", "verify-bh"])
-    def test_bad_env_threads_is_a_usage_error_without_a_pool(self, argv, tmp_path, capsys, monkeypatch):
-        # The batched campaigns build no pool, but still read and check the thread count.
+    def test_bad_env_threads_is_a_usage_error_for_batched_campaigns(self, argv, tmp_path, capsys, monkeypatch):
+        # The batched campaigns read and check the thread count as the per-case ones do.
         monkeypatch.setenv(cli.ENV_THREADS, "abc")
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 1
