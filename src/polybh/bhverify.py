@@ -155,11 +155,13 @@ class InequalityReport:
 
 
 def _lp_norm(moduli: np.ndarray, p: float) -> float:
-    """ell^p norm of moduli, scaled by the largest before powering as in coeff_norm."""
+    """ell^p norm of the float array ``moduli``, divided by the largest before
+    powering as in coeff_norm.  It works in place: ``moduli`` is overwritten."""
     top = float(moduli.max(initial=0.0))
     if top == 0.0:
         return 0.0
-    return top * float(np.sum((moduli / top) ** p)) ** (1.0 / p)
+    moduli /= top
+    return top * float(np.sum(np.power(moduli, p, out=moduli))) ** (1.0 / p)
 
 
 def _verdict(lhs: float, constant: float, est: SupNormEstimate) -> str:
@@ -290,16 +292,14 @@ def check_blei(c) -> BleiReport:
     m = T.ndim
     if m < 2:
         raise ValueError("Blei's bound is stated for m >= 2")
-    a = np.abs(T)
-    top = float(a.max(initial=0.0))
-    if top == 0.0:
-        return BleiReport(0.0, 0.0, True)
     # One float copy ``a`` holds the moduli, their powers, then the moduli
     # again and their squares: the table is up to DENSE_ENTRIES_MAX entries.
-    a /= top
-    p = float(bh_exponent(m))
-    lhs = _finite_bound(top * float(np.sum(np.power(a, p, out=a))) ** (1.0 / p), "Blei left side")
+    a = np.abs(T)
+    lhs = _finite_bound(_lp_norm(a, float(bh_exponent(m))), "Blei left side")
+    if lhs == 0.0:
+        return BleiReport(0.0, 0.0, True)
     np.abs(T, out=a)
+    top = float(a.max())
     a /= top
     a *= a
     log_factors = []

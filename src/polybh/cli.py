@@ -65,8 +65,8 @@ from .polyalgebra import (
     DENSE_ENTRIES_MAX,
     RANDOM_DISTRIBUTIONS,
     REL_TOL,
-    BudgetExceededError,
     GeneralPolynomial,
+    check_entries,
     dimension_count,
     random_homogeneous,
     scale,
@@ -209,8 +209,7 @@ def _threads(args) -> int:
 
 def _random_table(m: int, n: int, seed: int) -> np.ndarray:
     # Refused before drawing.  min(m, 64): for n >= 2 both powers exceed the cap, else they are equal.
-    if n ** min(m, 64) > DENSE_ENTRIES_MAX:
-        raise BudgetExceededError(f"a ({n},)*{m} table exceeds the cap of {DENSE_ENTRIES_MAX} entries")
+    check_entries(n ** min(m, 64), DENSE_ENTRIES_MAX, f"a ({n},)*{m} table", at_least=m > 64)
     # Drawn into one complex array and scaled in place: a table near the cap is 160 MB.
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     T = np.empty((n,) * m, dtype=np.complex128)
@@ -227,9 +226,9 @@ def _random_general(n: int, degree_max: int, seed: int) -> GeneralPolynomial:
     for m in range(1, degree_max + 1):
         # Summed before any part is drawn, and stopped as soon as it passes the cap.
         entries += dimension_count(m, n) * (m + n)
-        if entries > DENSE_ENTRIES_MAX:
-            raise BudgetExceededError(f"the parts of degree 1 to {m} (of {degree_max}) in {n} variables have "
-                                      f"{entries} index and exponent entries; cap is {DENSE_ENTRIES_MAX}")
+        check_entries(entries, DENSE_ENTRIES_MAX,
+                      f"a polynomial with parts of degree 1 to {m} (of {degree_max}) in {n} variables",
+                      "index and exponent entries")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     parts = {}
     for m in range(1, degree_max + 1):
@@ -397,8 +396,7 @@ def _campaign(name: str, help: str, header: tuple[str, ...], case_rows: Callable
     def rows(args) -> list:
         args.threads = _threads(args)
         total = cases(args)
-        if total > DENSE_ENTRIES_MAX:
-            raise BudgetExceededError(f"a campaign of {total} cases; cap is {DENSE_ENTRIES_MAX}")
+        check_entries(total, DENSE_ENTRIES_MAX, "the campaign", "cases")
         return case_rows(args, range(total), [case_seed(args.seed, i) for i in range(total)])
 
     def judge_cases(rows, args) -> tuple[str, bool]:

@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .indexcore import exponent_to_index
-from .polyalgebra import DENSE_ENTRIES_MAX, BudgetExceededError
+from .polyalgebra import DENSE_ENTRIES_MAX, check_entries
 from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, _finite, _json_complex, _json_field, monomials
 from .sidonbohr import _firm_up, _sidon_ratios
 from .torusnorm import SupNormEstimate, sup_lower
@@ -139,13 +139,10 @@ def _lift_primes(N: int, terms: int) -> tuple[int, ...]:
     """The primes up to N, the variables of a lift of ``terms`` terms; a
     BudgetExceededError when the sieve's N + 1 bytes or the lift's terms x
     pi(N) exponent entries exceed ``DENSE_ENTRIES_MAX``, each before it is built."""
-    if N + 1 > DENSE_ENTRIES_MAX:
-        raise BudgetExceededError(f"the prime sieve up to N = {N} needs {N + 1} bytes, "
-                                  f"cap is {DENSE_ENTRIES_MAX}")
+    check_entries(N + 1, DENSE_ENTRIES_MAX, f"the prime sieve up to N = {N}", "bytes")
     plist = tuple(primes_up_to(N))
-    if terms * len(plist) > DENSE_ENTRIES_MAX:
-        raise BudgetExceededError(f"a lift of {terms} terms in {len(plist)} variables needs "
-                                  f"{terms * len(plist)} exponent entries, cap is {DENSE_ENTRIES_MAX}")
+    check_entries(terms * len(plist), DENSE_ENTRIES_MAX, f"a lift of {terms} terms in {len(plist)} variables",
+                  "exponent entries")
     return plist
 
 
@@ -387,8 +384,10 @@ def sidon_N_bounds(
     by S(m, n)'s scorer (sidonbohr._sidon_ratios): pattern idx's lift, built
     at most one batched-ascent chunk ahead, gets 120 ascent iterations
     seeded ``seed + idx``.  The first best is firmed up with 600 from
-    ``seed`` and floored by the witness a_1 = 1 (sidonbohr._firm_up).  The
-    asymptotic shape is added for comparison.
+    ``seed`` and floored by the witness a_1 = 1 (sidonbohr._firm_up).  A
+    ``budget`` above ``DENSE_ENTRIES_MAX`` is refused with
+    BudgetExceededError before any pattern is drawn.  The asymptotic shape
+    is added for comparison.
     """
     if N < 2:
         raise ValueError("needs N >= 2")
@@ -412,7 +411,10 @@ def sidon_N_bounds(
             "scored": scored,
         }
     else:
-        _lift_primes(N, N)  # each draw has N terms: refused here, before any is drawn
+        # Refused here, before any pattern is drawn: each draw has N terms, and
+        # the search keeps one ratio per draw.
+        _lift_primes(N, N)
+        check_entries(budget, DENSE_ENTRIES_MAX, f"a search of S({N})", "scored patterns")
 
         def draws():
             rng = np.random.default_rng(np.random.SeedSequence(seed))

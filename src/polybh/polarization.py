@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .indexcore import multiplicity
-from .polyalgebra import DENSE_ENTRIES_MAX, REL_TOL, BudgetExceededError, HomogeneousPolynomial
-from .polyalgebra import evaluate_points, term_arrays
+from .polyalgebra import DENSE_ENTRIES_MAX, REL_TOL, HomogeneousPolynomial
+from .polyalgebra import _factor_table, check_entries, evaluate_points, term_arrays
 
 __all__ = [
     "SymmetricForm",
@@ -83,13 +83,10 @@ class SymmetricForm:
         Raises BudgetExceededError, before allocating, when the table and its
         (m, n^m) index table, (m + 1) n^m entries, exceed ``DENSE_ENTRIES_MAX``."""
         m, n = self.m, self.n
-        if (m + 1) * n**m > DENSE_ENTRIES_MAX:
-            raise BudgetExceededError(f"a ({n},)*{m} table and its indices need {(m + 1) * n**m} entries, "
-                                      f"cap is {DENSE_ENTRIES_MAX}")
+        check_entries((m + 1) * n**m, DENSE_ENTRIES_MAX, f"a ({n},)*{m} table and its indices")
         shape = (n,) * m
         A, c = term_arrays(self.diagonal)
-        # Row k of A expanded to its nondecreasing 0-based multi-index.
-        J = np.repeat(np.tile(np.arange(n), len(c)), A.ravel()).reshape(len(c), m)
+        J = _factor_table(A).T  # row k: term k's nondecreasing 0-based multi-index
         table = np.zeros(n**m, dtype=np.complex128)
         table[np.ravel_multi_index(J.T, shape)] = [cj / multiplicity(j) for cj, j in zip(c.tolist(), J.tolist())]
         classes = np.sort(np.indices(shape).reshape(m, -1), axis=0)
@@ -115,19 +112,26 @@ def evaluate_form(B: SymmetricForm, points: Sequence[Sequence[complex]]) -> comp
     (2^m m!) (2.3 at m = 5), far less than the subset form over sums of
     subsets of the points (92 at m = 5).  Raises BudgetExceededError,
     before allocating, when the (2^m, m) sign table and the 2^m signed points,
-    2^m (m + n) entries, exceed ``DENSE_ENTRIES_MAX``.
+    2^m (m + n) entries, exceed ``DENSE_ENTRIES_MAX``.  The sign table is
+    float, and the signed points are formed as two real products, so no
+    complex copy of it is made.
     """
-    m = B.m
-    if 2**m * (m + B.n) > DENSE_ENTRIES_MAX:
-        raise BudgetExceededError(f"polarizing at m = {m}, n = {B.n} needs {2**m * (m + B.n)} sign and point "
-                                  f"entries, cap is {DENSE_ENTRIES_MAX}")
+    m, n = B.m, B.n
+    check_entries(2**m * (m + n), DENSE_ENTRIES_MAX, f"polarizing at m = {m}, n = {n}",
+                  "sign and point entries")
     if len(points) != m:
         raise ValueError(f"need exactly {m} points, got {len(points)}")
     W = np.array([[complex(w) for w in p] for p in points], dtype=np.complex128)
-    if W.shape != (m, B.n):
-        raise ValueError(f"points have shape {W.shape}, form needs ({m}, {B.n})")
-    signs = 1.0 - 2.0 * ((np.arange(2**m)[:, None] >> np.arange(m)) & 1)
-    values = evaluate_points(B.diagonal, signs @ W)
+    if W.shape != (m, n):
+        raise ValueError(f"points have shape {W.shape}, form needs ({m}, {n})")
+    # Row r holds eps_k = -1 where bit k of r is set.
+    signs = np.empty((2**m, m))
+    for k in range(m):
+        signs[:, k] = np.tile(np.repeat([1.0, -1.0], 2**k), 2 ** (m - 1 - k))
+    Z = np.empty((2**m, n), dtype=np.complex128)
+    Z.real = signs @ W.real
+    Z.imag = signs @ W.imag
+    values = evaluate_points(B.diagonal, Z)
     return complex(np.prod(signs, axis=1) @ values) / (2**m * math.factorial(m))
 
 

@@ -40,10 +40,10 @@ from .bhverify import bh_constant_hyper
 from .polyalgebra import (
     DENSE_ENTRIES_MAX,
     REL_TOL,
-    BudgetExceededError,
     GeneralPolynomial,
     HomogeneousPolynomial,
     Polynomial,
+    check_entries,
     dimension_count,
     majorant_sum,
     random_homogeneous,
@@ -207,10 +207,14 @@ def sidon_lower_search(
     z_1^m is always the first candidate, so the returned value is at least
     1.  The best witness's denominator is re-estimated with a quadrupled
     iteration budget before reporting.  Needs m >= 2 and n >= 2 (ValueError
-    otherwise), where the hypercontractive upper bound is defined.
+    otherwise), where the hypercontractive upper bound is defined.  A
+    ``budget`` above ``DENSE_ENTRIES_MAX`` is refused with
+    BudgetExceededError before any seed is drawn.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    # Before any seed is drawn: the search keeps a seed and a ratio per candidate.
+    check_entries(budget, DENSE_ENTRIES_MAX, f"a search of S({m}, {n})", "scored candidates")
     if strategy not in SEARCH_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {SEARCH_STRATEGIES}")
     uh = sidon_upper_hyper(m, n)
@@ -510,9 +514,8 @@ def bohr_estimate_small(
         raise ValueError("--a-step must be finite, got inf")
     if r_step < 1e-12:  # below the 12-digit rounding the radii would not advance
         raise ValueError(f"r_step {r_step} is below the grid resolution 1e-12; use a coarser --r-step")
-    if (_A_MAX / a_step + 2) * (degree + 1) > DENSE_ENTRIES_MAX:  # float: no overflow
-        raise BudgetExceededError(f"the (a, r) scan needs about {_A_MAX / a_step:.3g} x {degree + 1} "
-                                  f"coefficients, cap is {DENSE_ENTRIES_MAX}")
+    # A float count: no overflow.
+    check_entries((_A_MAX / a_step + 2) * (degree + 1), DENSE_ENTRIES_MAX, "the (a, r) scan", "coefficients")
     k_g = math.floor(1.0 / (3.0 * r_step))
     while round(k_g * r_step, 12) <= 1.0 / 3.0:
         k_g += 1

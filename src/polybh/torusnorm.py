@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .polyalgebra import DENSE_ENTRIES_MAX, BudgetExceededError
-from .polyalgebra import Polynomial, majorant_sum, monomials, term_arrays
+from .polyalgebra import Polynomial, check_entries, majorant_sum, monomials, term_arrays
 
 __all__ = [
     "SupNormEstimate",
@@ -164,9 +164,8 @@ def sup_lower_each(
         A = term_arrays(P)[0]
         K, n = A.shape
         entries = _start_count(n, starts) * (K + n)
-        if entries > DENSE_ENTRIES_MAX:
-            raise BudgetExceededError(f"one case's ascent has {entries} phase and monomial entries "
-                                      f"(starts x (terms + variables)); cap is {DENSE_ENTRIES_MAX}")
+        check_entries(entries, DENSE_ENTRIES_MAX, "one case's ascent",
+                      "phase and monomial entries (starts x (terms + variables))")
         chunk.append(P)
         if (len(chunk) + 1) * entries > ASCENT_BATCH_ELEMENTS:
             run()
@@ -277,11 +276,9 @@ def _lattice(A: np.ndarray, grid_step: float, cap: int) -> tuple[int, np.ndarray
     active = np.flatnonzero(A.max(axis=0))
     degrees = A.sum(axis=1)
     axes = active[1:] if (degrees == degrees[0]).all() else active
-    if TWO_PI / grid_step > cap:
-        raise BudgetExceededError(f"grid_step {grid_step} needs more than the cap of {cap} evaluations")
+    check_entries(TWO_PI / grid_step, cap, f"a grid at step {grid_step}", "nodes per axis")
     L = math.ceil(TWO_PI / grid_step)
-    if L ** len(axes) > cap:
-        raise BudgetExceededError(f"grid needs {L ** len(axes)} evaluations, cap is {cap}")
+    check_entries(L ** len(axes), cap, "the grid", "evaluations")
     return L, axes
 
 
@@ -311,8 +308,8 @@ def sup_certified(P: Polynomial, grid_step: float) -> SupNormEstimate:
     modulus.  Ties go to the slice's first maximum in C order (with exact
     values, the lattice's: some maximum has k_1 = 0).  General P keep all
     active axes.  ``method["evaluations"]`` counts the points evaluated;
-    over ``DENSE_ENTRIES_MAX`` they raise BudgetExceededError (see
-    :func:`_lattice`).  Memory: 40 bytes per point (tensor, transform,
+    more than ``DENSE_ENTRIES_MAX`` are refused with BudgetExceededError
+    (see :func:`_lattice`).  Memory: 40 bytes per point (tensor, transform,
     moduli), so at most 400 MB.
     """
     if not grid_step > 0:  # NaN too
@@ -383,8 +380,7 @@ def as_dense_form(T) -> np.ndarray:
         raise ValueError("form tensor must be cubical with at least one axis")
     if 0 in T.shape:
         raise ValueError(f"form tensor of shape {T.shape} has an axis of length 0")
-    if T.size > DENSE_ENTRIES_MAX:
-        raise BudgetExceededError(f"table has {T.size} entries, cap is {DENSE_ENTRIES_MAX}")
+    check_entries(T.size, DENSE_ENTRIES_MAX, f"a table of shape {T.shape}")
     T = np.asarray(T, dtype=np.complex128)
     if not np.isfinite(T).all():
         raise ValueError("form tensor has a non-finite entry")

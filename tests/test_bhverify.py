@@ -23,7 +23,7 @@ from polybh.bhverify import (
 from polybh.indexcore import multiplicity
 from polybh.polarization import polarize
 from polybh.polyalgebra import HomogeneousPolynomial, coeff_norm, random_homogeneous, scale
-from polybh import torusnorm
+from polybh import bhverify, torusnorm
 from polybh.torusnorm import BudgetExceededError, certified_upper, sup_certified, sup_lower, sup_multilinear
 
 Z1Z2 = HomogeneousPolynomial(2, 2, {(1, 2): 1.0})
@@ -296,6 +296,21 @@ class TestBlei:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * T.size * 8
+
+    def test_one_lp_kernel_keeps_both_bits(self):
+        # check_blei's left side and verify_bh_multilinear's lhs now share
+        # bhverify._lp_norm; each must keep the bits of its former formula.
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            m, n = 2 + trial % 3, 1 + trial % 5
+            T = (rng.standard_normal((n,) * m) + 1j * rng.standard_normal((n,) * m)) * 10.0 ** (trial % 9 - 4)
+            p = float(bh_exponent(m))
+            a = np.abs(T)
+            top = float(a.max())
+            blei_lhs = top * float(np.sum(np.power(a / top, p))) ** (1.0 / p)
+            multilinear_lhs = top * float(np.sum((np.abs(T) / top) ** p)) ** (1.0 / p)
+            assert check_blei(T).lhs == blei_lhs
+            assert bhverify._lp_norm(np.abs(T), p) == multilinear_lhs
 
     def test_needs_two_axes(self):
         with pytest.raises(ValueError):

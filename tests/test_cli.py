@@ -87,9 +87,14 @@ class TestExitCodes:
              "grid_step must be positive"),
             # 2 pi / 1e-320 is inf, and math.ceil(inf) used to be the message.
             (["verify-bh", "--m", "2", "--n", "2", "--count", "1", "--certified", "--grid-step", "1e-320"],
-             "cap of"),
-            (["check-blei", "--m", "9", "--n", "10", "--count", "1"], "exceeds the cap"),
-            (["verify-bh-multilinear", "--m", "9", "--n", "10", "--count", "1"], "exceeds the cap"),
+             "needs inf nodes per axis; cap is 10000000"),
+            (["check-blei", "--m", "9", "--n", "10", "--count", "1"],
+             "a (10,)*9 table needs 1000000000 entries; cap is 10000000"),
+            (["verify-bh-multilinear", "--m", "9", "--n", "10", "--count", "1"],
+             "a (10,)*9 table needs 1000000000 entries; cap is 10000000"),
+            # Past 64 axes only 2^64 entries are counted, a lower bound.
+            (["check-blei", "--m", "65", "--n", "2", "--count", "1"],
+             "needs at least 18446744073709551616 entries; cap is"),
             # These two used to exit 2, the bracket missing 1/3.
             (["bohr-small", "--degree", "5"], "--degree"),
             (["bohr-small", "--r-step", "1e-7"], "--r-step"),
@@ -111,6 +116,10 @@ class TestExitCodes:
             (["check-wiener", "--n", "2", "--count", "1", "--degree-max", "100000"], "cap is"),
             (["check-wiener", "--n", "2", "--count", "1", "--degree-max", "1000000000"], "cap is"),
             (["check-blei", "--m", "2", "--n", "2", "--count", "1000000000000"], "cap is"),
+            # These two used to build budget-long seed and ratio lists, 15.7 us a seed.
+            (["sidon-mn", "--m", "2", "--n", "2", "--budget", "1000000000"],
+             "needs 1000000000 scored candidates; cap is"),
+            (["sidon-N", "--N", "20", "--budget", "1000000000"], "needs 1000000000 scored patterns; cap is"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
              "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
@@ -120,7 +129,8 @@ class TestExitCodes:
              "bohr-small-degree-5", "bohr-small-r-step-1e-7", "bohr-small-table-cap",
              "bohr-small-a-step-inf", "random-polynomial-over-cap", "lift-over-cap",
              "harris-over-cap", "verify-bh-starts-over-cap", "random-campaign-starts-over-cap",
-             "degree-max-over-cap", "degree-max-far-over-cap", "case-count-over-cap"],
+             "degree-max-over-cap", "degree-max-far-over-cap", "case-count-over-cap",
+             "blei-over-64-axes", "sidon-mn-budget-over-cap", "sidon-N-budget-over-cap"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -136,6 +146,8 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        if "cap" in err:  # every refusal by an entry cap has one shape
+            assert re.fullmatch(r"error: .* needs .*; cap is \d+\n", err)
         assert peak < 1 << 20  # refused before anything sized from the input is allocated
         assert not out.exists()
 

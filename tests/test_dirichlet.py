@@ -236,6 +236,18 @@ class TestSidonN:
         # The brute grid below the heuristic range does not use the budget.
         assert sidon_N_bounds(3, budget=budget).lower >= 1.0
 
+    def test_heuristic_budget_cap(self, monkeypatch):
+        # At N = 9 a lift has 9 terms in 4 variables: 36 exponent entries, the cap here.
+        monkeypatch.setattr(dirichlet, "DENSE_ENTRIES_MAX", 36)
+        assert sidon_N_bounds(9, budget=36, seed=1).method["budget"] == 36
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a pattern was scored")
+
+        monkeypatch.setattr(dirichlet, "_sidon_ratios", no_search)
+        with pytest.raises(torusnorm.BudgetExceededError, match="needs 37 scored patterns; cap is 36$"):
+            sidon_N_bounds(9, budget=37, seed=1)
+
 
 # The brute search as it stood before blocks and pruning: one DirichletPolynomial
 # and one full-grid score per candidate, kept as the reference for the result bits.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polybh import polarization
+from polybh import polarization, polyalgebra
 from polybh.indexcore import enumerate_J, multiplicity
 from polybh.polarization import (
     check_harris,
@@ -23,6 +23,7 @@ from polybh.polyalgebra import (
     evaluate_points,
     majorant_sum,
     random_homogeneous,
+    term_arrays,
 )
 
 Z1Z2 = HomogeneousPolynomial(2, 2, {(1, 2): 1.0})
@@ -129,6 +130,48 @@ class TestEvaluateForm:
         z = random_torus_point(rng, 40)
         got = evaluate_form(polarize(P), [z] * 6)
         assert abs(got - evaluate(P, z)) <= 1e-12 * majorant_sum(P, 1.0)
+
+
+def complex_sign_table_value(B, points) -> complex:
+    """evaluate_form as it was: an int shift table cast to float, then to complex by ``signs @ W``."""
+    m = B.m
+    W = np.array(points, dtype=np.complex128)
+    signs = 1.0 - 2.0 * ((np.arange(2**m)[:, None] >> np.arange(m)) & 1)
+    values = evaluate_points(B.diagonal, signs @ W)
+    return complex(np.prod(signs, axis=1) @ values) / (2**m * math.factorial(m))
+
+
+class TestPolarizationKernel:
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 3), (4, 4), (5, 2), (8, 2), (11, 3)])
+    def test_same_bits_as_the_complex_sign_table(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        for seed in range(4):
+            B = polarize(random_homogeneous(m, n, RANDOM_DISTRIBUTIONS[seed % 3], seed=seed))
+            points = rng.random((m, n)) * np.exp(2j * math.pi * rng.random((m, n)))
+            assert evaluate_form(B, points.tolist()) == complex_sign_table_value(B, points)
+
+    def test_peak_is_below_the_complex_sign_table(self):
+        B = polarize(random_homogeneous(16, 2, seed=1))
+        points = np.exp(2j * math.pi * np.random.default_rng(1).random((16, 2))).tolist()
+
+        def peak(call) -> int:
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        old = peak(lambda: complex_sign_table_value(B, points))
+        assert peak(lambda: evaluate_form(B, points)) < 0.6 * old
+
+    @pytest.mark.parametrize("m, n", [(4, 4), (5, 2), (6, 6)])
+    def test_factor_table_lists_the_multi_indices(self, m, n):
+        # to_dense reads each term's 0-based multi-index from the factor table;
+        # it used to expand the exponent rows itself.
+        A, c = term_arrays(random_homogeneous(m, n, seed=m))
+        expanded = np.repeat(np.tile(np.arange(n), len(c)), A.ravel()).reshape(len(c), m)
+        np.testing.assert_array_equal(polyalgebra._factor_table(A).T, expanded)
 
 
 class TestPartialSubstitutionParseval:

@@ -9,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 from polybh import polyalgebra
 from polybh.indexcore import index_to_exponent
 from polybh.polyalgebra import (
+    MC_BATCH,
+    BudgetExceededError,
     GeneralPolynomial,
     HomogeneousPolynomial,
+    MCEstimate,
+    check_entries,
     coeff_norm,
     dimension_count,
     evaluate,
@@ -282,6 +286,40 @@ class TestL1MonteCarlo:
                 assert evaluate_points(P, Z).tobytes() == values.tobytes()
                 assert l1_torus_norm_mc(P, samples=20_000, seed=5) == want
 
+    def test_batches_draw_the_spawned_streams(self):
+        # The reference spawns every batch's seed stream up front and keeps
+        # every batch's sums, as the estimator did before it streamed them.
+        P = random_homogeneous(2, 3, "complex-gaussian", seed=6)
+        samples = 2 * MC_BATCH + 1234  # a partial last batch
+        A, c = term_arrays(P)
+        cmax = float(np.abs(c).max())
+        F = polyalgebra._factor_table(A)
+        counts = [MC_BATCH, MC_BATCH, 1234]
+        results = []
+        for ss, count in zip(np.random.SeedSequence(11).spawn(len(counts)), counts):
+            theta = np.random.default_rng(ss).random((count, 3)) * (2.0 * math.pi)
+            av = np.abs(polyalgebra._point_values(F, c / cmax, np.exp(1j * theta)))
+            results.append((float(av.sum()), float((av * av).sum())))
+        s1 = math.fsum(r[0] for r in results)
+        s2 = math.fsum(r[1] for r in results)
+        var = max(s2 - s1 * s1 / samples, 0.0) / (samples - 1)
+        want = MCEstimate(s1 / samples * cmax, math.sqrt(var / samples) * cmax, samples)
+        assert l1_torus_norm_mc(P, samples, seed=11) == want
+
+    def test_memory_does_not_grow_with_the_batch_count(self):
+        P = random_homogeneous(2, 2, "complex-gaussian", seed=1)
+
+        def peak(batches: int) -> int:
+            tracemalloc.start()
+            try:
+                l1_torus_norm_mc(P, batches * MC_BATCH, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # a first call imports and caches; later calls trace the batches alone
+        assert peak(64) == peak(4)
+
     def test_memory_bounded_at_6_6(self):
         P = random_homogeneous(6, 6, "complex-gaussian", seed=1)
         tracemalloc.start()
@@ -327,6 +365,21 @@ class TestRandomHomogeneous:
         monkeypatch.setattr(polyalgebra, "DENSE_ENTRIES_MAX", 11)
         with pytest.raises(polyalgebra.BudgetExceededError, match="12 index and exponent entries"):
             random_homogeneous(2, 2, seed=0)
+
+
+class TestCheckEntries:
+    def test_refuses_above_the_cap_only(self):
+        check_entries(10, 10, "a table")
+        with pytest.raises(BudgetExceededError, match=r"^a table needs 11 entries; cap is 10$"):
+            check_entries(11, 10, "a table")
+
+    def test_float_and_lower_bound_counts(self):
+        with pytest.raises(BudgetExceededError, match=r"^a grid needs inf nodes; cap is 5$"):
+            check_entries(math.inf, 5, "a grid", "nodes")
+        with pytest.raises(BudgetExceededError, match=r"^a scan needs 1\.23e\+08 coefficients; cap is 5$"):
+            check_entries(1.23e8, 5, "a scan", "coefficients")
+        with pytest.raises(BudgetExceededError, match=r"^a table needs at least 64 entries; cap is 5$"):
+            check_entries(64, 5, "a table", at_least=True)
 
 
 class TestDimensionCount:

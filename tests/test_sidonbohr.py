@@ -142,6 +142,18 @@ class TestSidonSearch:
         with pytest.raises(ValueError):
             sidon_lower_search(2, 2, strategy="anneal")
 
+    def test_budget_cap(self, monkeypatch):
+        # A budget at the cap runs; one above it is refused before a candidate is drawn.
+        monkeypatch.setattr(sidonbohr, "DENSE_ENTRIES_MAX", 6)
+        assert sidon_lower_search(2, 2, budget=6, seed=1).method["candidates"] == 6
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a candidate was drawn")
+
+        monkeypatch.setattr(sidonbohr, "random_homogeneous", no_draw)
+        with pytest.raises(BudgetExceededError, match="needs 7 scored candidates; cap is 6$"):
+            sidon_lower_search(2, 2, budget=7, seed=1)
+
     @pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (1, 1)])
     def test_needs_m_and_n_at_least_two(self, m, n):
         # The hypercontractive upper bound is defined only from m, n = 2 on.
