@@ -154,10 +154,12 @@ class InequalityReport:
     verdict: str
 
 
-def _lp_norm(moduli: np.ndarray, p: float) -> float:
-    """ell^p norm of the float array ``moduli``, divided by the largest before
-    powering as in coeff_norm.  It works in place: ``moduli`` is overwritten."""
-    top = float(moduli.max(initial=0.0))
+def _lp_norm(moduli: np.ndarray, p: float, top: float | None = None) -> float:
+    """ell^p norm of the float array ``moduli``, divided by the largest,
+    ``top`` (found here unless given), before powering as in coeff_norm.  It
+    works in place: ``moduli`` is overwritten."""
+    if top is None:
+        top = float(moduli.max(initial=0.0))
     if top == 0.0:
         return 0.0
     moduli /= top
@@ -295,11 +297,11 @@ def check_blei(c) -> BleiReport:
     # One float copy ``a`` holds the moduli, their powers, then the moduli
     # again and their squares: the table is up to DENSE_ENTRIES_MAX entries.
     a = np.abs(T)
-    lhs = _finite_bound(_lp_norm(a, float(bh_exponent(m))), "Blei left side")
-    if lhs == 0.0:
+    top = float(a.max(initial=0.0))
+    if top == 0.0:
         return BleiReport(0.0, 0.0, True)
+    lhs = _finite_bound(_lp_norm(a, float(bh_exponent(m)), top), "Blei left side")
     np.abs(T, out=a)
-    top = float(a.max())
     a /= top
     a *= a
     log_factors = []

@@ -68,6 +68,10 @@ MC_BATCH = 1 << 14  # samples per seeded batch of l1_torus_norm_mc; fixes the se
 # longer, 2**15 36%, 2**16 95%).  l1_torus_norm_mc at (6, 6) with 16384
 # samples then peaks at 5 MiB (tracemalloc).
 EVAL_CHUNK_ELEMENTS = 1 << 14
+# Cap on samples x terms of one l1_torus_norm_mc call.  It bounds time, not
+# memory (the batches run one at a time): 12 to 65 million term evaluations
+# per second from (2, 2) to (6, 6) on a 2-vCPU Xeon, so 3 to 14 minutes.
+MC_TERM_EVALS_MAX = 10**10
 # The one cap on the entries of an array sized from an input: a dense form
 # table (160 MB as complex128), a certified grid, a random polynomial's index
 # and exponent entries, a Bohr lift's exponent table.  Each module passes its
@@ -76,8 +80,8 @@ DENSE_ENTRIES_MAX = 10**7
 
 
 class BudgetExceededError(RuntimeError):
-    """An input would need more entries than a cap allows; raised by
-    :func:`check_entries` before anything sized from it is allocated."""
+    """An input would need more entries (or evaluations) than a cap allows;
+    raised by :func:`check_entries` before anything sized from it is allocated."""
 
 
 def check_entries(count, cap: int, what: str, unit: str = "entries", at_least: bool = False) -> None:
@@ -341,11 +345,15 @@ def l1_torus_norm_mc(
     values do not depend on its chunk size ``EVAL_CHUNK_ELEMENTS``.  The
     coefficients are divided by the largest modulus before evaluation and
     the mean and stderr are scaled back, so neither |P|^2 nor the variance
-    overflows or underflows unless the result does.
+    overflows or underflows unless the result does.  A run of more than
+    ``MC_TERM_EVALS_MAX`` samples x terms is refused with
+    BudgetExceededError before the first batch.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     A, c = term_arrays(P)
+    check_entries(samples * len(c), MC_TERM_EVALS_MAX, f"a Monte Carlo run of {samples} samples over {len(c)} terms",
+                  "term evaluations")
     if len(c) == 0:
         return MCEstimate(0.0, 0.0, samples)
     cmax = float(np.abs(c).max())

@@ -120,6 +120,9 @@ class TestExitCodes:
             (["sidon-mn", "--m", "2", "--n", "2", "--budget", "1000000000"],
              "needs 1000000000 scored candidates; cap is"),
             (["sidon-N", "--N", "20", "--budget", "1000000000"], "needs 1000000000 scored patterns; cap is"),
+            # 6.1e6 batches, about 4 hours: the spawn list used to run out of memory after a minute.
+            (["check-bayart", "--m", "2", "--n", "2", "--count", "1", "--samples", "100000000000"],
+             "needs 300000000000 term evaluations; cap is 10000000000"),
         ],
         ids=["r-step-0", "a-step-0", "a-step-negative", "multilinear-starts-0", "degree-max-0",
              "constants-overflow", "sidon-mn-m-1", "sidon-N-phase-points-0",
@@ -130,7 +133,8 @@ class TestExitCodes:
              "bohr-small-a-step-inf", "random-polynomial-over-cap", "lift-over-cap",
              "harris-over-cap", "verify-bh-starts-over-cap", "random-campaign-starts-over-cap",
              "degree-max-over-cap", "degree-max-far-over-cap", "case-count-over-cap",
-             "blei-over-64-axes", "sidon-mn-budget-over-cap", "sidon-N-budget-over-cap"],
+             "blei-over-64-axes", "sidon-mn-budget-over-cap", "sidon-N-budget-over-cap",
+             "bayart-samples-over-cap"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -320,6 +320,16 @@ class TestL1MonteCarlo:
         peak(1)  # a first call imports and caches; later calls trace the batches alone
         assert peak(64) == peak(4)
 
+    def test_term_evaluation_cap(self, monkeypatch):
+        # 2000 samples over J(2, 2)'s 3 terms are 6000 term evaluations.
+        P = random_homogeneous(2, 2, "complex-gaussian", seed=1)
+        monkeypatch.setattr(polyalgebra, "MC_TERM_EVALS_MAX", 6000)
+        assert l1_torus_norm_mc(P, 2000, seed=0).samples == 2000
+        monkeypatch.setattr(polyalgebra, "MC_TERM_EVALS_MAX", 5999)
+        with pytest.raises(BudgetExceededError, match=r"^a Monte Carlo run of 2000 samples over 3 terms needs "
+                                                      r"6000 term evaluations; cap is 5999$"):
+            l1_torus_norm_mc(P, 2000, seed=0)
+
     def test_memory_bounded_at_6_6(self):
         P = random_homogeneous(6, 6, "complex-gaussian", seed=1)
         tracemalloc.start()
