@@ -210,6 +210,8 @@ def _threads(args) -> int:
 def _random_table(m: int, n: int, seed: int) -> np.ndarray:
     # Refused before drawing.  min(m, 64): for n >= 2 both powers exceed the cap, else they are equal.
     check_entries(n ** min(m, 64), DENSE_ENTRIES_MAX, f"a ({n},)*{m} table", at_least=m > 64)
+    if m > 64:  # n <= 1 passes the cap; NumPy's arrays have at most 64 axes
+        raise ValueError(f"--m {m}: a dense table has at most 64 axes")
     # Drawn into one complex array and scaled in place: a table near the cap is 160 MB.
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     T = np.empty((n,) * m, dtype=np.complex128)

@@ -54,11 +54,19 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ASCENT_STEP0 = 0.5  # initial phase step of each sup_lower start
+ASCENT_STEP_MIN = 1e-16  # a sup_lower case stops once every start's step is below this
+# The first iteration index at which a step can be below ASCENT_STEP_MIN, the
+# least it with ASCENT_STEP0 / 2 ** (it + 1) < ASCENT_STEP_MIN: a step starts
+# at ASCENT_STEP0 and halves at most once per iteration.
+ASCENT_FIRST_STOP = math.floor(math.log2(ASCENT_STEP0 / ASCENT_STEP_MIN))
 # Cap on B S (K + n) per ascent chunk (see sup_lower_each).  Exponentials
-# over the (B, S, K) table are most of an ascent's work.  On a 2-core Xeon
-# (2 MiB of L2 per core) 2**14 was within 8% of the fastest of 2**13 ..
-# 2**16 on random-campaign shapes; 100-candidate Sidon searches ran 1.1x to
-# 2.3x faster than one ascent per candidate, and up to 1.3x slower at 2**15.
+# over the (B, S, K) table are about half of an ascent on a Bohr lift (45% on
+# dirichlet-sidon's at seed 1, stage timing); np.mod over the (B, S, n) phases
+# was a third before the ascent dropped the variables no term uses, and is 17%
+# after.  On a 2-core Xeon (2 MiB of L2 per core) 2**14 was within 8% of the
+# fastest of 2**13 .. 2**16 on random-campaign shapes; 100-candidate Sidon
+# searches ran 1.1x to 2.3x faster than one ascent per candidate, and up to
+# 1.3x slower at 2**15.
 # A call then peaks at 0.5 to 1.3 MiB of arrays for S >= 4 (tracemalloc);
 # the (B, K, n) weighted exponents add up to n / S times the capped
 # entries, 3.4 MiB at S = 1 and (m, n) = (5, 6).
@@ -108,14 +116,19 @@ def sup_lower(
 
     The objective is f(theta) = |P(e^{i theta})|^2, whose gradient is
     2 Re(conj(P) d_theta P) with d_{theta_k} P = i sum_alpha alpha_k
-    a_alpha e^{i theta . alpha}.  Each start keeps its own step size: a
-    proposal that does not improve halves the step, and the ascent stops
-    once every step is below 1e-16 (``method["iterations_run"]`` is the
-    iteration it stopped at).  Start count defaults to 8 n (at least 1),
-    and counts the deterministic aligned start theta = 0, which is start 0;
-    the others are seeded random phases.  Nondecreasing in both
-    ``iterations`` and ``starts`` for a fixed seed.  This is the one-case
-    call of :func:`sup_lower_each`.
+    a_alpha e^{i theta . alpha}.  Each start keeps its own step size,
+    ``ASCENT_STEP0`` at first: a proposal that does not improve halves the
+    step, and the ascent stops once every step is below ``ASCENT_STEP_MIN``
+    (``method["iterations_run"]`` is the iteration it stopped at).  A step
+    halves at most once per iteration, so the earliest stop is after 53
+    iterations (index ``ASCENT_FIRST_STOP`` = 52), which a P whose value no
+    proposal raises, such as a constant, reaches.  Start count defaults to
+    8 n (at least 1), and counts the deterministic aligned start theta = 0,
+    which is start 0; the others are seeded random phases.  A variable that
+    no term of P uses keeps its start phase in ``argmax``, and the ascent
+    spends no elementwise work on it.  Nondecreasing in both ``iterations``
+    and ``starts`` for a fixed seed.  This is the one-case call of
+    :func:`sup_lower_each`.
     """
     return sup_lower_each([P], starts, iterations, [seed])[0]
 
@@ -138,8 +151,8 @@ def sup_lower_each(
     where one more case would take its B S (K + n) entries, the (B, S, K)
     monomial table and (B, S, n) phases, past ``ASCENT_BATCH_ELEMENTS``.
     Each case keeps its own seeded starts, step vector and stop: a case
-    whose steps all fall below 1e-16 is frozen, so no later proposal is
-    accepted for it, while the others run on.  No case's bits depend on its
+    whose steps all fall below ``ASCENT_STEP_MIN`` is frozen, so no later
+    proposal is accepted for it, while the others run on.  No case's bits depend on its
     chunk (see :func:`_ascent`).  A case whose own S (K + n) entries exceed
     ``DENSE_ENTRIES_MAX`` is refused with BudgetExceededError before its
     ascent allocates them.  A lower bound past the float range (huge
@@ -191,6 +204,20 @@ def _ascent(A: np.ndarray, Ps: Sequence[Polynomial], starts: int | None, iterati
     and (S, K) @ (K, n) BLAS calls as it does alone, and everything else is
     elementwise; flattening the cases to (B S, n) rows moved values by
     rounding.  Hence no case's bits depend on the others in its chunk.
+
+    Only the variables some term uses (a nonzero column of ``A``) move: an
+    unused one has a zero gradient, so its proposal is its start phase again
+    (u 2 pi with u < 1 rounds below 2 pi, which np.mod keeps).  The ascent
+    therefore updates the used columns of the phases alone, and an unused
+    coordinate of ``argmax`` keeps its start phase.  Both products go
+    through BLAS at the full width n, as they do when every variable moves:
+    the used phases are written into a (B, S, n) table of the start phases
+    before the (S, n) @ (n, K) product, and the (S, K) @ (K, n) gradient is
+    sliced to the used columns afterwards.  A product of another width
+    rounds differently (measured on OpenBLAS for K = 1, S = 1 and n >= 32).
+    The stop check runs from iteration index ``ASCENT_FIRST_STOP`` on, the
+    first at which a step can be below ``ASCENT_STEP_MIN``, and the
+    acceptance is masked by the live cases only once one has stopped.
     """
     (K, n), B = A.shape, len(Ps)
     if K == 0:
@@ -204,15 +231,24 @@ def _ascent(A: np.ndarray, Ps: Sequence[Polynomial], starts: int | None, iterati
     cv = cn[:, :, None]
     cA = cv * A
 
-    theta = np.empty((B, S, n))
+    start = np.empty((B, S, n))
     for b, seed in enumerate(seeds):
-        theta[b] = np.random.default_rng(np.random.SeedSequence(seed)).random((S, n)) * TWO_PI
-    theta[:, 0] = 0.0
+        start[b] = np.random.default_rng(np.random.SeedSequence(seed)).random((S, n)) * TWO_PI
+    start[:, 0] = 0.0
+    used = np.flatnonzero(A.any(axis=0))
+    trim = len(used) < n
+    theta = start[..., used] if trim else start
+    table = start.copy() if trim else None
 
     def value_grad(th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if trim:
+            table[..., used] = th
+            th = table
         M = monomials(th, Af)
         vals = M @ cv
         dP = M @ cA
+        if trim:
+            dP = dP[..., used]
         f = _abs2(vals)
         grad = 2.0 * (np.conjugate(vals) * (1j * dP)).real
         return f, grad
@@ -221,24 +257,30 @@ def _ascent(A: np.ndarray, Ps: Sequence[Polynomial], starts: int | None, iterati
     step = np.full((B, S, 1), ASCENT_STEP0)
     stopped = np.full(B, iterations)
     live = np.ones((B, 1, 1), dtype=bool)
+    all_live = True
     for it in range(iterations):
         prop = np.mod(theta + step * grad, TWO_PI)
         fp, gp = value_grad(prop)
-        acc = (fp > f) & live
+        acc = fp > f if all_live else (fp > f) & live
         theta = np.where(acc, prop, theta)
         f = np.where(acc, fp, f)
         grad = np.where(acc, gp, grad)
         step = np.where(acc, step, 0.5 * step)
-        done = live[:, 0, 0] & (step.max(axis=(1, 2)) < 1e-16)
+        if it < ASCENT_FIRST_STOP:
+            continue
+        done = live[:, 0, 0] & (step.max(axis=(1, 2)) < ASCENT_STEP_MIN)
         if done.any():
             stopped[done] = it + 1
             live[done] = False
+            all_live = False
             if not live.any():
                 break
 
     out = []
     for b, seed in enumerate(seeds):
-        arg = theta[b, int(np.argmax(f[b, :, 0]))].copy()
+        best = int(np.argmax(f[b, :, 0]))
+        arg = start[b, best].copy()
+        arg[used] = theta[b, best]
         lower = float(np.abs(monomials(arg, Af) @ cn[b])) * float(cmax[b])
         meta = {"mode": "ascent", "starts": S, "iterations": iterations,
                 "iterations_run": int(stopped[b]), "seed": seed}

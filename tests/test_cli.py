@@ -95,6 +95,11 @@ class TestExitCodes:
             # Past 64 axes only 2^64 entries are counted, a lower bound.
             (["check-blei", "--m", "65", "--n", "2", "--count", "1"],
              "needs at least 18446744073709551616 entries; cap is"),
+            # One entry passes the cap; NumPy's own error for 100 axes named no option.
+            (["check-blei", "--m", "100", "--n", "1", "--count", "1"],
+             "--m 100: a dense table has at most 64 axes"),
+            (["verify-bh-multilinear", "--m", "100", "--n", "1", "--count", "1"],
+             "--m 100: a dense table has at most 64 axes"),
             # These two used to exit 2, the bracket missing 1/3.
             (["bohr-small", "--degree", "5"], "--degree"),
             (["bohr-small", "--r-step", "1e-7"], "--r-step"),
@@ -133,7 +138,8 @@ class TestExitCodes:
              "bohr-small-a-step-inf", "random-polynomial-over-cap", "lift-over-cap",
              "harris-over-cap", "verify-bh-starts-over-cap", "random-campaign-starts-over-cap",
              "degree-max-over-cap", "degree-max-far-over-cap", "case-count-over-cap",
-             "blei-over-64-axes", "sidon-mn-budget-over-cap", "sidon-N-budget-over-cap",
+             "blei-over-64-axes", "blei-100-axes-n-1", "multilinear-100-axes-n-1",
+             "sidon-mn-budget-over-cap", "sidon-N-budget-over-cap",
              "bayart-samples-over-cap"],
     )
     def test_out_of_range_value_is_an_error_line(self, argv, message, tmp_path, capsys):

@@ -306,6 +306,27 @@ class TestL1MonteCarlo:
         want = MCEstimate(s1 / samples * cmax, math.sqrt(var / samples) * cmax, samples)
         assert l1_torus_norm_mc(P, samples, seed=11) == want
 
+    def test_the_cos_sin_table_is_the_exp_table_batch_by_batch(self, monkeypatch):
+        # A constant and a degree-1 part put the ones row under terms of
+        # degree 0 and 1; each batch's values must be those of the
+        # np.exp(1j * theta) points, bit for bit, the partial last one too.
+        G = GeneralPolynomial(3, {1: random_homogeneous(1, 3, seed=4), 2: random_homogeneous(2, 3, seed=5)},
+                              a0=0.75 - 0.25j)
+        samples = MC_BATCH + 777
+        A, c = term_arrays(G)
+        cn = c / float(np.abs(c).max())
+        seen = []
+        kernel = polyalgebra._table_values
+        monkeypatch.setattr(polyalgebra, "_table_values", lambda *a: seen.append(kernel(*a)) or seen[-1])
+        l1_torus_norm_mc(G, samples, seed=9)
+        monkeypatch.undo()
+        assert [len(v) for v in seen] == [MC_BATCH, 777]
+        for i, values in enumerate(seen):
+            rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(i,)))
+            theta = rng.random((len(values), 3)) * (2.0 * math.pi)
+            want = polyalgebra._point_values(polyalgebra._factor_table(A), cn, np.exp(1j * theta))
+            assert values.tobytes() == want.tobytes()
+
     def test_memory_does_not_grow_with_the_batch_count(self):
         P = random_homogeneous(2, 2, "complex-gaussian", seed=1)
 

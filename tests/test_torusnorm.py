@@ -18,7 +18,9 @@ from polybh.polyalgebra import (
     term_arrays,
 )
 from polybh import torusnorm
+from polybh.dirichlet import DirichletPolynomial, bohr_lift
 from polybh.torusnorm import (
+    ASCENT_FIRST_STOP,
     ASCENT_STEP0,
     TWO_PI,
     BudgetExceededError,
@@ -270,6 +272,59 @@ class TestSupLowerEach:
             sup_lower_each([P], 5, 10, [1])
         monkeypatch.setattr(torusnorm, "_ascent", lambda A, Ps, *rest: [None] * len(Ps))
         assert sup_lower_each([P], 4, 10, [1]) == [None]  # exactly at the cap runs
+
+
+class TestUnusedVariablesAndStops:
+    """Variables no term uses keep their start phases, and the stop check
+    fires first at iteration ASCENT_FIRST_STOP, both with the bits of the
+    reference ascent, which moves every variable and checks every iteration."""
+
+    @given(st.sampled_from(DENSE_PAIRS), st.integers(1, 6), st.integers(1, 3),
+           st.sampled_from([None, 1, 3]), st.sampled_from([7, 80, 200]), st.integers(0, 2**63 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_dense_P_among_unused_variables(self, pair, extra, B, starts, iterations, seed):
+        m, k = pair
+        n = k + extra
+        rng = np.random.default_rng(seed)
+        at = np.sort(rng.choice(n, size=k, replace=False)) + 1  # variable j of P is variable at[j - 1]
+        seeds = [int(s) for s in rng.integers(0, 2**63, B)]
+        Ps = [HomogeneousPolynomial(m, n, {tuple(int(at[j - 1]) for j in idx): v
+                                           for idx, v in random_homogeneous(m, k, "complex-gaussian", seed=s)
+                                           .coeffs.items()}) for s in seeds]
+        unused = np.setdiff1d(np.arange(n), at - 1)
+        S = starts if starts is not None else 8 * n
+        for P, s, est in zip(Ps, seeds, sup_lower_each(Ps, starts, iterations, seeds)):
+            lower, arg, run = plain_ascent(P, starts, iterations, s)
+            assert est.lower == lower and np.array_equal(est.argmax, arg)
+            assert est.method["iterations_run"] == run
+            start = np.random.default_rng(np.random.SeedSequence(s)).random((S, n)) * TWO_PI
+            start[0] = 0.0
+            assert any(np.array_equal(est.argmax[unused], row[unused]) for row in start)
+
+    @pytest.mark.parametrize("j, N", [(0, 30), (5, 130)])
+    def test_dirichlet_lift(self, j, N):
+        # The lift of round 0 at benchmark seed 1 of dirichlet-sidon: 12 terms,
+        # 10 and 31 variables of which 6 and 10 are used.
+        seed = int(np.random.SeedSequence(1, spawn_key=(4, 0, j)).generate_state(1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        support = rng.choice(np.arange(1, N + 1), size=12, replace=False)
+        Q = DirichletPolynomial(N, {int(k): complex(rng.standard_normal(), rng.standard_normal()) for k in support})
+        lift = bohr_lift(Q).poly
+        used = int(term_arrays(lift)[0].any(axis=0).sum())
+        assert (lift.n, used) == {30: (10, 6), 130: (31, 10)}[N]
+        est = sup_lower(lift, seed=seed)
+        lower, arg, run = plain_ascent(lift, None, 200, seed)
+        assert (est.lower, est.method["iterations_run"]) == (lower, run)
+        assert np.array_equal(est.argmax, arg)
+
+    @pytest.mark.parametrize("P", [GeneralPolynomial(3, {}, a0=2), HomogeneousPolynomial(1, 1, {(1,): 1.0})],
+                             ids=["constant", "z1"])
+    def test_the_earliest_stop(self, P):
+        # No proposal raises |P| here, so every step halves each iteration.
+        est = sup_lower(P, seed=0)
+        lower, _, run = plain_ascent(P, None, 200, 0)
+        assert est.method["iterations_run"] == run == ASCENT_FIRST_STOP + 1 == 53
+        assert est.lower == lower
 
 
 class TestSupCertified:
