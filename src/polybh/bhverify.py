@@ -19,13 +19,14 @@ and runs the checks that make up its proof chain:
 
 Verdict discipline: a "violated-numerically" verdict (which would indicate a
 bug, not new mathematics) requires the coefficient norm to beat the constant
-times a certified UPPER bound for the sup norm.  Ascent-only runs can only
-ever return "verified" or "inconclusive", because they underestimate the
-denominator.
+times a certified UPPER bound for the sup norm, which every ``verify_bh`` case
+has.  The multilinear check's block ascent has none, so it can only return
+"verified" or "inconclusive": the ascent underestimates the denominator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +44,7 @@ from .polyalgebra import (
     term_arrays,
 )
 from .torusnorm import SupNormEstimate, _finite_bound, as_dense_form
-from .torusnorm import sup_certified, sup_lower_each, sup_multilinear
+from .torusnorm import certified_upper, sup_certified, sup_lower_each, sup_multilinear
 
 __all__ = [
     "bh_exponent",
@@ -190,7 +191,6 @@ def _report(lhs: float, constant: float, est: SupNormEstimate) -> InequalityRepo
 
 def verify_bh(
     P: HomogeneousPolynomial,
-    supnorm_mode: str = "ascent",
     starts: int | None = None,
     iterations: int = 200,
     seed: int = 0,
@@ -198,13 +198,11 @@ def verify_bh(
 ) -> InequalityReport:
     """Check the hypercontractive coefficient bound on one polynomial.
 
-    lhs = ell^{2m/(m+1)} coefficient norm; constant = bh_constant_hyper(m).
-    ``supnorm_mode`` is "ascent" (lower bound only, cheap) or "certified"
-    (grid bracket, enables violation verdicts); ``grid_step`` is the
-    certified grid's step and an error in ascent mode, which has no grid.
+    lhs = ell^{2m/(m+1)} coefficient norm; constant = bh_constant_hyper(m);
+    the sup norm is a certified bracket, so every verdict can be reached.
     This is the one-case call of :func:`verify_bh_batch`.
     """
-    return verify_bh_batch([P], starts, iterations, [seed], supnorm_mode, grid_step)[0]
+    return verify_bh_batch([P], starts, iterations, [seed], grid_step)[0]
 
 
 def verify_bh_batch(
@@ -212,35 +210,34 @@ def verify_bh_batch(
     starts: int | None,
     iterations: int,
     seeds: Sequence[int],
-    supnorm_mode: str = "ascent",
     grid_step: float | None = None,
 ) -> list[InequalityReport]:
     """:func:`verify_bh` for each P of the iterable ``Ps`` with its seed.
 
-    Each P's coefficient norm is taken as it streams through.  Ascent mode
-    gets the sup norms from :func:`sup_lower_each`, so consecutive P with
-    one exponent matrix (e.g. random P of one (m, n)) run as one batched
-    ascent; certified mode maps :func:`sup_certified` over the stream, at
-    ``grid_step`` or 0.5 / m (a Bernstein correction of 3/4), and uses no seed.
+    Each P's coefficient norm is taken as it streams through, and its input
+    picks one sup-norm bracket: :func:`sup_certified` at ``grid_step`` if
+    given, else at its default of at least 4096 nodes where P uses at most
+    two variables (a grid slice of one axis), else the ascent of
+    :func:`sup_lower_each`, with its bits, checks and streaming, under
+    :func:`certified_upper`.
     """
-    if grid_step is not None and supnorm_mode != "certified":
-        raise ValueError("grid_step needs supnorm_mode 'certified'")
-    if supnorm_mode not in ("ascent", "certified"):
-        raise ValueError(f"unknown supnorm_mode {supnorm_mode!r}")
-    lhs = []  # (coefficient norm, constant) of each P pulled
+    cases = []  # (coefficient norm, constant, grid bracket or the upper bound of an ascent case)
+    ascent_seeds: list[int] = []
 
-    def measured(P: HomogeneousPolynomial) -> HomogeneousPolynomial:
-        if P.m < 2:
-            raise ValueError("the inequality is stated for m >= 2")
-        lhs.append((coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m)))
-        return P
+    def ascent_cases() -> Iterable[HomogeneousPolynomial]:
+        for P, seed in zip(Ps, seeds, strict=True):
+            if P.m < 2:
+                raise ValueError("the inequality is stated for m >= 2")
+            ascent = grid_step is None and np.count_nonzero(term_arrays(P)[0].any(axis=0)) > 2
+            cases.append((coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m),
+                          certified_upper(P) if ascent else sup_certified(P, grid_step)))
+            if ascent:
+                ascent_seeds.append(seed)
+                yield P
 
-    stream = map(measured, Ps)
-    if supnorm_mode == "ascent":
-        ests = sup_lower_each(stream, starts, iterations, seeds)
-    else:
-        ests = [sup_certified(P, grid_step if grid_step is not None else 0.5 / P.m) for P in stream]
-    return [_report(norm, constant, est) for (norm, constant), est in zip(lhs, ests)]
+    lowers = iter(sup_lower_each(ascent_cases(), starts, iterations, ascent_seeds))
+    return [_report(norm, constant, est if isinstance(est, SupNormEstimate)
+                    else dataclasses.replace(next(lowers), upper=est)) for norm, constant, est in cases]
 
 
 def verify_bh_multilinear(

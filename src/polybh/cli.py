@@ -285,35 +285,34 @@ def _row_check_wiener(args, i: int, seed: int):
     return (i, args.n, seed, rep.a0_modulus, rep.bound, worst, rep.passed)
 
 
-def _verify_bh_block(args, m: int, n: int, dists: Sequence[str], cases: range, seeds: list[int],
-                     **mode) -> Iterable[tuple]:
-    """(case, distribution, case seed, report) for the random P of ``cases``,
-    all of one (m, n), case i drawn from ``dists[i % len(dists)]``.  The P share J(m, n)
+def _rows_verify_bh_pair(args, m: int, n: int, dists: Sequence[str], cases: range, seeds: list[int],
+                         grid_step: float | None = None) -> list:
+    """The ``VERIFY_BH_HEADER`` rows of the random P of ``cases``, all of one
+    (m, n), case i drawn from ``dists[i % len(dists)]``.  The P share J(m, n)
     and stream into one :func:`verify_bh_batch`, built as it pulls them."""
     case_dists = [dists[i % len(dists)] for i in cases]
     Ps = (random_homogeneous(m, n, dist, seed=seed) for dist, seed in zip(case_dists, seeds))
-    return zip(cases, case_dists, seeds, verify_bh_batch(Ps, args.starts, args.iters, seeds, **mode))
+    reps = verify_bh_batch(Ps, args.starts, args.iters, seeds, grid_step)
+    return [(i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.supnorm.upper, rep.ratio,
+             rep.rhs_constant, rep.slack, rep.verdict)
+            for i, dist, seed, rep in zip(cases, case_dists, seeds, reps)]
+
+
+VERIFY_BH_HEADER = ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "sup_upper",
+                    "ratio", "constant", "slack", "verdict")
 
 
 def _rows_verify_bh(args, cases: range, seeds: list[int]) -> list:
     dists = DISTRIBUTIONS if args.dist == "mix" else (args.dist,)
-    mode = "certified" if args.certified else "ascent"
-    return [(i, args.m, args.n, dist, seed, rep.lhs, rep.supnorm.lower,
-             rep.supnorm.upper if rep.supnorm.upper is not None else "", rep.ratio, rep.rhs_constant,
-             rep.slack, rep.verdict)
-            for i, dist, seed, rep in _verify_bh_block(args, args.m, args.n, dists, cases, seeds,
-                                                       supnorm_mode=mode, grid_step=args.grid_step)]
+    return _rows_verify_bh_pair(args, args.m, args.n, dists, cases, seeds, args.grid_step)
 
 
 def _rows_random_campaign(args, cases: range, seeds: list[int]) -> list:
     pairs = list(itertools.product(args.m_set, args.n_set))
-    c = args.count  # pair p holds the cases p c .. (p + 1) c - 1
 
     def pair_rows(p: int) -> list:
-        m, n = pairs[p]
-        return [(i, m, n, dist, seed, rep.lhs, rep.supnorm.lower, rep.ratio, rep.rhs_constant, rep.verdict)
-                for i, dist, seed, rep in _verify_bh_block(args, m, n, DISTRIBUTIONS, cases[p * c:(p + 1) * c],
-                                                           seeds[p * c:(p + 1) * c])]
+        block = slice(p * args.count, (p + 1) * args.count)  # pair p's cases
+        return _rows_verify_bh_pair(args, *pairs[p], DISTRIBUTIONS, cases[block], seeds[block])
 
     return [row for part in _map(args, pair_rows, range(len(pairs))) for row in part]
 
@@ -481,16 +480,13 @@ def _rows_constants_table(args) -> list:
 
 
 COMMANDS = (
-    _campaign("verify-bh", "campaign of hypercontractive coefficient checks",
-              ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "sup_upper",
-               "ratio", "constant", "slack", "verdict"),
+    _campaign("verify-bh", "campaign of hypercontractive coefficient checks", VERIFY_BH_HEADER,
               _rows_verify_bh, _violations, 100,
               (("--dist", dict(choices=DISTRIBUTIONS + ("mix",), default="mix")),
                ("--starts", dict(type=int, default=None)),
                ("--iters", dict(type=int, default=200)),
-               ("--certified", dict(action="store_true",
-                                    help="bracket the sup norm on a Bernstein grid (small n only)")),
-               ("--grid-step", dict(type=float, default=None)))),
+               ("--grid-step", dict(type=float, default=None,
+                                    help="bracket every sup norm on the certified grid of this step")))),
     _campaign("verify-bh-multilinear", "multilinear inequality campaign",
               ("case", "m", "n", "case_seed", "lhs", "sup_lower", "ratio", "constant", "verdict"),
               _each(_row_verify_bh_multilinear), _violations, 100,
@@ -513,9 +509,7 @@ COMMANDS = (
               _each(_row_check_wiener), _failures, 50,
               (("--n", dict(type=int, default=2)), ("--degree-max", dict(type=int, default=5))),
               mn=False),
-    _campaign("random-campaign", "verify-bh sweep over (m, n) grids",
-              ("case", "m", "n", "distribution", "case_seed", "lhs", "sup_lower", "ratio",
-               "constant", "verdict"),
+    _campaign("random-campaign", "verify-bh sweep over (m, n) grids", VERIFY_BH_HEADER,
               _rows_random_campaign, _violations, 10,
               (("--m-set", dict(type=int, nargs="+", default=[2, 3, 4, 5])),
                ("--n-set", dict(type=int, nargs="+", default=[2, 3, 4, 5, 6])),

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polybh.bhverify import (
     bh_constant_hyper,
@@ -22,7 +23,16 @@ from polybh.bhverify import (
 )
 from polybh.indexcore import multiplicity
 from polybh.polarization import polarize
-from polybh.polyalgebra import HomogeneousPolynomial, coeff_norm, random_homogeneous, scale
+from polybh.polyalgebra import (
+    RANDOM_DISTRIBUTIONS,
+    REL_TOL,
+    HomogeneousPolynomial,
+    coeff_norm,
+    evaluate_points,
+    random_homogeneous,
+    scale,
+    term_arrays,
+)
 from polybh import bhverify, torusnorm
 from polybh.torusnorm import BudgetExceededError, certified_upper, sup_certified, sup_lower, sup_multilinear
 
@@ -138,8 +148,7 @@ class TestVerifyBH:
     def test_nan_coefficient_never_reaches_a_bound(self):
         # A NaN coefficient used to come back as a negative certified upper bound.
         with pytest.raises(ValueError, match="not finite"):
-            verify_bh(HomogeneousPolynomial(2, 2, {(1, 1): 1.0, (1, 2): math.nan}),
-                      supnorm_mode="certified")
+            verify_bh(HomogeneousPolynomial(2, 2, {(1, 1): 1.0, (1, 2): math.nan}), grid_step=0.25)
 
     def test_power_sum_family_closed_form(self):
         # P = sum z_k^m has ratio n^{-(m-1)/(2m)}.
@@ -155,14 +164,46 @@ class TestVerifyBH:
         assert r1 == r2
 
     def test_certified_mode_brackets(self):
-        rep = verify_bh(SQUARE, supnorm_mode="certified", grid_step=0.05)
-        assert rep.supnorm.upper is not None
+        rep, est = verify_bh(SQUARE, grid_step=0.05), sup_certified(SQUARE, 0.05)
+        assert (rep.supnorm.lower, rep.supnorm.upper, rep.supnorm.method) == (est.lower, est.upper, est.method)
         assert rep.supnorm.lower <= 4.0 + 1e-9 <= rep.supnorm.upper * (1 + 1e-9)
         assert rep.verdict == "verified"
 
-    def test_grid_step_needs_certified_mode(self):
-        with pytest.raises(ValueError, match="grid_step needs supnorm_mode 'certified'"):
-            verify_bh(SQUARE, grid_step=0.05)
+    def test_one_axis_grid_finds_what_the_ascent_misses(self):
+        # Four starts and 80 iterations reach 0.223 of the sup of this P; a
+        # P in two variables has a one-axis slice and gets the 4096-node grid.
+        s = 17103292073185902592
+        P = random_homogeneous(3, 2, "complex-gaussian", seed=s)
+        rep = verify_bh(P, starts=4, iterations=80, seed=s)
+        L = torusnorm.AXIS_GRID_NODES
+        nodes = np.stack([np.ones(L), np.exp(2j * math.pi * np.arange(L) / L)], axis=1)
+        assert rep.supnorm.lower == pytest.approx(np.abs(evaluate_points(P, nodes)).max(), rel=1e-12)
+        assert rep.supnorm.method["evaluations"] == L
+        assert sup_lower(P, starts=4, iterations=80, seed=s).lower < 0.23 * rep.supnorm.lower
+        assert rep.supnorm.upper == pytest.approx(rep.supnorm.lower / (1 - 3 * math.pi / L), rel=1e-12)
+
+    def test_ascent_cases_keep_the_ascent_and_gain_certified_upper(self):
+        s = 5
+        P = random_homogeneous(3, 3, "uniform-disc", seed=s)
+        rep, est = verify_bh(P, starts=4, iterations=80, seed=s), sup_lower(P, starts=4, iterations=80, seed=s)
+        assert (rep.supnorm.lower, rep.supnorm.argmax.tolist(), rep.supnorm.method) == \
+            (est.lower, est.argmax.tolist(), est.method)
+        assert rep.supnorm.upper == certified_upper(P)
+
+    @given(st.integers(2, 5), st.integers(1, 4), st.sampled_from(RANDOM_DISTRIBUTIONS),
+           st.integers(0, 2**63 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_every_report_is_bracketed(self, m, n, dist, seed, sparse):
+        P = random_homogeneous(m, n, dist, seed=seed)
+        if sparse:  # terms in at most two variables, whatever n is
+            P = HomogeneousPolynomial(m, n, {j: a for j, a in P.coeffs.items() if j[-1] <= 2})
+        rep = verify_bh(P, starts=2, iterations=40, seed=seed)
+        lower, upper = rep.supnorm.lower, rep.supnorm.upper
+        assert math.isfinite(upper) and lower <= upper * (1 + REL_TOL)
+        if np.count_nonzero(term_arrays(P)[0].any(axis=0)) <= 2:  # a one-axis grid slice
+            L = rep.supnorm.method["grid_points_per_axis"]
+            assert L >= torusnorm.AXIS_GRID_NODES
+            assert upper <= lower / (1 - math.pi * m / L) * (1 + 1e-12)
 
     def test_random_campaign(self):
         for seed in range(60):
@@ -216,6 +257,8 @@ class TestVerifyMultilinear:
 NON_FINITE = [math.nan, math.inf, complex(0.0, -math.inf)]
 DENSE_ENTRY_POINTS = [check_blei, verify_bh_multilinear, sup_multilinear]
 HUGE = HomogeneousPolynomial(2, 2, {(1, 1): 1e308, (1, 2): 1e308})  # 10^308 (z_1^2 + z_1 z_2)
+# 0.7 10^308 (z_1^2 + i z_1 z_2 + z_2^2) + 10^300 z_3^2: sup |P| < 1.6e308, sum |a| = 2.1e308.
+HUGE3 = HomogeneousPolynomial(2, 3, {(1, 1): 0.7e308, (1, 2): 0.7e308j, (2, 2): 0.7e308, (3, 3): 1e300})
 
 
 class TestNonFiniteAndOverflow:
@@ -229,11 +272,26 @@ class TestNonFiniteAndOverflow:
             call(T)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mode", ["ascent", "certified"])
-    def test_overflowing_sup_is_an_error(self, mode):
+    @pytest.mark.parametrize("P, grid_step, match", [
+        (HUGE, None, "sup"), (HUGE, 0.25, "sup"),
+        # The ascent's lower bound is finite, but the coefficient sum, 2.1e308, used to raise
+        # fsum's "intermediate overflow" from certified_upper, a message that named no bound.
+        (HUGE3, None, "sup [|]P[|] upper bound is inf: the input is too large for floating point"),
+    ], ids=["one-axis-grid", "certified", "ascent"])
+    def test_overflowing_sup_is_an_error(self, P, grid_step, match):
         # sup |P| = 2e308 used to come back as an infinite bound, ratio 0 and "verified".
-        with pytest.raises(OverflowError, match="sup"):
-            verify_bh(HUGE, supnorm_mode=mode)
+        with pytest.raises(OverflowError, match=match):
+            verify_bh(P, grid_step=grid_step)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_certified_upper_raises_only_when_neither_bound_is_finite(self):
+        # Both used to raise: fsum's "intermediate overflow" for the sum of 1.8e308, and the
+        # grid bound of 2e308 although the coefficient sum 1.5e308 bounds the sup.
+        sum_overflows = HomogeneousPolynomial(2, 2, {(1, 1): 0.6e308, (1, 2): 0.6e308j, (2, 2): 0.6e308})
+        assert sup_lower(sum_overflows).lower <= certified_upper(sum_overflows) < math.inf
+        assert certified_upper(HomogeneousPolynomial(2, 2, {(1, 1): 1.5e308})) == 1.5e308
+        with pytest.raises(OverflowError, match="sup [|]P[|] upper bound is inf"):
+            certified_upper(HUGE3)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_estimators_raise(self):

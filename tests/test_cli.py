@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -7,10 +8,10 @@ import tracemalloc
 
 import pytest
 
-from polybh import bhverify, cli, torusnorm
+from polybh import cli, torusnorm
 from polybh.bhverify import BleiReport, InequalityReport, verify_bh
 from polybh.polyalgebra import from_json_dict as poly_from_json, random_homogeneous
-from polybh.torusnorm import SupNormEstimate
+from polybh.torusnorm import SupNormEstimate, sup_certified
 import numpy as np
 
 
@@ -83,10 +84,10 @@ class TestExitCodes:
             (["verify-bh-multilinear", "--m", "2", "--n", "0"], "axis of length 0"),
             (["verify-bh-multilinear", "--m", "0", "--n", "2"], "at least one axis"),  # was a traceback
             # NaN used to reach math.ceil, whose message named no option.
-            (["verify-bh", "--m", "2", "--n", "2", "--count", "2", "--certified", "--grid-step", "nan"],
+            (["verify-bh", "--m", "2", "--n", "2", "--count", "2", "--grid-step", "nan"],
              "grid_step must be positive"),
             # 2 pi / 1e-320 is inf, and math.ceil(inf) used to be the message.
-            (["verify-bh", "--m", "2", "--n", "2", "--count", "1", "--certified", "--grid-step", "1e-320"],
+            (["verify-bh", "--m", "2", "--n", "2", "--count", "1", "--grid-step", "1e-320"],
              "needs inf nodes per axis; cap is 10000000"),
             (["check-blei", "--m", "9", "--n", "10", "--count", "1"],
              "a (10,)*9 table needs 1000000000 entries; cap is 10000000"),
@@ -115,8 +116,9 @@ class TestExitCodes:
             # These used to end in MemoryError tracebacks: 10^9 ascent starts (14.9 GiB),
             # parts of degree 1 to 10^5 whose sum the per-part cap missed, and a
             # list of 10^12 case blocks.  10^9 parts are refused as soon as the sum passes the cap.
-            (["verify-bh", "--m", "2", "--n", "2", "--count", "1", "--starts", "1000000000"], "cap is"),
-            (["random-campaign", "--m-set", "2", "--n-set", "2", "--count", "1", "--starts", "1000000000"],
+            # At n = 2 no ascent runs (a one-axis slice gets the grid), so the starts are asked at n = 3.
+            (["verify-bh", "--m", "2", "--n", "3", "--count", "1", "--starts", "1000000000"], "cap is"),
+            (["random-campaign", "--m-set", "2", "--n-set", "3", "--count", "1", "--starts", "1000000000"],
              "cap is"),
             (["check-wiener", "--n", "2", "--count", "1", "--degree-max", "100000"], "cap is"),
             (["check-wiener", "--n", "2", "--count", "1", "--degree-max", "1000000000"], "cap is"),
@@ -211,19 +213,6 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("usage error: --m-max must be >= 2")
         assert not out.exists()
 
-    def test_grid_step_without_certified_is_an_error_line(self, monkeypatch, tmp_path, capsys):
-        # Ascent mode has no grid: the step would be ignored silently.
-        def no_ascent(*a, **k):
-            raise AssertionError("a case ran")
-
-        monkeypatch.setattr(bhverify, "sup_lower_each", no_ascent)
-        out = tmp_path / "r.json"
-        assert run(["verify-bh", "--m", "2", "--n", "2", "--count", "3", "--grid-step", "0.05",
-                    "--threads", "2", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: grid_step needs supnorm_mode 'certified'")
-        assert not out.exists()
-
     def test_sidon_N_heuristic_budget_zero_is_an_error_line(self, capsys):
         # With no candidate scored, S(20) >= 1 would be reported unearned.
         assert run(["sidon-N", "--N", "20", "--budget", "0"]) == 1
@@ -282,7 +271,7 @@ CAMPAIGN = {**COMMON, "threads": None}
 PARSED = {
     "verify-bh": (["--m", "2", "--n", "3"], {
         **CAMPAIGN, "m": 2, "n": 3, "count": 100, "dist": "mix", "starts": None, "iters": 200,
-        "certified": False, "grid_step": None}),
+        "grid_step": None}),
     "verify-bh-multilinear": (["--m", "2", "--n", "3"], {
         **CAMPAIGN, "m": 2, "n": 3, "count": 100, "starts": 8, "iters": 100}),
     "check-blei": (["--m", "2", "--n", "3"], {**CAMPAIGN, "m": 2, "n": 3, "count": 1000}),
@@ -341,18 +330,18 @@ class TestVerifyBh:
 
     def test_certified_mode_reports_upper(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
-        rc = run(["verify-bh", "--m", "2", "--n", "2", "--count", "2", "--certified",
-                  "--grid-step", "0.05", "--out", str(out)])
+        rc = run(["verify-bh", "--m", "2", "--n", "2", "--count", "2", "--grid-step", "0.05",
+                  "--out", str(out)])
         assert rc == 0
         for row in json.loads(out.read_text())["rows"]:
             assert row["sup_upper"] >= row["sup_lower"]
             assert row["verdict"] == "verified"
 
     def test_certified_mode_runs_where_only_the_slice_fits(self, tmp_path, capsys):
-        # At the default step 0.5 / m the (2, 4) grid has L = 26 nodes per
-        # axis; the slice evaluated has 26^3 points, the lattice 26^4.
+        # At the step 0.5 / m the (2, 4) grid has L = 26 nodes per axis;
+        # the slice evaluated has 26^3 points, the lattice 26^4.
         out = tmp_path / "cert.json"
-        assert run(["verify-bh", "--m", "2", "--n", "4", "--count", "1", "--certified",
+        assert run(["verify-bh", "--m", "2", "--n", "4", "--count", "1", "--grid-step", "0.25",
                     "--out", str(out)]) == 0
         row, = json.loads(out.read_text())["rows"]
         assert row["sup_upper"] >= row["sup_lower"]
@@ -360,7 +349,7 @@ class TestVerifyBh:
     def test_certified_mode_reaches_five_variables(self, tmp_path, capsys):
         # The (3, 5) slice has 38^4 = 2.09M points, under the 10^7 cap.
         out = tmp_path / "cert.json"
-        assert run(["verify-bh", "--m", "3", "--n", "5", "--count", "1", "--certified",
+        assert run(["verify-bh", "--m", "3", "--n", "5", "--count", "1", "--grid-step", repr(0.5 / 3),
                     "--out", str(out)]) == 0
         row, = json.loads(out.read_text())["rows"]
         assert isinstance(row["sup_upper"], float) and row["sup_upper"] >= row["sup_lower"]
@@ -368,11 +357,25 @@ class TestVerifyBh:
     def test_certified_mode_over_the_cap_is_an_error_line(self, tmp_path, capsys):
         # The (5, 5) slice has 63^4 = 15.8M points, over the 10^7 cap.
         out = tmp_path / "cert.json"
-        assert run(["verify-bh", "--m", "5", "--n", "5", "--count", "1", "--certified",
+        assert run(["verify-bh", "--m", "5", "--n", "5", "--count", "1", "--grid-step", "0.1",
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "cap is" in err[0]
         assert not out.exists()
+
+    def test_every_row_is_bracketed(self, tmp_path, capsys):
+        # All 20 default (m, n) pairs: n = 2 gets the one-axis grid, n >= 3 the ascent under certified_upper.
+        out = tmp_path / "rc.json"
+        assert run(["random-campaign", "--count", "2", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        for m, n in itertools.product(range(2, 6), range(2, 7)):
+            assert run(["verify-bh", "--m", str(m), "--n", str(n), "--count", "2", "--starts", "4",
+                        "--iters", "80", "--out", str(out)]) == 0
+            rows += json.loads(out.read_text())["rows"]
+        assert len(rows) == 80 and len({(row["m"], row["n"]) for row in rows}) == 20
+        for row in rows:
+            assert isinstance(row["sup_upper"], float) and row["sup_upper"] >= row["sup_lower"] > 0
+            assert row["slack"] == row["constant"] - row["ratio"] and row["verdict"] == "verified"
 
     def test_json_campaign_embeds_config(self, tmp_path, capsys):
         out = tmp_path / "vb.json"
@@ -530,8 +533,8 @@ class TestDeterminism:
         pytest.param(RANDOM_CAMPAIGN, "2", 144, [2, 2, 4], id="2-144"),
         pytest.param(VERIFY_BH, "1", 144, [2, 2], id="verify-bh-1-144"),
         pytest.param(VERIFY_BH, "2", None, [4], id="verify-bh-2-None"),
-        pytest.param(VERIFY_BH + ["--certified"], "1", None, [], id="verify-bh-certified-1"),
-        pytest.param(VERIFY_BH + ["--certified"], "2", None, [], id="verify-bh-certified-2"),
+        pytest.param(VERIFY_BH + ["--grid-step", "0.125"], "1", None, [], id="verify-bh-certified-1"),
+        pytest.param(VERIFY_BH + ["--grid-step", "0.125"], "2", None, [], id="verify-bh-certified-2"),
     ])
     def test_random_campaign_rows_are_per_case_verify_bh(self, argv, threads, chunk, chunks, tmp_path,
                                                          capsys, monkeypatch):
@@ -539,7 +542,7 @@ class TestDeterminism:
         # walks its pairs in order, verify-bh has the --count cases of its
         # one pair.  A chunk cap of 144 entries holds all four (2, 3) cases,
         # 4 * (6 + 3) entries each, but splits the four (4, 3) cases into
-        # chunks of 2 cases of 4 * (15 + 3).  A certified run has no ascent.
+        # chunks of 2 cases of 4 * (15 + 3).  A run at --grid-step has no ascent.
         if chunk is not None:
             monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", chunk)
         built, seen, make, ascent = [], [], cli.random_homogeneous, torusnorm._ascent
@@ -553,15 +556,18 @@ class TestDeterminism:
             assert [count for _, count in seen] == np.cumsum([size for size, _ in seen]).tolist()
         rows = json.loads(out.read_text())["rows"]
         assert len(rows) == (8 if argv is RANDOM_CAMPAIGN else 4)
-        mode = "certified" if "--certified" in argv else "ascent"
+        grid_step = 0.125 if "--grid-step" in argv else None
         for row in rows:
             P = random_homogeneous(row["m"], row["n"], row["distribution"], seed=row["case_seed"])
-            rep = verify_bh(P, mode, starts=4, iterations=80, seed=row["case_seed"])
-            assert (row["lhs"], row["sup_lower"], row["ratio"], row["verdict"]) == \
-                (rep.lhs, rep.supnorm.lower, rep.ratio, rep.verdict)
-            assert row.get("sup_upper", "") == (rep.supnorm.upper if mode == "certified" else "")
+            rep = verify_bh(P, starts=4, iterations=80, seed=row["case_seed"], grid_step=grid_step)
+            assert (row["lhs"], row["sup_lower"], row["sup_upper"], row["ratio"], row["slack"],
+                    row["verdict"]) == (rep.lhs, rep.supnorm.lower, rep.supnorm.upper, rep.ratio,
+                                        rep.slack, rep.verdict)
+            if grid_step is not None:
+                est = sup_certified(P, grid_step)
+                assert (row["sup_lower"], row["sup_upper"]) == (est.lower, est.upper)
 
-    @pytest.mark.parametrize("argv", [VERIFY_BH, VERIFY_BH + ["--certified"]],
+    @pytest.mark.parametrize("argv", [VERIFY_BH, VERIFY_BH + ["--grid-step", "0.125"]],
                              ids=["verify-bh", "verify-bh-certified"])
     def test_verify_bh_runs_without_a_pool(self, argv, tmp_path, capsys, monkeypatch):
         # One batched call for its one (m, n), in the calling thread: a pool would have nothing to spread.
