@@ -45,7 +45,7 @@ est = sup_lower(P, seed=1)
 print(f"ascent sup estimate  = {est.lower:.6f} at theta = {est.argmax.round(3)}")
 bracket = sup_certified(P, grid_step=0.01)
 print(f"certified bracket    = [{bracket.lower:.6f}, {bracket.upper:.6f}]")
-report = verify_bh(P, seed=1)  # two variables: the 4096-node grid, no ascent
+report = verify_bh(P, seed=1)  # the ascent under certified_upper
 print(f"verify_bh bracket    = [{report.supnorm.lower:.6f}, {report.supnorm.upper:.6f}]")
 print(f"ratio = {report.ratio:.4f} <= {report.rhs_constant:.4f}: {report.verdict}")
 

@@ -214,30 +214,31 @@ def verify_bh_batch(
 ) -> list[InequalityReport]:
     """:func:`verify_bh` for each P of the iterable ``Ps`` with its seed.
 
-    Each P's coefficient norm is taken as it streams through, and its input
-    picks one sup-norm bracket: :func:`sup_certified` at ``grid_step`` if
-    given, else at its default of at least 4096 nodes where P uses at most
-    two variables (a grid slice of one axis), else the ascent of
-    :func:`sup_lower_each`, with its bits, checks and streaming, under
-    :func:`certified_upper`.
+    Each P's coefficient norm is taken as it streams through.  With
+    ``grid_step``, :func:`sup_certified` at that step brackets each P and no
+    seed is used.  Otherwise :func:`sup_lower_each` gives the lower bounds,
+    so consecutive P with one exponent matrix (e.g. random P of one (m, n))
+    run as one batched ascent, and :func:`certified_upper` the upper bounds,
+    raised to the lower bound where rounding put the ascent's value above it
+    (a P of sup exactly sum |a_alpha|, e.g. random signs at n = 2).
     """
-    cases = []  # (coefficient norm, constant, grid bracket or the upper bound of an ascent case)
-    ascent_seeds: list[int] = []
+    cases = []  # (coefficient norm, constant, certified_upper or None) of each P pulled
 
-    def ascent_cases() -> Iterable[HomogeneousPolynomial]:
-        for P, seed in zip(Ps, seeds, strict=True):
-            if P.m < 2:
-                raise ValueError("the inequality is stated for m >= 2")
-            ascent = grid_step is None and np.count_nonzero(term_arrays(P)[0].any(axis=0)) > 2
-            cases.append((coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m),
-                          certified_upper(P) if ascent else sup_certified(P, grid_step)))
-            if ascent:
-                ascent_seeds.append(seed)
-                yield P
+    def measured(P: HomogeneousPolynomial) -> HomogeneousPolynomial:
+        if P.m < 2:
+            raise ValueError("the inequality is stated for m >= 2")
+        cases.append((coeff_norm(P, bh_exponent(P.m)), bh_constant_hyper(P.m),
+                      certified_upper(P) if grid_step is None else None))
+        return P
 
-    lowers = iter(sup_lower_each(ascent_cases(), starts, iterations, ascent_seeds))
-    return [_report(norm, constant, est if isinstance(est, SupNormEstimate)
-                    else dataclasses.replace(next(lowers), upper=est)) for norm, constant, est in cases]
+    stream = map(measured, Ps)
+    if grid_step is None:
+        ests = sup_lower_each(stream, starts, iterations, seeds)
+    else:
+        ests = [sup_certified(P, grid_step) for P in stream]
+    return [_report(norm, constant,
+                    est if upper is None else dataclasses.replace(est, upper=max(upper, est.lower)))
+            for (norm, constant, upper), est in zip(cases, ests)]
 
 
 def verify_bh_multilinear(

@@ -77,7 +77,6 @@ BLOCK_ASCENT_TOL = 1e-12  # relative sweep gain at which a sup_multilinear start
 # transform, 16 each, moduli 8) about 2.5 MiB, which keeps campaigns that bound
 # every case this way within 10% of their peak RSS (bench ``peak_rss_mb``).
 CERTIFIED_UPPER_POINTS = 1 << 16
-AXIS_GRID_NODES = 1 << 12  # least nodes per axis of sup_certified's grid without a step
 
 
 @dataclass
@@ -310,9 +309,9 @@ def _grid_values(A: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
     return np.fft.ifftn(W, norm="forward")
 
 
-def _lattice(A: np.ndarray, grid_step: float | None, degree: int, cap: int) -> tuple[int, np.ndarray]:
+def _lattice(A: np.ndarray, grid_step: float, cap: int) -> tuple[int, np.ndarray]:
     """(L, axes) of the lattice :func:`sup_certified` evaluates for the
-    exponents ``A`` of total degree D: L nodes (see there) on each of the
+    exponents ``A`` at step h > 0: L = ceil(2 pi / h) nodes on each of the
     active axes, less the first when every term has one degree (the slice
     theta_1 = 0).  Raises BudgetExceededError when its L ** len(axes) points
     exceed ``cap``, and before the ceiling, which a tiny step overflows, when
@@ -320,17 +319,13 @@ def _lattice(A: np.ndarray, grid_step: float | None, degree: int, cap: int) -> t
     active = np.flatnonzero(A.max(axis=0, initial=0))
     degrees = A.sum(axis=1)
     axes = active[1:] if (degrees == degrees.max(initial=0)).all() else active
-    if grid_step is None:
-        L = max(AXIS_GRID_NODES, math.ceil(2.0 * TWO_PI * degree))
-    else:
-        check_entries(TWO_PI / grid_step, cap, f"a grid at step {grid_step}", "nodes per axis")
-        L = math.ceil(TWO_PI / grid_step)
+    check_entries(TWO_PI / grid_step, cap, f"a grid at step {grid_step}", "nodes per axis")
+    L = math.ceil(TWO_PI / grid_step)
     check_entries(L ** len(axes), cap, "the grid", "evaluations")
     return L, axes
 
 
-def _grid_bracket(P: Polynomial, L: int, axes: np.ndarray, degree: int,
-                  grid_step: float | None = None) -> SupNormEstimate:
+def _grid_bracket(P: Polynomial, grid_step: float, L: int, axes: np.ndarray, degree: int) -> SupNormEstimate:
     """The :func:`sup_certified` bracket on L nodes on each of ``axes``, for P of total
     degree ``degree`` < L / pi; OverflowError if its upper bound is not finite."""
     A, c = term_arrays(P)
@@ -347,23 +342,22 @@ def _grid_bracket(P: Polynomial, L: int, axes: np.ndarray, degree: int,
     return SupNormEstimate(best_val, upper, arg, meta)
 
 
-def sup_certified(P: Polynomial, grid_step: float | None = None) -> SupNormEstimate:
+def sup_certified(P: Polynomial, grid_step: float) -> SupNormEstimate:
     """Bracket sup |P| by exhaustive evaluation on a uniform phase lattice.
 
-    A ``grid_step`` h must satisfy h < 2 / D, with D = max |alpha| the total
-    degree, and gives L = ceil(2 pi / h) nodes per axis.  Without one,
-    L = max(``AXIS_GRID_NODES``, ceil(4 pi D)), so D h_eff / 2 <= 1/4: a
-    count, which a step could round past (4097 nodes took 3.6 times as long
-    as 4096), and within the cap on one axis.  With h_eff = 2 pi / L,
-    ``lower`` is the lattice maximum and ``upper = lower / (1 - D h_eff / 2)``;
-    an upper bound past the float range raises OverflowError.
+    ``grid_step`` must satisfy h < 2 / D, with D = max |alpha| the total
+    degree; the step used is h_eff = 2 pi / L, L = ceil(2 pi / h).  ``lower``
+    is the lattice maximum and ``upper = lower / (1 - D h_eff / 2)``; an
+    upper bound past the float range raises OverflowError.
 
     Proof.  Let S = sup |P| be attained at theta* and theta* + s u be the
     nearest node, with |u|_inf = 1 and s <= h_eff / 2 (L h_eff = 2 pi).
     g(t) = P(theta* + t u) = sum_alpha a_alpha e^{i theta* . alpha} e^{i t alpha . u}
     has frequencies |alpha . u| <= |alpha|_1 <= D and |g| <= S on the line,
     so Bernstein's inequality (Boas, *Entire Functions*, 1954, ch. 11) gives
-    |g'| <= D S and lower >= |g(s)| >= S (1 - D h_eff / 2) > 0.
+    |g'| <= D S and lower >= |g(s)| >= S (1 - D h_eff / 2) > 0.  Since
+    D <= n m_max, m_max the largest per-variable degree, this is never
+    looser than the per-variable bound lower / (1 - n m_max h_eff / 2).
     Every exponent is at most D < pi D < L, so :func:`_grid_values` gives P
     on the lattice by one inverse FFT.
 
@@ -379,14 +373,14 @@ def sup_certified(P: Polynomial, grid_step: float | None = None) -> SupNormEstim
     :func:`_lattice`).  Memory: 40 bytes per point (tensor, transform,
     moduli), so at most 400 MB.
     """
-    if grid_step is not None and not grid_step > 0:  # NaN too
+    if not grid_step > 0:  # NaN too
         raise ValueError("grid_step must be positive")
     A, _ = term_arrays(P)
     degree = int(A.sum(axis=1).max(initial=0))
-    if grid_step is not None and degree and grid_step >= 2.0 / degree:
+    if degree and grid_step >= 2.0 / degree:
         raise ValueError(f"grid_step {grid_step} too large; need h < 2/D = {2.0 / degree} (total degree D)")
-    L, axes = _lattice(A, grid_step, degree, DENSE_ENTRIES_MAX)
-    return _grid_bracket(P, L, axes, degree, grid_step)
+    L, axes = _lattice(A, grid_step, DENSE_ENTRIES_MAX)
+    return _grid_bracket(P, grid_step, L, axes, degree)
 
 
 def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
@@ -406,8 +400,9 @@ def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
     degree = int(A.sum(axis=1).max(initial=0))
     if degree > 0:
         with contextlib.suppress(BudgetExceededError, OverflowError):  # over the cap, or not finite
-            L, axes = _lattice(A, 2.0 * target_correction / degree, degree, CERTIFIED_UPPER_POINTS)
-            upper = min(upper, _grid_bracket(P, L, axes, degree).upper)
+            h = 2.0 * target_correction / degree
+            L, axes = _lattice(A, h, CERTIFIED_UPPER_POINTS)
+            upper = min(upper, _grid_bracket(P, h, L, axes, degree).upper)
     return _finite_bound(upper, "sup |P| upper bound")
 
 

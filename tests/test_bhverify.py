@@ -28,10 +28,8 @@ from polybh.polyalgebra import (
     REL_TOL,
     HomogeneousPolynomial,
     coeff_norm,
-    evaluate_points,
     random_homogeneous,
     scale,
-    term_arrays,
 )
 from polybh import bhverify, torusnorm
 from polybh.torusnorm import BudgetExceededError, certified_upper, sup_certified, sup_lower, sup_multilinear
@@ -128,13 +126,16 @@ class TestVerifyBH:
         assert rep.verdict == "verified"
 
     def test_batch_is_verify_bh_per_case(self):
-        # The second P lost a coefficient, so it runs apart from the others.
+        # The second P lost a coefficient, so its ascent runs apart from the others.
         Ps = [random_homogeneous(3, 2, "uniform-disc", seed=s) for s in range(3)]
         Ps[1] = HomogeneousPolynomial(3, 2, {k: v for k, v in Ps[1].coeffs.items() if k != (1, 1, 2)})
-        for P, s, rep in zip(Ps, range(3), verify_bh_batch(Ps, 4, 60, [0, 1, 2])):
-            one = verify_bh(P, starts=4, iterations=60, seed=s)
-            assert (rep.lhs, rep.supnorm.lower, rep.ratio, rep.verdict) == \
-                (one.lhs, one.supnorm.lower, one.ratio, one.verdict)
+        for grid_step in (None, 0.125):
+            for P, s, rep in zip(Ps, range(3), verify_bh_batch(Ps, 4, 60, [0, 1, 2], grid_step)):
+                one = verify_bh(P, starts=4, iterations=60, seed=s, grid_step=grid_step)
+                assert (rep.lhs, rep.supnorm.lower, rep.supnorm.upper, rep.supnorm.argmax.tolist(),
+                        rep.supnorm.method, rep.ratio, rep.verdict) == \
+                    (one.lhs, one.supnorm.lower, one.supnorm.upper, one.supnorm.argmax.tolist(),
+                     one.supnorm.method, one.ratio, one.verdict)
 
     def test_zero_polynomial(self):
         rep = verify_bh(HomogeneousPolynomial(2, 2, {}), seed=0)
@@ -169,18 +170,15 @@ class TestVerifyBH:
         assert rep.supnorm.lower <= 4.0 + 1e-9 <= rep.supnorm.upper * (1 + 1e-9)
         assert rep.verdict == "verified"
 
-    def test_one_axis_grid_finds_what_the_ascent_misses(self):
-        # Four starts and 80 iterations reach 0.223 of the sup of this P; a
-        # P in two variables has a one-axis slice and gets the 4096-node grid.
+    def test_a_stalled_ascent_is_bracketed(self):
+        # Four starts and 80 iterations reach 0.223 of the sup of this P, which a
+        # fine grid finds; certified_upper still bounds the sup from above.
         s = 17103292073185902592
         P = random_homogeneous(3, 2, "complex-gaussian", seed=s)
-        rep = verify_bh(P, starts=4, iterations=80, seed=s)
-        L = torusnorm.AXIS_GRID_NODES
-        nodes = np.stack([np.ones(L), np.exp(2j * math.pi * np.arange(L) / L)], axis=1)
-        assert rep.supnorm.lower == pytest.approx(np.abs(evaluate_points(P, nodes)).max(), rel=1e-12)
-        assert rep.supnorm.method["evaluations"] == L
-        assert sup_lower(P, starts=4, iterations=80, seed=s).lower < 0.23 * rep.supnorm.lower
-        assert rep.supnorm.upper == pytest.approx(rep.supnorm.lower / (1 - 3 * math.pi / L), rel=1e-12)
+        rep, grid = verify_bh(P, starts=4, iterations=80, seed=s), sup_certified(P, 2 * math.pi / 4096)
+        assert rep.supnorm.lower == sup_lower(P, starts=4, iterations=80, seed=s).lower < 0.23 * grid.lower
+        assert grid.lower <= rep.supnorm.upper == certified_upper(P)
+        assert rep.verdict != "violated-numerically"
 
     def test_ascent_cases_keep_the_ascent_and_gain_certified_upper(self):
         s = 5
@@ -199,11 +197,15 @@ class TestVerifyBH:
             P = HomogeneousPolynomial(m, n, {j: a for j, a in P.coeffs.items() if j[-1] <= 2})
         rep = verify_bh(P, starts=2, iterations=40, seed=seed)
         lower, upper = rep.supnorm.lower, rep.supnorm.upper
-        assert math.isfinite(upper) and lower <= upper * (1 + REL_TOL)
-        if np.count_nonzero(term_arrays(P)[0].any(axis=0)) <= 2:  # a one-axis grid slice
-            L = rep.supnorm.method["grid_points_per_axis"]
-            assert L >= torusnorm.AXIS_GRID_NODES
-            assert upper <= lower / (1 - math.pi * m / L) * (1 + 1e-12)
+        assert math.isfinite(upper) and lower <= upper == max(certified_upper(P), lower)
+        assert lower <= certified_upper(P) * (1 + REL_TOL)
+
+    def test_a_bracket_is_never_inverted(self):
+        # sup |-z_1^2 + z_1 z_2 - z_2^2| = 3 = sum |a|, and the ascent's value rounds to 3 + 4.4e-16.
+        s = 17479151391472615424
+        P = random_homogeneous(2, 2, "random-signs", seed=s)
+        rep = verify_bh(P, starts=4, iterations=80, seed=s)
+        assert certified_upper(P) == 3.0 < rep.supnorm.lower == rep.supnorm.upper
 
     def test_random_campaign(self):
         for seed in range(60):
@@ -277,7 +279,7 @@ class TestNonFiniteAndOverflow:
         # The ascent's lower bound is finite, but the coefficient sum, 2.1e308, used to raise
         # fsum's "intermediate overflow" from certified_upper, a message that named no bound.
         (HUGE3, None, "sup [|]P[|] upper bound is inf: the input is too large for floating point"),
-    ], ids=["one-axis-grid", "certified", "ascent"])
+    ], ids=["ascent", "certified", "ascent-three-variables"])
     def test_overflowing_sup_is_an_error(self, P, grid_step, match):
         # sup |P| = 2e308 used to come back as an infinite bound, ratio 0 and "verified".
         with pytest.raises(OverflowError, match=match):

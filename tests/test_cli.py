@@ -116,9 +116,8 @@ class TestExitCodes:
             # These used to end in MemoryError tracebacks: 10^9 ascent starts (14.9 GiB),
             # parts of degree 1 to 10^5 whose sum the per-part cap missed, and a
             # list of 10^12 case blocks.  10^9 parts are refused as soon as the sum passes the cap.
-            # At n = 2 no ascent runs (a one-axis slice gets the grid), so the starts are asked at n = 3.
-            (["verify-bh", "--m", "2", "--n", "3", "--count", "1", "--starts", "1000000000"], "cap is"),
-            (["random-campaign", "--m-set", "2", "--n-set", "3", "--count", "1", "--starts", "1000000000"],
+            (["verify-bh", "--m", "2", "--n", "2", "--count", "1", "--starts", "1000000000"], "cap is"),
+            (["random-campaign", "--m-set", "2", "--n-set", "2", "--count", "1", "--starts", "1000000000"],
              "cap is"),
             (["check-wiener", "--n", "2", "--count", "1", "--degree-max", "100000"], "cap is"),
             (["check-wiener", "--n", "2", "--count", "1", "--degree-max", "1000000000"], "cap is"),
@@ -364,7 +363,7 @@ class TestVerifyBh:
         assert not out.exists()
 
     def test_every_row_is_bracketed(self, tmp_path, capsys):
-        # All 20 default (m, n) pairs: n = 2 gets the one-axis grid, n >= 3 the ascent under certified_upper.
+        # All 20 default (m, n) pairs: each row's ascent lower bound under its certified_upper.
         out = tmp_path / "rc.json"
         assert run(["random-campaign", "--count", "2", "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["rows"]

@@ -328,18 +328,6 @@ class TestUnusedVariablesAndStops:
 
 
 class TestSupCertified:
-    @pytest.mark.parametrize("m, L", [(3, 4096), (400, math.ceil(4 * math.pi * 400))])
-    def test_default_grid_is_a_node_count(self, m, L):
-        # Without a step: 4096 nodes up to D = 325, ceil(4 pi D) above, so D h_eff / 2 <= 1/4.
-        est = sup_certified(HomogeneousPolynomial(m, 2, {(1,) * m: 1.0, (2,) * m: 1.0}))
-        assert est.method["grid_points_per_axis"] == est.method["evaluations"] == L
-        assert est.lower == pytest.approx(2.0, rel=1e-12)
-        assert est.upper == pytest.approx(2.0 / (1 - math.pi * m / L), rel=1e-12)
-
-    def test_default_grid_is_refused_on_two_axes(self):
-        with pytest.raises(BudgetExceededError, match="needs 16777216 evaluations; cap is 10000000"):
-            sup_certified(random_homogeneous(2, 3, "complex-gaussian", seed=0))
-
     def test_single_variable(self):
         est = sup_certified(HomogeneousPolynomial(1, 1, {(1,): 1.0}), 0.1)
         assert est.lower == pytest.approx(1.0, abs=1e-12)
