@@ -40,6 +40,7 @@ from .torusnorm import (
     BudgetExceededError,
     SupNormEstimate,
     certified_upper,
+    l4_torus_norm,
     sup_certified,
     sup_lower,
     sup_lower_each,

@@ -10,7 +10,9 @@ This module evaluates the classical constants, the hypercontractive bound
 and runs the checks that make up its proof chain:
 
 * Blei's ell^{2m/(m+1)} interpolation bound for full multi-index tables,
-* Bayart's hypercontractive L^1-L^2 comparison on the torus,
+* Bayart's hypercontractive L^1-L^2 comparison on the torus, certified from
+  the exact fourth moment where Hoelder's bound decides it, else by Monte
+  Carlo,
 * the slotwise polarization estimate that reduces the polynomial case to
   Harris' bound (the inner sums hit the L^2 norms of one-slot substitutions
   of the polarized form exactly, which is cross-checked per variable through
@@ -26,6 +28,7 @@ has.  The multilinear check's block ascent has none, so it can only return
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -38,13 +41,15 @@ from .indexcore import multiplicity, remove_coordinate
 from .polarization import polarize
 from .polyalgebra import (
     REL_TOL,
+    BudgetExceededError,
     HomogeneousPolynomial,
+    _check_mc_budget,
     coeff_norm,
     l1_torus_norm_mc,
     term_arrays,
 )
 from .torusnorm import SupNormEstimate, _finite_bound, as_dense_form
-from .torusnorm import certified_upper, sup_certified, sup_lower_each, sup_multilinear
+from .torusnorm import certified_upper, l4_torus_norm, sup_certified, sup_lower_each, sup_multilinear
 
 __all__ = [
     "bh_exponent",
@@ -313,15 +318,25 @@ def check_blei(c) -> BleiReport:
 
 @dataclass(frozen=True)
 class BayartReport:
-    """Statistical check of the L^1-L^2 comparison on the torus:
-    ell^2 coefficient norm <= (sqrt 2)^m * L^1 norm.  The L^1 side is a
-    Monte Carlo mean, so the verdict uses a 3-sigma upper band and a failure
-    is a statistical flag, not a hard contradiction."""
+    """Check of the L^1-L^2 comparison on the torus: ell^2 coefficient norm
+    <= (sqrt 2)^m * L^1 norm.  ``judge`` names what decided ``passed``:
+
+    * "moments": ``l1_lower`` (Hoelder's L^1 lower bound from the exact L^4
+      norm) passes with no tolerance, ``bound = (sqrt 2)^m l1_lower``, and
+      no sample is drawn (``samples`` 0, ``l1_estimate`` and ``stderr``
+      None).  The pass is certified up to floating-point rounding.
+    * "monte-carlo": the L^1 side is a Monte Carlo mean of ``samples``
+      samples, so the verdict uses a 3-sigma upper band and a failure is a
+      statistical flag, not a hard contradiction.  ``l1_lower`` is None
+      where its lattice is over the cap.
+    """
 
     l2: float
-    l1_estimate: float
-    stderr: float
+    l1_lower: float | None
+    l1_estimate: float | None
+    stderr: float | None
     bound: float
+    judge: str
     passed: bool
     samples: int
 
@@ -331,26 +346,54 @@ def check_bayart(
     mc_samples: int = 10**5,
     seed: int = 0,
 ) -> BayartReport:
-    """Bayart's comparison ||P||_2 <= (sqrt 2)^m ||P||_1 on the torus, with the
-    L^1 norm estimated by :func:`l1_torus_norm_mc` from ``mc_samples`` samples.
+    """Bayart's comparison ||P||_2 <= (sqrt 2)^m ||P||_1 on the torus, decided
+    from the exact fourth moment where it can be, else by Monte Carlo.
 
-    ``l2`` is exact (Parseval).  The check passes when
-    ``l2 <= bound * (1 + REL_TOL)`` for ``bound = (sqrt 2)^m (mean + 3 stderr)``,
-    the 3-sigma upper band of the estimate.  A failure is therefore a
-    statistical flag, not a proof that the inequality fails: under a normal
-    approximation the band falls below the true L^1 norm for about 0.1% of
-    seeds.
+    ``l2`` is exact (Parseval).  First ``l1_lower = ||P||_2^3 / ||P||_4^2``,
+    with ||P||_4 from :func:`l4_torus_norm`, is a lower bound for ||P||_1.
+    Proof (Hoelder with exponents 3/2 and 3 on |P|^2 = |P|^{2/3} |P|^{4/3}):
+
+        ||P||_2^2 = mean |P|^{2/3} |P|^{4/3}
+                  <= (mean |P|)^{2/3} (mean |P|^4)^{1/3} = ||P||_1^{2/3} ||P||_4^{4/3},
+
+    so ||P||_2^6 <= ||P||_1^2 ||P||_4^4.  If ``l2 <= (sqrt 2)^m l1_lower``,
+    then l2 <= (sqrt 2)^m ||P||_1: the inequality holds for P, and the
+    report passes with judge "moments" and no sampling.  It is computed as
+    l2 (l2 / ||P||_4)^2, so it neither overflows nor underflows unless l2
+    does.  Otherwise, or when the L^4 lattice is over its cap or its norm
+    past the float range, the L^1 norm is estimated by
+    :func:`l1_torus_norm_mc` from ``mc_samples`` samples, and the check
+    passes when ``l2 <= bound * (1 + REL_TOL)`` for
+    ``bound = (sqrt 2)^m (mean + 3 stderr)``, the 3-sigma upper band of the
+    estimate (judge "monte-carlo").  A failure is then a statistical flag,
+    not a proof that the inequality fails: under a normal approximation the
+    band falls below the true L^1 norm for about 0.1% of seeds.
+
+    The sample budget is checked before either judge runs: fewer than 1000
+    samples is a ValueError, and more than ``MC_TERM_EVALS_MAX`` samples x
+    terms is refused with BudgetExceededError.
     """
     if mc_samples < 10**3:
         raise ValueError("need at least 1000 Monte Carlo samples")
+    _check_mc_budget(mc_samples, len(P.coeffs))
     l2 = coeff_norm(P, 2)
+    factor = math.sqrt(2.0) ** P.m
+    l1_lower = None
+    with contextlib.suppress(BudgetExceededError, OverflowError):  # over the cap, or not finite
+        l4 = l4_torus_norm(P)
+        l1_lower = l2 * (l2 / l4) ** 2 if l4 > 0.0 else 0.0
+    if l1_lower is not None and l2 <= factor * l1_lower:
+        return BayartReport(l2=l2, l1_lower=l1_lower, l1_estimate=None, stderr=None,
+                            bound=factor * l1_lower, judge="moments", passed=True, samples=0)
     est = l1_torus_norm_mc(P, mc_samples, seed=seed)
-    bound = math.sqrt(2.0) ** P.m * (est.value + 3.0 * est.stderr)
+    bound = factor * (est.value + 3.0 * est.stderr)
     return BayartReport(
         l2=l2,
+        l1_lower=l1_lower,
         l1_estimate=est.value,
         stderr=est.stderr,
         bound=bound,
+        judge="monte-carlo",
         passed=l2 <= bound * (1.0 + REL_TOL),
         samples=mc_samples,
     )

@@ -333,6 +333,13 @@ def monomials(theta: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.exp(1j * (theta @ freqs.T))
 
 
+def _check_mc_budget(samples: int, terms: int) -> None:
+    """The refusal of a Monte Carlo run of ``samples`` over ``terms`` terms
+    past ``MC_TERM_EVALS_MAX`` term evaluations."""
+    check_entries(samples * terms, MC_TERM_EVALS_MAX, f"a Monte Carlo run of {samples} samples over {terms} terms",
+                  "term evaluations")
+
+
 def l1_torus_norm_mc(
     P: Polynomial,
     samples: int,
@@ -358,8 +365,7 @@ def l1_torus_norm_mc(
     if samples < 2:
         raise ValueError("need at least 2 samples")
     A, c = term_arrays(P)
-    check_entries(samples * len(c), MC_TERM_EVALS_MAX, f"a Monte Carlo run of {samples} samples over {len(c)} terms",
-                  "term evaluations")
+    _check_mc_budget(samples, len(c))
     if len(c) == 0:
         return MCEstimate(0.0, 0.0, samples)
     cmax = float(np.abs(c).max())

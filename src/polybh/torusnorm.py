@@ -26,6 +26,9 @@ Three estimators:
   over a product of polydiscs; aligning one argument at a time is exact per
   block, so the objective is nondecreasing.
 
+The same lattice kernel gives ``l4_torus_norm``, the L^4 norm of P on the
+torus, exactly (no sampling) from a lattice of 2 e + 1 nodes per axis.
+
 All estimators are deterministic for a fixed seed, and coefficients are
 normalized by their largest modulus internally so that scaling a polynomial
 scales the estimate exactly.
@@ -50,6 +53,7 @@ __all__ = [
     "sup_certified",
     "sup_multilinear",
     "certified_upper",
+    "l4_torus_norm",
     "as_dense_form",
 ]
 
@@ -77,6 +81,10 @@ BLOCK_ASCENT_TOL = 1e-12  # relative sweep gain at which a sup_multilinear start
 # transform, 16 each, moduli 8) about 2.5 MiB, which keeps campaigns that bound
 # every case this way within 10% of their peak RSS (bench ``peak_rss_mb``).
 CERTIFIED_UPPER_POINTS = 1 << 16
+# Points an l4_torus_norm lattice may evaluate: at about 48 bytes each (tensor,
+# transform, squared moduli; 17 MiB traced at (6, 6)) about 50 MB.  The (6, 6)
+# slice, 13^5 = 371293 points, fits; it takes 45 to 100 ms on a 2-vCPU Xeon.
+MOMENT_POINTS_MAX = 1 << 20
 
 
 @dataclass
@@ -309,16 +317,23 @@ def _grid_values(A: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
     return np.fft.ifftn(W, norm="forward")
 
 
+def _slice_axes(A: np.ndarray) -> np.ndarray:
+    """The axes of the exponents ``A`` that a lattice over P needs: the
+    active ones (some term uses them), less the first when every term has
+    one degree (the slice theta_1 = 0, see :func:`sup_certified`)."""
+    active = np.flatnonzero(A.max(axis=0, initial=0))
+    degrees = A.sum(axis=1)
+    return active[1:] if (degrees == degrees.max(initial=0)).all() else active
+
+
 def _lattice(A: np.ndarray, grid_step: float, cap: int) -> tuple[int, np.ndarray]:
     """(L, axes) of the lattice :func:`sup_certified` evaluates for the
     exponents ``A`` at step h > 0: L = ceil(2 pi / h) nodes on each of the
-    active axes, less the first when every term has one degree (the slice
-    theta_1 = 0).  Raises BudgetExceededError when its L ** len(axes) points
-    exceed ``cap``, and before the ceiling, which a tiny step overflows, when
-    2 pi / h does: a step below 2 pi / cap is refused whatever the slice."""
-    active = np.flatnonzero(A.max(axis=0, initial=0))
-    degrees = A.sum(axis=1)
-    axes = active[1:] if (degrees == degrees.max(initial=0)).all() else active
+    axes of :func:`_slice_axes`.  Raises BudgetExceededError when its
+    L ** len(axes) points exceed ``cap``, and before the ceiling, which a
+    tiny step overflows, when 2 pi / h does: a step below 2 pi / cap is
+    refused whatever the slice."""
+    axes = _slice_axes(A)
     check_entries(TWO_PI / grid_step, cap, f"a grid at step {grid_step}", "nodes per axis")
     L = math.ceil(TWO_PI / grid_step)
     check_entries(L ** len(axes), cap, "the grid", "evaluations")
@@ -404,6 +419,43 @@ def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
             L, axes = _lattice(A, h, CERTIFIED_UPPER_POINTS)
             upper = min(upper, _grid_bracket(P, h, L, axes, degree).upper)
     return _finite_bound(upper, "sup |P| upper bound")
+
+
+def l4_torus_norm(P: Polynomial) -> float:
+    """The L^4 norm of P on the torus T^n with normalized measure, exactly
+    up to rounding: (mean of |P|^4 on a lattice)^{1/4}, with no sampling.
+
+    The lattice has L = 2 e + 1 nodes on each axis of :func:`_slice_axes`
+    (the slice theta_1 = 0 for homogeneous P), e the largest exponent on
+    those axes, and :func:`_grid_values` gives P there.  Its mean of |P|^4
+    is the torus mean.  Proof.  An axis that no term uses changes no mean.
+    The slice: for homogeneous P of degree m, P(phi + t (1, ..., 1)) =
+    e^{i m t} P(phi), and theta = phi + theta_1 (1, ..., 1) with phi_1 = 0
+    maps the torus onto itself preserving measure, so the torus mean of
+    |P|^4 is the mean over the slice torus phi_1 = 0.  On the axes kept,
+    |P|^4 = |P^2|^2 = sum_{gamma, delta} b_gamma conj(b_delta)
+    e^{i phi . (gamma - delta)}, b the coefficients of P^2, whose exponents
+    are at most 2 e on each axis; so every frequency nu of |P|^4 there has
+    |nu_k| <= 2 e < L.  The lattice mean of e^{i phi . nu} is 1 when L
+    divides every nu_k and 0 otherwise, so only nu = 0 survives: the
+    lattice mean is the constant term of |P|^4, its torus mean.
+
+    The coefficients are divided by their largest modulus before the
+    powers and the norm is scaled back, so |P|^4 neither overflows nor
+    underflows unless the norm does.  A slice of more than
+    ``MOMENT_POINTS_MAX`` points is refused with BudgetExceededError before
+    it is allocated, and a norm past the float range raises OverflowError.
+    """
+    A, c = term_arrays(P)
+    if len(c) == 0:
+        return 0.0
+    axes = _slice_axes(A)
+    A = A[:, axes]
+    L = 2 * int(A.max(initial=0)) + 1
+    check_entries(L ** len(axes), MOMENT_POINTS_MAX, "the fourth-moment lattice", "evaluations")
+    cmax = float(np.abs(c).max())
+    v2 = _abs2(np.asarray(_grid_values(A, c / cmax, L)))
+    return _finite_bound(cmax * float(np.mean(v2 * v2)) ** 0.25, "L^4 norm")
 
 
 # ----------------------------------------------------------------------

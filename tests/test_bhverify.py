@@ -28,6 +28,7 @@ from polybh.polyalgebra import (
     REL_TOL,
     HomogeneousPolynomial,
     coeff_norm,
+    l1_torus_norm_mc,
     random_homogeneous,
     scale,
 )
@@ -391,21 +392,31 @@ class TestBlei:
         assert scaled.passed
 
 
+# (z1 + ... + z6)^2: ||P||_4^4 / (2^m ||P||_2^4) = 1.051, so the moments cannot decide.
+SUM6_SQUARED = HomogeneousPolynomial(2, 6, {(a, b): 1.0 if a == b else 2.0
+                                            for a in range(1, 7) for b in range(a, 7)})
+
+
 class TestBayart:
     def test_pure_power(self):
+        # A monomial has |P| = |c| on the torus, so Hoelder's bound is exact.
         for m in (1, 3):
             P = HomogeneousPolynomial(m, 2, {(1,) * m: 1.0})
             rep = check_bayart(P, mc_samples=2000, seed=0)
             assert rep.l2 == pytest.approx(1.0)
-            assert rep.l1_estimate == pytest.approx(1.0, abs=1e-12)
+            assert rep.l1_lower == 1.0
+            assert rep.judge == "moments" and rep.samples == 0
+            assert rep.l1_estimate is None and rep.stderr is None
             assert rep.passed
 
     def test_two_term_closed_form(self):
+        # ||z1 + z2||_4^4 = 1 + 4 + 1, so l1_lower = 2^{3/2} / sqrt 6 = 2 / sqrt 3.
         P = HomogeneousPolynomial(1, 2, {(1,): 1.0, (2,): 1.0})
         rep = check_bayart(P, mc_samples=10**5, seed=2)
         assert rep.l2 == pytest.approx(math.sqrt(2))
-        assert abs(rep.l1_estimate - 4 / math.pi) <= 3 * rep.stderr
-        assert rep.passed
+        assert rep.l1_lower == pytest.approx(2 / math.sqrt(3), rel=1e-15)
+        assert rep.bound == math.sqrt(2.0) * rep.l1_lower
+        assert rep.judge == "moments" and rep.passed
 
     def test_random_campaign(self):
         flags = 0
@@ -416,20 +427,52 @@ class TestBayart:
             flags += not rep.passed
         assert flags == 0
 
+    def test_lower_bound_is_below_l2_and_the_estimate(self):
+        for seed in range(12):
+            m, n = 1 + seed % 4, 2 + seed % 3
+            P = random_homogeneous(m, n, RANDOM_DISTRIBUTIONS[seed % 3], seed=seed)
+            rep = check_bayart(P, mc_samples=20_000, seed=seed)
+            est = l1_torus_norm_mc(P, 20_000, seed=seed)
+            assert rep.judge == "moments"
+            assert rep.l1_lower <= rep.l2 * (1 + 1e-12)
+            assert rep.l1_lower <= est.value + 4 * est.stderr
+
+    def test_undecided_moments_fall_back_to_monte_carlo(self):
+        rep = check_bayart(SUM6_SQUARED, mc_samples=20_000, seed=3)
+        assert rep.l2 == pytest.approx(math.sqrt(66), rel=1e-15)
+        assert rep.judge == "monte-carlo" and rep.samples == 20_000
+        assert 2 * rep.l1_lower < rep.l2
+        # The Monte Carlo report has the bits of the estimate alone.
+        est = l1_torus_norm_mc(SUM6_SQUARED, 20_000, seed=3)
+        assert (rep.l1_estimate, rep.stderr) == (est.value, est.stderr)
+        assert rep.bound == math.sqrt(2.0) ** 2 * (est.value + 3.0 * est.stderr)
+        assert rep.passed
+
+    def test_lattice_over_the_cap_falls_back(self, monkeypatch):
+        monkeypatch.setattr(torusnorm, "MOMENT_POINTS_MAX", 1)
+        rep = check_bayart(SQUARE, mc_samples=2000, seed=0)
+        assert rep.judge == "monte-carlo" and rep.l1_lower is None and rep.passed
+
     def test_sample_floor(self):
+        # Checked before the moments, which would certify Z1Z2.
         with pytest.raises(ValueError):
             check_bayart(Z1Z2, mc_samples=10)
 
     @pytest.mark.parametrize("factor", [1e160, 1e-160, 1e300, 1e-300])
     def test_scale_safe(self, factor):
         # |P|^2 overflows at 1e160 and underflows at 1e-160 unless the
-        # estimate normalizes the coefficients (a NaN or zero stderr).
-        P = random_homogeneous(3, 2, "complex-gaussian", seed=4)
-        base = check_bayart(P, mc_samples=20_000, seed=1)
-        rep = check_bayart(scale(P, factor), mc_samples=20_000, seed=1)
-        for field in ("l2", "l1_estimate", "stderr", "bound"):
-            assert getattr(rep, field) / factor == pytest.approx(getattr(base, field), rel=1e-12, abs=0.0)
-        assert rep.passed == base.passed
+        # estimate normalizes the coefficients (a NaN or zero stderr), and
+        # l2^3 in Hoelder's bound overflows at 1e300.  One P of each judge.
+        for P in (random_homogeneous(3, 2, "complex-gaussian", seed=4), SUM6_SQUARED):
+            base = check_bayart(P, mc_samples=20_000, seed=1)
+            rep = check_bayart(scale(P, factor), mc_samples=20_000, seed=1)
+            assert rep.judge == base.judge
+            for field in ("l2", "l1_lower", "l1_estimate", "stderr", "bound"):
+                if getattr(base, field) is None:
+                    assert getattr(rep, field) is None
+                else:
+                    assert getattr(rep, field) / factor == pytest.approx(getattr(base, field), rel=1e-12, abs=0.0)
+            assert rep.passed == base.passed
 
 
 class TestProofStep:

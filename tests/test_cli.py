@@ -406,6 +406,26 @@ class TestCampaignCommands:
         data = json.loads(out.read_text())
         assert data["rows"]
 
+    def test_check_bayart_rows_name_their_judge(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run(["check-bayart", "--m", "3", "--n", "3", "--count", "3", "--format", "csv",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "check-bayart: 3 cases, 3 certified by moments, 0 statistical flags at 3 sigma"
+            " in 0 Monte Carlo rows (0.00%)")
+        header, *rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert header[-6:] == ["l1_lower", "l1_estimate", "stderr", "bound", "judge", "passed"]
+        # No sample was drawn: the estimate's cells are empty.
+        assert all(row[-6] and row[-5:-3] == ["", ""] and row[-2:] == ["moments", "True"] for row in rows)
+
+    def test_bayart_flags_count_monte_carlo_rows_only(self):
+        certified = [("moments", True)] * 200
+        assert cli._bayart_flags(certified + [("monte-carlo", True)] * 99 + [("monte-carlo", False)]) == (
+            "200 certified by moments, 1 statistical flags at 3 sigma in 100 Monte Carlo rows (1.00%)", False)
+        # One flag in one sampled row is a 100% rate, however many rows the moments certified.
+        assert cli._bayart_flags(certified + [("monte-carlo", False)]) == (
+            "200 certified by moments, 1 statistical flags at 3 sigma in 1 Monte Carlo rows (100.00%)", True)
+
 
 class TestSingleShotCommands:
     def test_sidon_mn_with_witness(self, tmp_path, capsys):
@@ -525,6 +545,15 @@ class TestDeterminism:
             assert rc == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_check_bayart_identical_across_thread_counts(self, tmp_path, capsys):
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"bayart-{threads}.json"
+            assert run(["check-bayart", "--m", "2", "--n", "4", "--count", "6", "--seed", "7",
+                        "--threads", threads, "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("argv, threads, chunk, chunks", [
         pytest.param(RANDOM_CAMPAIGN, "1", None, [4, 4], id="1-None"),

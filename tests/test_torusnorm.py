@@ -27,6 +27,7 @@ from polybh.torusnorm import (
     _grid_values,
     as_dense_form,
     certified_upper,
+    l4_torus_norm,
     sup_certified,
     sup_lower,
     sup_lower_each,
@@ -573,6 +574,51 @@ class TestTotalDegreeBound:
         D = int(term_arrays(P)[0].sum(axis=1).max())
         assert certified_upper(Q) == pytest.approx(certified_upper(P), rel=1e-12)
         assert sup_certified(Q, 1 / D).upper == pytest.approx(sup_certified(P, 1 / D).upper, rel=1e-12)
+
+
+def _l4_reference(P):
+    """||P||_4^4 = ||P^2||_2^2, the sum of |b_gamma|^2 over the coefficients
+    b of P^2, by a loop over pairs of terms."""
+    A, c = term_arrays(P)
+    terms = [(tuple(int(e) for e in a), complex(v)) for a, v in zip(A, c)]
+    square = {}
+    for a, u in terms:
+        for b, v in terms:
+            gamma = tuple(x + y for x, y in zip(a, b))
+            square[gamma] = square.get(gamma, 0j) + u * v
+    return math.fsum(abs(w) ** 2 for w in square.values())
+
+
+class TestL4Norm:
+    @given(st.sampled_from(SMALL_PAIRS), st.sampled_from(RANDOM_DISTRIBUTIONS),
+           st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_mean_is_the_square_convolution(self, pair, dist, seed, general):
+        P = _random_polynomial(pair, dist, seed, general)
+        assert l4_torus_norm(P) ** 4 == pytest.approx(_l4_reference(P), rel=1e-12, abs=0.0)
+
+    def test_closed_forms(self):
+        assert l4_torus_norm(HomogeneousPolynomial(3, 2, {(2, 2, 2): -2.0})) == 2.0
+        assert l4_torus_norm(HomogeneousPolynomial(2, 3)) == 0.0
+        # |1 + w|^4 has mean 1 + 4 + 1; 1 + z1 is not homogeneous, so no slice.
+        one_plus_z1 = GeneralPolynomial(2, {1: HomogeneousPolynomial(1, 2, {(1,): 1.0})}, a0=1.0)
+        assert l4_torus_norm(one_plus_z1) == pytest.approx(6.0 ** 0.25, rel=1e-15)
+        assert l4_torus_norm(Z1_PLUS_Z2) == pytest.approx(6.0 ** 0.25, rel=1e-15)
+        # z1^2 + z1 z2 and z2^2 + z2 z3: the slice keeps one axis, whose exponents
+        # are at most 1 < m, so L = 3.  P^2 has coefficients 1, 2 and 1.
+        for P in (HomogeneousPolynomial(2, 2, {(1, 1): 1.0, (1, 2): 1.0}),
+                  HomogeneousPolynomial(2, 3, {(2, 2): 1.0, (2, 3): 1.0})):
+            assert l4_torus_norm(P) == pytest.approx(6.0 ** 0.25, rel=1e-15)
+
+    def test_lattice_cap(self, monkeypatch):
+        # (2, 4): L = 5 nodes on the three axes of the slice.
+        P = random_homogeneous(2, 4, "complex-gaussian", seed=3)
+        monkeypatch.setattr(torusnorm, "MOMENT_POINTS_MAX", 5**3)
+        value = l4_torus_norm(P)
+        monkeypatch.setattr(torusnorm, "MOMENT_POINTS_MAX", 5**3 - 1)
+        with pytest.raises(BudgetExceededError, match="needs 125 evaluations"):
+            l4_torus_norm(P)
+        assert value == pytest.approx(_l4_reference(P) ** 0.25, rel=1e-13)
 
 
 class TestSupMultilinear:
