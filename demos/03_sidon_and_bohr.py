@@ -27,12 +27,12 @@ print("crossover dimension where the hypercontractive bound wins:")
 for m in range(2, 7):
     print(f"  m={m}: n >= {sidon_crossover_n(m)}  (e^m = {math.e**m:.0f})")
 
-print("\nS(2, n) bounds and a search lower bound:")
-print("n     search    hyper      trivial")
+print("\nS(2, n) bounds: the search's certified lower bound and its screen ratio:")
+print("n     lower     screen    hyper      trivial")
 for n in (2, 4, 8, 16, 32):
     sb = sidon_lower_search(2, n, budget=25, seed=5)
-    print(f"{n:<5} {sb.lower_search:<9.4f} {sb.upper_hyper:<10.4f} {sb.upper_trivial:.4f}")
-print("(search values are heuristic: the denominator is an ascent estimate)")
+    print(f"{n:<5} {sb.lower_search:<9.4f} {sb.screen_ratio:<9.4f} {sb.upper_hyper:<10.4f} "
+          f"{sb.upper_trivial:.4f}")
 
 # ----------------------------------------------------------------------
 # 2. Bohr radius lower bounds by the series certificate: largest r with

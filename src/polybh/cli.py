@@ -425,20 +425,18 @@ def _read_dirichlet(path: str):
 
 
 def _rows_sidon_mn(args) -> list:
-    bounds = sidon_lower_search(args.m, args.n, budget=args.budget, seed=args.seed,
-                                strategy=args.strategy, certified=args.certified)
+    bounds = sidon_lower_search(args.m, args.n, budget=args.budget, seed=args.seed, strategy=args.strategy)
     if args.witness_out:
         args.after_report.append((args.witness_out, _json_text(poly_to_json(bounds.witness))))
     return [(args.m, args.n, bounds.upper_hyper, bounds.upper_trivial,
-             bounds.lower_search, args.witness_out or "")]
+             bounds.lower_search, bounds.screen_ratio, args.witness_out or "")]
 
 
 def _judge_sidon_mn(rows, args) -> tuple[str, bool]:
-    (m, n, hyper, trivial, lower, _), = rows
+    # lower is certified, so a lower above the upper bound is a fault, not a loose estimate.
+    (m, n, hyper, trivial, lower, _, _), = rows
     upper = min(hyper, trivial)
-    label = "certified" if args.certified else "heuristic"
-    return (f"S({m},{n}) in [{lower:.6g} ({label}), {upper:.6g}]",
-            not lower <= upper * (1 + REL_TOL))
+    return f"S({m},{n}) in [{lower:.6g}, {upper:.6g}]", not lower <= upper * (1 + REL_TOL)
 
 
 def _rows_bohr_radius(args) -> list:
@@ -525,11 +523,10 @@ COMMANDS = (
               mn=False, cases=lambda args: len(args.m_set) * len(args.n_set) * args.count,
               count_help="cases per (m, n) pair"),
     Command("sidon-mn", "Sidon constant bracket for degree-m monomials",
-            ("m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file"),
+            ("m", "n", "upper_hyper", "upper_trivial", "lower_search", "screen_ratio", "witness_file"),
             _rows_sidon_mn, _judge_sidon_mn,
             _MN + (("--budget", dict(type=int, default=200)),
                    ("--strategy", dict(choices=SEARCH_STRATEGIES, default="random-sign")),
-                   ("--certified", dict(action="store_true")),
                    ("--witness-out", dict(type=str, default=None)))),
     Command("bohr-radius", "certified Bohr-radius lower bounds",
             ("n", "K_lower", "K_upper", "b_lower", "M_used", "certificate_value"),

@@ -422,12 +422,12 @@ def sidon_N_bounds(
                 gauss = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) / math.sqrt(2)
                 yield DirichletPolynomial(N, dict(enumerate(gauss, 1)))
 
-        ratios = _sidon_ratios((bohr_lift(Q).poly for Q in draws()), False, 120, range(seed, seed + budget))
+        ratios = _sidon_ratios((bohr_lift(Q).poly for Q in draws()), 120, range(seed, seed + budget))
         top = max(range(budget), key=ratios.__getitem__)
         baseline = DirichletPolynomial(N, {1: 1.0})  # its ratio is exactly 1
         best_Q = next(islice(draws(), top, None)) if ratios[top] > 1.0 else baseline
         best_ratio, best_Q = _firm_up(best_Q, bohr_lift(best_Q).poly, max(1.0, ratios[top]), baseline,
-                                      False, 600, seed)
+                                      600, seed)
         method = {"kind": "random-search-heuristic", "certified": False, "budget": budget, "seed": seed}
     shape = asymptotic_formula(N, -1.0 / math.sqrt(2.0)) if N >= 16 else None
     return SidonNBounds(N=N, lower=best_ratio, witness=best_Q, method=method, asymptotic_sharp=shape)

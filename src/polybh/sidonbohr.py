@@ -48,7 +48,7 @@ from .polyalgebra import (
     majorant_sum,
     random_homogeneous,
 )
-from .torusnorm import certified_upper, sup_lower_each
+from .torusnorm import _finest_upper, certified_upper, sup_lower_each
 
 __all__ = [
     "sidon_upper_hyper",
@@ -140,10 +140,14 @@ def sidon_crossover_n(m: int) -> int | None:
 class SidonBounds:
     """Bracket for S(m, n) from one search run.
 
-    ``lower_search`` is heuristic when ``certified`` is False: the witness
-    ratio uses an ascent (under)estimate of the sup norm in the denominator,
-    which can only inflate the ratio.  A certified run divides by a certified
-    upper bound instead, so the ratio is a true lower bound for S(m, n).
+    ``lower_search`` is a certified lower bound for S(m, n): the witness's
+    coefficient sum over a certified upper bound of its sup norm (see
+    :func:`sidon_lower_search`), at least 1.  ``screen_ratio`` is the
+    ratio the search ranked the witness by, whose denominator is an ascent
+    value, a lower bound for the sup norm; it is a heuristic estimate of the
+    witness's ratio, at least ``lower_search`` up to rounding.
+    ``method["certificate"]`` is the ``method`` dict of the grid that
+    certified ``lower_search``, or "coefficient-sum".
     """
 
     m: int
@@ -152,38 +156,31 @@ class SidonBounds:
     upper_trivial: float
     upper_best: float
     lower_search: float
+    screen_ratio: float
     witness: HomogeneousPolynomial
-    certified: bool
     method: dict = field(default_factory=dict)
 
 
-def _sidon_ratios(Ps: Iterable[Polynomial], certified: bool, iterations: int,
-                  seeds: Sequence[int]) -> list[float]:
-    """Coefficient sum, taken as P streams through, over a sup-norm estimate
-    of each P: its certified upper bound, or else batched ascents
-    (:func:`sup_lower_each`); 0 for P = 0 or a zero estimate.  P may be
-    general, a Bohr lift say."""
+def _sidon_ratios(Ps: Iterable[Polynomial], iterations: int, seeds: Sequence[int]) -> list[float]:
+    """Coefficient sum, taken as P streams through, over the batched ascent
+    of each P (:func:`sup_lower_each`); 0 for P = 0 or a zero ascent value.
+    P may be general, a Bohr lift say."""
     l1s = []
 
     def measured(P: Polynomial) -> Polynomial:
         l1s.append(majorant_sum(P, 1.0))
         return P
 
-    stream = map(measured, Ps)
-    if certified:
-        ests = [certified_upper(P) for P in stream]
-    else:
-        ests = [est.lower for est in sup_lower_each(stream, None, iterations, seeds)]
-    return [l1 / est if l1 and est > 0 else 0.0 for l1, est in zip(l1s, ests)]
+    ests = sup_lower_each(map(measured, Ps), None, iterations, seeds)
+    return [l1 / est.lower if l1 and est.lower > 0 else 0.0 for l1, est in zip(l1s, ests)]
 
 
-def _firm_up(witness, P: Polynomial, ratio: float, baseline, certified: bool, iterations: int, seed: int):
-    """(lower, witness) to report for a search's best ``witness``, whose
-    polynomial P scored ``ratio``: P is scored again, a heuristic search
-    keeps the smaller of the two ratios, and below 1 ``baseline`` (of ratio
-    exactly 1) is reported with 1.0."""
-    final_ratio = _sidon_ratios([P], certified, iterations, [seed])[0]
-    lower = final_ratio if certified else min(ratio, final_ratio)
+def _firm_up(witness, P: Polynomial, ratio: float, baseline, iterations: int, seed: int):
+    """(ratio, witness) to report for a search's best ``witness``, whose
+    polynomial P scored ``ratio``: P is scored again, the smaller of the two
+    ratios is kept, and below 1 ``baseline`` (of ratio exactly 1) is
+    reported with 1.0."""
+    lower = min(ratio, _sidon_ratios([P], iterations, [seed])[0])
     return (1.0, baseline) if lower < 1.0 else (lower, witness)
 
 
@@ -193,23 +190,34 @@ def sidon_lower_search(
     budget: int = 200,
     seed: int = 0,
     strategy: str = "random-sign",
-    certified: bool = False,
     iterations: int = 120,
 ) -> SidonBounds:
-    """Search for polynomials with a large coefficient-sum to sup-norm ratio.
+    """Search for polynomials with a large coefficient-sum to sup-norm ratio,
+    and certify the best one found.
 
     Candidates per strategy: ``random-sign`` draws dense +-1 patterns (the
     classical source of large Sidon ratios), ``gaussian`` dense complex
     normals, ``coordinate-ascent`` additionally polishes the best candidate
-    by random single-coefficient phase/modulus moves.  The random candidates
-    share J(m, n), so batched ascents score them when the search is not
-    certified; they are built as the scoring pulls them.  The monomial
-    z_1^m is always the first candidate, so the returned value is at least
-    1.  The best witness's denominator is re-estimated with a quadrupled
-    iteration budget before reporting.  Needs m >= 2 and n >= 2 (ValueError
-    otherwise), where the hypercontractive upper bound is defined.  A
-    ``budget`` above ``DENSE_ENTRIES_MAX`` is refused with
-    BudgetExceededError before any seed is drawn.
+    by random single-coefficient phase/modulus moves.  The screen ranks
+    every candidate by its coefficient sum over an ascent value: the random
+    candidates share J(m, n), so batched ascents score them, built as the
+    scoring pulls them.  The monomial z_1^m is always the first candidate.
+    The best witness w is scored again with a quadrupled iteration budget
+    and keeps the smaller ratio, floored at 1 by z_1^m: that is
+    ``screen_ratio``, and w is the witness.
+
+    ``lower_search`` = sum |c(w)| / U(w), U the certified upper bound of
+    ``torusnorm._finest_upper``: the smaller of sum |c(w)| and the grid
+    bound on the finest theta_1 = 0 slice lattice within
+    ``CERTIFIED_UPPER_POINTS`` points.  Since sup |w| <= U(w),
+    S(m, n) >= sum |c(w)| / sup |w| >= ``lower_search`` (modulo rounding,
+    see :func:`sup_certified`), and U(w) <= sum |c(w)| makes it at least 1.
+    ``method["certificate"]`` records how U(w) was found.
+
+    Needs m >= 2 and n >= 2 (ValueError otherwise), where the
+    hypercontractive upper bound is defined.  A ``budget`` above
+    ``DENSE_ENTRIES_MAX`` is refused with BudgetExceededError before any
+    seed is drawn.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -229,7 +237,7 @@ def sidon_lower_search(
     # The candidates stream into the scoring, so few of them exist at once;
     # the first best is rebuilt from its seed.
     ratios = _sidon_ratios((random_homogeneous(m, n, dist, seed=s) for s in cand_seeds),
-                           certified, iterations, cand_seeds)
+                           iterations, cand_seeds)
     top = max(range(n_candidates), key=ratios.__getitem__)
     best_ratio = max(1.0, ratios[top])
     best_P = random_homogeneous(m, n, dist, seed=cand_seeds[top]) if ratios[top] > 1.0 else baseline
@@ -244,22 +252,24 @@ def sidon_lower_search(
             base = coeffs.get(key, 0j)
             coeffs[key] = base * twist if base != 0 else twist
             P = HomogeneousPolynomial(m, n, coeffs)
-            ratio = _sidon_ratios([P], certified, iterations, [seed + 7919 * step])[0]
+            ratio = _sidon_ratios([P], iterations, [seed + 7919 * step])[0]
             if ratio > best_ratio:
                 best_P, best_ratio = P, ratio
 
-    lower, best_P = _firm_up(best_P, best_P, best_ratio, baseline, certified, 4 * iterations, seed)
+    screen, best_P = _firm_up(best_P, best_P, best_ratio, baseline, 4 * iterations, seed)
+    upper, certificate = _finest_upper(best_P)
     return SidonBounds(
         m=m,
         n=n,
         upper_hyper=uh,
         upper_trivial=ut,
         upper_best=min(uh, ut),
-        lower_search=lower,
+        lower_search=majorant_sum(best_P, 1.0) / upper,
+        screen_ratio=screen,
         witness=best_P,
-        certified=certified,
         method={"strategy": strategy, "budget": budget, "seed": seed,
-                "candidates": n_candidates, "ascent_moves": budget - n_candidates, "iterations": iterations},
+                "candidates": n_candidates, "ascent_moves": budget - n_candidates, "iterations": iterations,
+                "certificate": certificate},
     )
 
 

@@ -407,18 +407,60 @@ def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
     ``CERTIFIED_UPPER_POINTS``; OverflowError only if neither is finite."""
     if not 0.0 < target_correction < 1.0:  # NaN too
         raise ValueError(f"target_correction must be in (0, 1), got {target_correction}")
+
+    def lattice(A: np.ndarray, degree: int) -> tuple[float, int, np.ndarray]:
+        h = 2.0 * target_correction / degree
+        return (h, *_lattice(A, h, CERTIFIED_UPPER_POINTS))
+
+    return _upper_bound(P, lattice)[0]
+
+
+def _finest_upper(P: Polynomial) -> tuple[float, dict | str]:
+    """The bound of :func:`certified_upper` on the finest lattice within
+    ``CERTIFIED_UPPER_POINTS`` points, and how it was found: the grid's
+    ``method`` dict, or "coefficient-sum".
+
+    The lattice has L nodes on each of the k axes of :func:`_slice_axes`
+    (the slice theta_1 = 0 for homogeneous P), L the largest integer with
+    L ** k <= ``CERTIFIED_UPPER_POINTS``.  It runs only when L > pi D, that
+    is h = 2 pi / L < 2 / D, D the total degree, where the bound of
+    :func:`sup_certified` holds.  With k = 0 no grid runs: P is a constant
+    or one monomial a z_j^D, whose sup |a| is its coefficient sum.
+    """
+
+    def lattice(A: np.ndarray, degree: int) -> tuple[float, int, np.ndarray] | None:
+        axes = _slice_axes(A)
+        if len(axes) == 0:
+            return None
+        L = round(CERTIFIED_UPPER_POINTS ** (1.0 / len(axes)))
+        L -= L ** len(axes) > CERTIFIED_UPPER_POINTS  # the rounded root may be L + 1
+        return (TWO_PI / L, L, axes) if L > math.pi * degree else None
+
+    return _upper_bound(P, lattice)
+
+
+def _upper_bound(P: Polynomial, lattice) -> tuple[float, dict | str]:
+    """min(sum |a_alpha|, the :func:`_grid_bracket` bound on the lattice
+    (h, L, axes) = ``lattice(A, D)``) for P of exponents A and total degree
+    D > 0, with the grid's ``method`` dict if the grid gave it, else
+    "coefficient-sum".  No grid runs where ``lattice`` returns None or
+    raises BudgetExceededError, and a grid bound that is not finite is
+    dropped; OverflowError only if neither bound is finite."""
     try:
         upper = majorant_sum(P, 1.0)
     except OverflowError:  # fsum's partial sums left the float range
         upper = math.inf
+    how: dict | str = "coefficient-sum"
     A, _ = term_arrays(P)
     degree = int(A.sum(axis=1).max(initial=0))
     if degree > 0:
         with contextlib.suppress(BudgetExceededError, OverflowError):  # over the cap, or not finite
-            h = 2.0 * target_correction / degree
-            L, axes = _lattice(A, h, CERTIFIED_UPPER_POINTS)
-            upper = min(upper, _grid_bracket(P, h, L, axes, degree).upper)
-    return _finite_bound(upper, "sup |P| upper bound")
+            grid = lattice(A, degree)
+            if grid is not None:
+                est = _grid_bracket(P, *grid, degree)
+                if est.upper < upper:
+                    upper, how = est.upper, est.method
+    return _finite_bound(upper, "sup |P| upper bound"), how
 
 
 def l4_torus_norm(P: Polynomial) -> float:

@@ -10,7 +10,7 @@ import pytest
 
 from polybh import cli, torusnorm
 from polybh.bhverify import BleiReport, InequalityReport, verify_bh
-from polybh.polyalgebra import from_json_dict as poly_from_json, random_homogeneous
+from polybh.polyalgebra import from_json_dict as poly_from_json, majorant_sum, random_homogeneous
 from polybh.torusnorm import SupNormEstimate, sup_certified
 import numpy as np
 
@@ -283,8 +283,7 @@ PARSED = {
         **CAMPAIGN, "count": 10, "m_set": [2, 3, 4, 5], "n_set": [2, 3, 4, 5, 6], "starts": 4,
         "iters": 80}),
     "sidon-mn": (["--m", "2", "--n", "3"], {
-        **COMMON, "m": 2, "n": 3, "budget": 200, "strategy": "random-sign", "certified": False,
-        "witness_out": None}),
+        **COMMON, "m": 2, "n": 3, "budget": 200, "strategy": "random-sign", "witness_out": None}),
     "bohr-radius": (["--n", "100"], {**COMMON, "n": [100]}),
     "bohr-small": ([], {**COMMON, "a_step": 0.001, "r_step": 0.001, "degree": 50}),
     "lift": (["--input", "q.json"], {**COMMON, "input": "q.json"}),
@@ -438,7 +437,20 @@ class TestSingleShotCommands:
         assert (P.m, P.n) == (2, 2)
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         header = body[0].split(",")
-        assert header == ["m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file"]
+        assert header == ["m", "n", "upper_hyper", "upper_trivial", "lower_search", "screen_ratio",
+                          "witness_file"]
+
+    def test_sidon_mn_witness_replays_the_certified_lower_bound(self, tmp_path, capsys):
+        # The witness file alone gives the reported lower bound again, bit for bit:
+        # its coefficient sum over the certified upper bound of its sup norm.
+        out, wit = tmp_path / "s.json", tmp_path / "w.json"
+        assert run(["sidon-mn", "--m", "3", "--n", "3", "--budget", "20", "--out", str(out),
+                    "--witness-out", str(wit)]) == 0
+        row, = json.loads(out.read_text())["rows"]
+        P = poly_from_json(json.loads(wit.read_text()))
+        assert row["lower_search"] == majorant_sum(P, 1.0) / torusnorm._finest_upper(P)[0]
+        assert 1.0 < row["lower_search"] <= row["screen_ratio"]
+        assert capsys.readouterr().err == f"sidon-mn: S(3,3) in [{row['lower_search']:.6g}, 3.16228]\n"
 
     def test_witness_is_written_after_the_report(self, tmp_path, capsys):
         # A run whose report fails must not leave its witness behind.

@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polybh.bhverify import bh_constant_hyper
 from polybh.polyalgebra import (
+    REL_TOL,
     GeneralPolynomial,
     HomogeneousPolynomial,
     dimension_count,
@@ -83,31 +85,24 @@ class TestSidonSearch:
         assert 1.0 <= sb.lower_search <= sb.upper_best * (1 + 1e-9)
         assert sb.witness.coeffs
 
-    def test_certified_mode(self):
-        sb = sidon_lower_search(2, 2, budget=20, seed=3, certified=True)
-        assert sb.certified
-        assert 1.0 <= sb.lower_search <= sb.upper_best * (1 + 1e-9)
-
     def test_deterministic(self):
         a = sidon_lower_search(2, 3, budget=10, seed=7)
         b = sidon_lower_search(2, 3, budget=10, seed=7)
         assert a.lower_search == b.lower_search
         assert a.witness.coeffs == b.witness.coeffs
 
-    @pytest.mark.parametrize("certified,sizes", [(False, [2] * 6 + [1]), (True, [1] * 12 + [1])])
-    def test_candidates_are_scored_one_chunk_at_a_time(self, certified, sizes, monkeypatch):
+    def test_candidates_are_scored_one_chunk_at_a_time(self, monkeypatch):
         # At (2, 3), 6 terms and 24 starts, a cap of 2 * 24 * (6 + 3) entries
-        # makes ascent chunks of 2; a certified search scores one at a time.
-        # Each candidate is built just before the call that scores it.  The
-        # last call re-estimates the witness, rebuilt from its seed.
-        whole = sidon_lower_search(2, 3, budget=12, seed=4, certified=certified)
+        # makes ascent chunks of 2.  Each candidate is built just before the
+        # call that scores it.  The last call re-estimates the witness,
+        # rebuilt from its seed.
+        whole = sidon_lower_search(2, 3, budget=12, seed=4)
         events = []
-        make, ascent, upper = sidonbohr.random_homogeneous, torusnorm._ascent, sidonbohr.certified_upper
+        make, ascent = sidonbohr.random_homogeneous, torusnorm._ascent
         monkeypatch.setattr(sidonbohr, "random_homogeneous", lambda *a, **k: events.append("P") or make(*a, **k))
         monkeypatch.setattr(torusnorm, "_ascent", lambda A, Ps, *rest: events.append(len(Ps)) or ascent(A, Ps, *rest))
-        monkeypatch.setattr(sidonbohr, "certified_upper", lambda P: events.append(1) or upper(P))
         monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", 2 * 24 * (6 + 3))
-        split = sidon_lower_search(2, 3, budget=12, seed=4, certified=certified)
+        split = sidon_lower_search(2, 3, budget=12, seed=4)
         seen, pending = [], 0
         for event in events:
             if event == "P":
@@ -116,25 +111,48 @@ class TestSidonSearch:
                 assert pending == event
                 seen.append(event)
                 pending = 0
-        assert seen == sizes
-        assert (split.lower_search, split.witness.coeffs) == (whole.lower_search, whole.witness.coeffs)
+        assert seen == [2] * 6 + [1]
+        assert (split.lower_search, split.screen_ratio, split.witness.coeffs) == (
+            whole.lower_search, whole.screen_ratio, whole.witness.coeffs)
 
-    @pytest.mark.parametrize("certified", [False, True])
-    def test_firm_up_keeps_the_smaller_heuristic_ratio_and_floors_at_one(self, certified):
+    def test_firm_up_keeps_the_smaller_heuristic_ratio_and_floors_at_one(self):
         P = random_homogeneous(2, 3, "random-signs", seed=1)
-        final = sidonbohr._sidon_ratios([P], certified, 10, [0])[0]
+        final = sidonbohr._sidon_ratios([P], 10, [0])[0]
         assert final >= 1.0
-        assert sidonbohr._firm_up("best", P, math.inf, "baseline", certified, 10, 0) == (final, "best")
-        # A heuristic search keeps the smaller ratio, here below the baseline's 1.
-        expected = (final, "best") if certified else (1.0, "baseline")
-        assert sidonbohr._firm_up("best", P, 0.5, "baseline", certified, 10, 0) == expected
+        assert sidonbohr._firm_up("best", P, math.inf, "baseline", 10, 0) == (final, "best")
+        # The smaller ratio is kept, here below the baseline's 1.
+        assert sidonbohr._firm_up("best", P, 0.5, "baseline", 10, 0) == (1.0, "baseline")
         zero = HomogeneousPolynomial(2, 3, {})  # scores 0
-        assert sidonbohr._firm_up("best", zero, 3.0, "baseline", certified, 10, 0) == (1.0, "baseline")
+        assert sidonbohr._firm_up("best", zero, 3.0, "baseline", 10, 0) == (1.0, "baseline")
 
     def test_signs_find_nontrivial_ratio(self):
-        # Random signs beat the monomial baseline comfortably at (2, 6).
+        # Random signs beat the monomial baseline comfortably at (2, 6) in the screen.
         sb = sidon_lower_search(2, 6, budget=30, seed=2)
-        assert sb.lower_search > 1.2
+        assert sb.screen_ratio > 1.2
+        # There the finest slice lattice within the cap has 9 nodes on each
+        # of 5 axes, and its bound 3.3 grid_max is above the coefficient
+        # sum, which then certifies the ratio 1.
+        assert sb.lower_search == 1.0 and sb.method["certificate"] == "coefficient-sum"
+        assert sb.witness.coeffs != {(1, 1): 1.0}
+
+    # The certified lower bounds of the search that scored every candidate by
+    # certified_upper (random-sign, budget 200, seed 0), which the certified
+    # winner must not fall below.
+    @pytest.mark.parametrize("m, n, floor", [(2, 3, 1.1375085399704086), (3, 3, 1.5148947500739163),
+                                             (2, 5, 1.0)])
+    def test_certified_winner_beats_certified_scoring(self, m, n, floor):
+        sb = sidon_lower_search(m, n, budget=200, seed=0)
+        assert sb.lower_search >= floor
+        assert isinstance(sb.method["certificate"], dict)
+
+    @given(m=st.integers(2, 4), n=st.integers(2, 4), budget=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from(sidonbohr.SEARCH_STRATEGIES))
+    @settings(max_examples=20, deadline=None)
+    def test_certified_lower_is_under_the_screen_and_the_upper_bound(self, m, n, budget, seed, strategy):
+        sb = sidon_lower_search(m, n, budget=budget, seed=seed, strategy=strategy, iterations=40)
+        assert 1.0 <= sb.lower_search <= sb.screen_ratio * (1 + REL_TOL)
+        assert sb.lower_search <= sb.upper_best
+        assert sb.lower_search == majorant_sum(sb.witness, 1.0) / torusnorm._finest_upper(sb.witness)[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

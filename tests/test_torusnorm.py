@@ -519,6 +519,60 @@ class TestCertifiedUpper:
             assert certified_upper(P) >= sup_lower(P, seed=seed).lower * (1 - 1e-12)
 
 
+class TestFinestUpper:
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        bracket = torusnorm._grid_bracket
+        monkeypatch.setattr(torusnorm, "_grid_bracket",
+                            lambda P, h, L, axes, D: calls.append((h, L, len(axes))) or bracket(P, h, L, axes, D))
+        return calls
+
+    @pytest.mark.parametrize("m, n, j", [(2, 2, 1), (3, 4, 2), (5, 3, 3)])
+    def test_one_monomial_is_its_coefficient_sum(self, m, n, j, monkeypatch):
+        # A slice of k = 0 axes: sup |a z_j^m| = |a| exactly, with no grid.
+        calls = self._spy(monkeypatch)
+        assert torusnorm._finest_upper(HomogeneousPolynomial(m, n, {(j,) * m: 1.0})) == (1.0, "coefficient-sum")
+        assert torusnorm._finest_upper(HomogeneousPolynomial(m, n, {(j,) * m: -3j})) == (3.0, "coefficient-sum")
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_the_finest_lattice_within_the_cap(self, k, monkeypatch):
+        # (2, k + 1) has a slice of k axes; L = 65536, 256, 40, 16, 9 nodes per axis.
+        calls = self._spy(monkeypatch)
+        P = random_homogeneous(2, k + 1, "random-signs", seed=1)
+        upper, how = torusnorm._finest_upper(P)
+        (h, L, axes), = calls
+        cap = torusnorm.CERTIFIED_UPPER_POINTS
+        assert axes == k and L**k <= cap < (L + 1) ** k and h == TWO_PI / L
+        if how != "coefficient-sum":
+            assert how["grid_points_per_axis"] == L and how["evaluations"] == L**k
+            assert upper < majorant_sum(P, 1.0)
+
+    def test_a_lattice_of_at_most_pi_d_nodes_runs_no_grid(self, monkeypatch):
+        # (3, 6): L = 9 nodes on 5 axes, below pi D = 9.42, so h = 2 pi / 9 is not below 2 / D.
+        calls = self._spy(monkeypatch)
+        P = random_homogeneous(3, 6, "random-signs", seed=1)
+        assert torusnorm._finest_upper(P) == (majorant_sum(P, 1.0), "coefficient-sum")
+        assert calls == []
+        # At (2, 2), one axis: 6 nodes are not above 2 pi, 7 are.
+        P = random_homogeneous(2, 2, "random-signs", seed=1)
+        monkeypatch.setattr(torusnorm, "CERTIFIED_UPPER_POINTS", 6)
+        torusnorm._finest_upper(P)
+        assert calls == []
+        monkeypatch.setattr(torusnorm, "CERTIFIED_UPPER_POINTS", 7)
+        torusnorm._finest_upper(P)
+        assert [L for _, L, _ in calls] == [7]
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (4, 2), (3, 3), (2, 5)])
+    def test_brackets_the_sup_norm(self, m, n):
+        for seed in range(3):
+            P = random_homogeneous(m, n, "complex-gaussian", seed=seed)
+            upper, how = torusnorm._finest_upper(P)
+            assert sup_lower(P, seed=seed).lower <= upper <= majorant_sum(P, 1.0)
+            assert (how == "coefficient-sum") == (upper == majorant_sum(P, 1.0))
+
+
 def _random_polynomial(pair, dist, seed, general):
     m, n = pair
     if not general:
