@@ -33,7 +33,7 @@ from .indexcore import exponent_to_index
 from .polyalgebra import DENSE_ENTRIES_MAX, check_entries
 from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, _finite, _json_complex, _json_field, monomials
 from .sidonbohr import _firm_up, _sidon_ratios
-from .torusnorm import SupNormEstimate, sup_lower
+from .torusnorm import SupNormEstimate, _bernstein_factor, sup_lower
 
 __all__ = [
     "DirichletPolynomial",
@@ -60,7 +60,7 @@ BRUTE_COARSE_STRIDE = 32  # every 32nd grid node (64 of 2048) prunes brute candi
 # temporaries also stay below NumPy's 256 KiB in-place elision threshold.
 BRUTE_BLOCK_ELEMENTS = 1 << 13
 BRUTE_CANDIDATES_MAX = 10**7  # largest brute grid sidon_N_bounds enumerates
-PRUNE_SLACK = 2.0**-40  # relative widening of the NumPy pruning sums (see _ratio_bounds)
+PRUNE_SLACK = 2.0**-40  # relative widening of the NumPy coefficient sums (see _ratio_bounds)
 
 
 @dataclass(frozen=True)
@@ -239,6 +239,14 @@ def _row_max(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.max(np.abs(va) + np.abs(t), axis=1)
 
 
+def _small_factor(grid_points: int) -> float:
+    """The grid correction of :func:`_ratio_small` on ``grid_points`` nodes:
+    torusnorm's sqrt(1 - x^2) at x = D pi / grid_points, the step being
+    2 pi / grid_points and D = 3 the largest degree in z of A and B for
+    N <= ``BRUTE_N_MAX`` (a_8 z^3)."""
+    return _bernstein_factor((BRUTE_N_MAX.bit_length() - 1) * math.pi / grid_points)
+
+
 def _ratio_small(grid_max: float, moduli, grid_points: int) -> float:
     """Certified ratio sum |a_n| / sup |Q| for N <= 8, reduced to one phase variable.
 
@@ -250,30 +258,31 @@ def _ratio_small(grid_max: float, moduli, grid_points: int) -> float:
 
     and aligning the unimodular z_3, z_5, z_7 gives sup = max_theta (|A| +
     |B|) + |a_5| + |a_7|.  ``grid_max`` is that max over the rigid grid of
-    ``grid_points`` nodes; it is corrected upward by the Lipschitz bound
-    |d/dtheta| <= sum_k k (|A_k| + |B_k|).  ``moduli[n - 1]`` is |a_n|; an
-    all-zero pattern has ratio 0.
+    ``grid_points`` nodes; divided by :func:`_small_factor` it bounds the
+    max over theta (torusnorm._bernstein_factor covers sums of moduli, and
+    A and B have degree at most 3).  The degree is the search's, not the
+    candidate's, so a candidate with A and B constant (only a_1, a_3, a_5,
+    a_7) scores just below 1.  ``moduli[n - 1]`` is |a_n|; an all-zero
+    pattern has ratio 0.
     """
     l1 = math.fsum(moduli)
     if not l1:
         return 0.0
-    lipschitz = math.fsum(k * moduli[n - 1] for k, n in enumerate((1, 2, 4, 8))) + moduli[5]
-    return l1 / (grid_max + lipschitz * (math.pi / grid_points) + (moduli[4] + moduli[6]))
+    return l1 / (grid_max / _small_factor(grid_points) + (moduli[4] + moduli[6]))
 
 
 def _ratio_bounds(coarse_max: np.ndarray, moduli: np.ndarray, grid_points: int) -> np.ndarray:
     """Vectorized upper bounds on _ratio_small(coarse_max[r], moduli[r], grid_points).
 
-    The same expression with NumPy sums in place of math.fsum.  A sum of at
-    most 8 nonnegative terms is off by less than 8 ulp relative (2**-50),
-    so widening the coefficient sum up and the Lipschitz sum down by
-    PRUNE_SLACK = 2**-40 puts them above and below the fsum values.  Each
-    rounded operation is monotone in its arguments, so every bound is >= the
-    one-row value.
+    The same expression with a NumPy sum in place of math.fsum.  A sum of
+    at most 8 nonnegative terms is off by less than 8 ulp relative
+    (2**-50), so widening the coefficient sum up by PRUNE_SLACK = 2**-40
+    puts it above the fsum value.  The denominator has the one-row bits,
+    and each rounded operation is monotone in its arguments, so every bound
+    is >= the one-row value.
     """
     l1 = moduli.sum(axis=1) * (1.0 + PRUNE_SLACK)
-    lipschitz = (moduli[:, 1] + 2.0 * moduli[:, 3] + 3.0 * moduli[:, 7] + moduli[:, 5]) * (1.0 - PRUNE_SLACK)
-    return l1 / (coarse_max + lipschitz * (math.pi / grid_points) + (moduli[:, 4] + moduli[:, 6]))
+    return l1 / (coarse_max / _small_factor(grid_points) + (moduli[:, 4] + moduli[:, 6]))
 
 
 def _brute_search(N: int, mag_points: int, phase_points: int):
@@ -345,7 +354,7 @@ def sidon_N_bounds(
     in [0, 1] and each composite index also one of ``phase_points`` phases;
     the all-zero pattern is skipped.  Each candidate is scored by coefficient
     sum over the certified sup upper bound of _ratio_small on the
-    2048-node grid, so the result is a true lower bound to grid accuracy.
+    2048-node grid, so the result is a lower bound for S(N) up to rounding.
     It is the first candidate, in the order magnitudes outer (a_1 most
     significant) and phases inner, of largest ratio, or the witness a_1 = 1
     of ratio 1 if none exceeds 1.
@@ -361,11 +370,11 @@ def sidon_N_bounds(
 
         _ratio_bounds(coarse_max) >= _ratio_small(coarse_max) >= _ratio_small(grid_max)
 
-    holds for every candidate: the first by the widened NumPy sums (see
+    holds for every candidate: the first by the widened NumPy sum (see
     _ratio_bounds), the second because the exact score sum |a_n| /
-    (max + lipschitz * pi / G + (|a_5| + |a_7|)) is computed by rounded
-    additions, multiplications and a division, each monotone in its
-    arguments, so a smaller max cannot give a smaller ratio.  The
+    (max / sqrt(1 - (3 pi / G)^2) + (|a_5| + |a_7|)), G = 2048, is computed
+    by rounded additions and divisions, each monotone in its arguments, so
+    a smaller max cannot give a smaller ratio.  The
     candidates are taken in index order, as a strict `>` loop over all of
     them takes them: one is skipped when its prefilter bound is not above
     the best ratio so far (then its exact ratio is not either), the others
@@ -377,9 +386,10 @@ def sidon_N_bounds(
     Searches above BRUTE_CANDIDATES_MAX candidates ((mag_points^N - 1)
     phase_points^(number of composites)) raise ValueError before any work.
     On a 2-vCPU x86_64 machine (one BLAS thread, best of 3) the defaults
-    take about 0.013 s at N = 4, 0.09 s at N = 5, 2.5 s at N = 6 and 12 s
-    at N = 7 (scoring every candidate took 0.5 s, 3 s and 153 s for N = 4,
-    5 and 6); N = 8 needs smaller grids.
+    take about 0.007 s at N = 4, 0.04 s at N = 5, 1.5 s at N = 6 and 7.4 s
+    at N = 7, scoring 6, 38 and 306 candidates at N = 4, 5 and 6 (scoring
+    every candidate took 0.5 s, 3 s and 153 s for N = 4, 5 and 6); N = 8
+    needs smaller grids.
     Larger N score ``budget`` complex Gaussian patterns drawn from ``seed``
     by S(m, n)'s scorer (sidonbohr._sidon_ratios): pattern idx's lift, built
     at most one batched-ascent chunk ahead, gets 120 ascent iterations

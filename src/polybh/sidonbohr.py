@@ -147,7 +147,8 @@ class SidonBounds:
     value, a lower bound for the sup norm; it is a heuristic estimate of the
     witness's ratio, at least ``lower_search`` up to rounding.
     ``method["certificate"]`` is the ``method`` dict of the grid that
-    certified ``lower_search``, or "coefficient-sum".
+    certified ``lower_search`` (its maximum over sqrt(1 - x^2), x = D h_eff
+    / 2, D the degree), or "coefficient-sum".
     """
 
     m: int
@@ -301,10 +302,10 @@ def check_wiener(
     """Check Wiener's bound: if sup |P| <= 1 then sup |P_m| <= 1 - |P_0|^2.
 
     ``supnorm_upper_P`` must be a certified upper bound in [0, 1] (a NaN or
-    a value outside is a ValueError).  Each part is bounded above by a tight
-    Bernstein grid of relative correction ``target_correction`` (see
-    :func:`certified_upper`, which falls back to the coefficient sum), so a
-    pass is rigorous modulo rounding.
+    a value outside is a ValueError).  Each part is bounded above by
+    :func:`certified_upper` at x = ``target_correction``: its grid maximum
+    over sqrt(1 - x^2), a relative correction of about x^2 / 2, or the
+    coefficient sum if smaller.  So a pass is rigorous modulo rounding.
     """
     if not 0.0 <= supnorm_upper_P <= 1.0 + 1e-12:  # NaN too
         raise ValueError(f"supnorm_upper_P must be in [0, 1] (scale the polynomial first), "

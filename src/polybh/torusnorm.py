@@ -13,14 +13,15 @@ Three estimators:
   each run of polynomials with one exponent matrix.
 
 * ``sup_certified``: evaluates |P| on a uniform phase grid of step h (the
-  slice theta_1 = 0 for homogeneous P) and, by Bernstein's inequality in the
-  total degree D = max |alpha|, bounds
+  slice theta_1 = 0 for homogeneous P) and, by Bernstein's inequality
+  applied twice in the total degree D = max |alpha|, bounds
 
-      sup |P| <= grid_max / (1 - D * h / 2),   for h < 2 / D,
+      sup |P| <= grid_max / sqrt(1 - x^2),   x = D h / 2 < 1,
 
-  rigorously up to floating-point rounding (no interval arithmetic).
-  ``certified_upper`` takes the smaller of this bound on a small grid and
-  the coefficient sum.
+  rigorously up to floating-point rounding (no interval arithmetic).  The
+  factor sqrt(1 - x^2) is :func:`_bernstein_factor`, the one grid
+  correction of the package.  ``certified_upper`` takes the smaller of this
+  bound on a small grid and the coefficient sum.
 
 * ``sup_multilinear``: block-coordinate phase ascent for an m-linear form
   over a product of polydiscs; aligning one argument at a time is exact per
@@ -340,6 +341,35 @@ def _lattice(A: np.ndarray, grid_step: float, cap: int) -> tuple[int, np.ndarray
     return L, axes
 
 
+def _bernstein_factor(x: float) -> float:
+    """sqrt(1 - x^2) for 0 <= x < 1, the grid correction: a lattice maximum
+    divided by it bounds the sup, for a lattice of step h, x = D h / 2, and
+    frequencies of modulus at most D along every line.
+
+    Proof.  Let S = sup |G| > 0 be attained at theta*, and theta* + s u the
+    nearest node, with |u|_inf = 1 and s <= h / 2.  For a polynomial G = P
+    the line g(t) = G(theta* + t u) has frequencies alpha . u in [-D, D]
+    (|alpha . u| <= |alpha|_1 <= D), so f(t) = |g(t)|^2 = g conj(g) has
+    frequencies in [-2 D, 2 D]: it has type 2 D.  As 0 <= f <= S^2, f - S^2 / 2
+    has the same type and modulus at most S^2 / 2, and Bernstein's
+    inequality (Boas, *Entire Functions*, 1954, ch. 11) applied twice gives
+    |f'| <= D S^2 and |f''| <= (2 D)^2 S^2 / 2 = 2 D^2 S^2.  f'(0) = 0 at
+    the maximiser, so Taylor's theorem gives f(s) >= S^2 - D^2 S^2 s^2
+    >= S^2 (1 - x^2): the lattice maximum is at least |g(s)| >= S sqrt(1 - x^2).
+
+    The argument also covers F = sum_k |G_k|, each G_k of such frequencies:
+    at a maximiser theta* of F, unimodular w_k with w_k G_k(theta*) =
+    |G_k(theta*)| align the G_k, and G = sum_k w_k G_k has |G| <= F
+    everywhere and |G(theta*)| = sup F, so the lattice maximum of F is at
+    least that of |G|, at least sup F sqrt(1 - x^2).
+
+    Since 1 - x^2 = (1 - x)(1 + x) >= (1 - x)^2, the factor is never below
+    the first-order one, 1 - x (from |g'| <= D S alone): on the same lattice
+    this bound is never above that one.
+    """
+    return math.sqrt(1.0 - x * x)
+
+
 def _grid_bracket(P: Polynomial, grid_step: float, L: int, axes: np.ndarray, degree: int) -> SupNormEstimate:
     """The :func:`sup_certified` bracket on L nodes on each of ``axes``, for P of total
     degree ``degree`` < L / pi; OverflowError if its upper bound is not finite."""
@@ -353,7 +383,7 @@ def _grid_bracket(P: Polynomial, grid_step: float, L: int, axes: np.ndarray, deg
     best_val = float(V[best])
     meta = {"mode": "certified-grid", "grid_step": grid_step, "note": "certified-modulo-floating-point",
             "evaluations": V.size, "grid_points_per_axis": L, "h_eff": h_eff, "degree": degree}
-    upper = _finite_bound(best_val / (1.0 - degree * h_eff / 2.0), "sup |P| upper bound")
+    upper = _finite_bound(best_val / _bernstein_factor(degree * h_eff / 2.0), "sup |P| upper bound")
     return SupNormEstimate(best_val, upper, arg, meta)
 
 
@@ -362,19 +392,14 @@ def sup_certified(P: Polynomial, grid_step: float) -> SupNormEstimate:
 
     ``grid_step`` must satisfy h < 2 / D, with D = max |alpha| the total
     degree; the step used is h_eff = 2 pi / L, L = ceil(2 pi / h).  ``lower``
-    is the lattice maximum and ``upper = lower / (1 - D h_eff / 2)``; an
-    upper bound past the float range raises OverflowError.
-
-    Proof.  Let S = sup |P| be attained at theta* and theta* + s u be the
-    nearest node, with |u|_inf = 1 and s <= h_eff / 2 (L h_eff = 2 pi).
-    g(t) = P(theta* + t u) = sum_alpha a_alpha e^{i theta* . alpha} e^{i t alpha . u}
-    has frequencies |alpha . u| <= |alpha|_1 <= D and |g| <= S on the line,
-    so Bernstein's inequality (Boas, *Entire Functions*, 1954, ch. 11) gives
-    |g'| <= D S and lower >= |g(s)| >= S (1 - D h_eff / 2) > 0.  Since
-    D <= n m_max, m_max the largest per-variable degree, this is never
-    looser than the per-variable bound lower / (1 - n m_max h_eff / 2).
-    Every exponent is at most D < pi D < L, so :func:`_grid_values` gives P
-    on the lattice by one inverse FFT.
+    is the lattice maximum and ``upper = lower / sqrt(1 - x^2)``, x =
+    D h_eff / 2 < 1 (:func:`_bernstein_factor`, which holds the proof: the
+    nearest node to a maximiser is at most h_eff / 2 away on every axis, as
+    L h_eff = 2 pi, and P has frequencies |alpha . u| <= |alpha|_1 <= D
+    along every line theta* + t u with |u|_inf = 1).  An upper bound past
+    the float range raises OverflowError.  Every exponent is at most
+    D < pi D < L, so :func:`_grid_values` gives P on the lattice by one
+    inverse FFT.
 
     A homogeneous P (all terms of one degree m) is evaluated on the slice
     k_1 = 0 of its first active axis alone, L times fewer points, with the
@@ -402,7 +427,9 @@ def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
     """A cheap certified upper bound for sup |P|: the coefficient sum
     (sup |P| <= sum |a_alpha|), or the :func:`sup_certified` bound at the
     step h = 2 ``target_correction`` / D, D the total degree, if that is
-    smaller; ``target_correction`` lies in (0, 1).  The grid runs only when
+    smaller.  ``target_correction`` is x = D h / 2, in (0, 1); the grid
+    maximum is divided by sqrt(1 - x^2) at most (1.033 at the default
+    x = 1/4, less where h_eff = 2 pi / L is below h).  The grid runs only when
     its evaluated points (see :func:`_lattice`) are at most
     ``CERTIFIED_UPPER_POINTS``; OverflowError only if neither is finite."""
     if not 0.0 < target_correction < 1.0:  # NaN too

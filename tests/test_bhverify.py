@@ -262,6 +262,10 @@ DENSE_ENTRY_POINTS = [check_blei, verify_bh_multilinear, sup_multilinear]
 HUGE = HomogeneousPolynomial(2, 2, {(1, 1): 1e308, (1, 2): 1e308})  # 10^308 (z_1^2 + z_1 z_2)
 # 0.7 10^308 (z_1^2 + i z_1 z_2 + z_2^2) + 10^300 z_3^2: sup |P| < 1.6e308, sum |a| = 2.1e308.
 HUGE3 = HomogeneousPolynomial(2, 3, {(1, 1): 0.7e308, (1, 2): 0.7e308j, (2, 2): 0.7e308, (3, 3): 1e300})
+# The same at 0.79 10^308: sup |P| = 1.77e308 is finite, but no certified bound is: sum |a| =
+# 2.4e308, and the grid maximum over sqrt(1 - x^2) at x = 1/4 is 1.82e308.
+HUGE3_OVER = HomogeneousPolynomial(2, 3, {(1, 1): 0.79e308, (1, 2): 0.79e308j, (2, 2): 0.79e308,
+                                          (3, 3): 1e300})
 
 
 class TestNonFiniteAndOverflow:
@@ -279,7 +283,7 @@ class TestNonFiniteAndOverflow:
         (HUGE, None, "sup"), (HUGE, 0.25, "sup"),
         # The ascent's lower bound is finite, but the coefficient sum, 2.1e308, used to raise
         # fsum's "intermediate overflow" from certified_upper, a message that named no bound.
-        (HUGE3, None, "sup [|]P[|] upper bound is inf: the input is too large for floating point"),
+        (HUGE3_OVER, None, "sup [|]P[|] upper bound is inf: the input is too large for floating point"),
     ], ids=["ascent", "certified", "ascent-three-variables"])
     def test_overflowing_sup_is_an_error(self, P, grid_step, match):
         # sup |P| = 2e308 used to come back as an infinite bound, ratio 0 and "verified".
@@ -293,8 +297,12 @@ class TestNonFiniteAndOverflow:
         sum_overflows = HomogeneousPolynomial(2, 2, {(1, 1): 0.6e308, (1, 2): 0.6e308j, (2, 2): 0.6e308})
         assert sup_lower(sum_overflows).lower <= certified_upper(sum_overflows) < math.inf
         assert certified_upper(HomogeneousPolynomial(2, 2, {(1, 1): 1.5e308})) == 1.5e308
+        # sum |a| overflows, and the grid bound, at most 1.033 grid_max, is finite.
+        grid = sup_certified(HUGE3, 0.25)
+        assert sup_lower(HUGE3).lower <= certified_upper(HUGE3) == grid.upper <= 1.033 * grid.lower
+        assert verify_bh(HUGE3).supnorm.upper == grid.upper
         with pytest.raises(OverflowError, match="sup [|]P[|] upper bound is inf"):
-            certified_upper(HUGE3)
+            certified_upper(HUGE3_OVER)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_estimators_raise(self):

@@ -294,8 +294,9 @@ def _reference_ratio(Q, grid_points=SMALL_GRID_POINTS):
     va = np.abs(A[0] + A[1] * z + A[2] * z * z + A[3] * z * z * z)
     vb = np.abs(B[0] + B[1] * z)
     grid_max = float(np.max(va + vb))
-    lipschitz = math.fsum(k * abs(c) for k, c in enumerate(A)) + abs(B[1])
-    return l1 / (grid_max + lipschitz * (math.pi / grid_points) + extra)
+    # A and B have degree at most 3 in z; the nearest node is pi / grid_points away.
+    x = 3.0 * math.pi / grid_points
+    return l1 / (grid_max / math.sqrt(1.0 - x * x) + extra)
 
 
 @functools.lru_cache(maxsize=None)
@@ -366,7 +367,15 @@ class TestBruteSearch:
     def test_pruning_leaves_few_to_score(self):
         method = sidon_N_bounds(4).method
         assert method["candidates"] == 4992
-        assert method["scored"] < method["candidates"]
+        # Candidates whose A and B are constant score below 1 and are pruned.
+        assert method["scored"] <= 10
+
+    # S(N) at the default grids under the first-order Lipschitz score, which
+    # the Bernstein score must not fall below.
+    @pytest.mark.parametrize("N, floor", [(2, 1.0), (3, 1.0), (4, 1.4111522419537006),
+                                          (5, 1.4111522419537006)])
+    def test_no_value_falls_below_the_first_order_score(self, N, floor):
+        assert sidon_N_bounds(N).lower >= floor
 
     def test_candidate_cap_raises_before_any_work(self, monkeypatch):
         def no_evaluation(*args):
@@ -492,6 +501,23 @@ class TestPruningBound:
             bound = dirichlet._ratio_small(float(coarse_max[r]), moduli[r], SMALL_GRID_POINTS)
             assert bound >= exact
             assert prefilter[r] >= bound
+
+    @given(coefficient_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_score_covers_a_16x_finer_grid(self, rows):
+        # The score's denominator is at least max(|A| + |B|) on 16 * 2048
+        # nodes plus |a_5| + |a_7|, the sup that the finer grid sees.
+        assume(rows)
+        theta = np.arange(16 * SMALL_GRID_POINTS) * (2.0 * math.pi / (16 * SMALL_GRID_POINTS))
+        z = np.exp(1j * theta)
+        for row in rows:
+            a = dict(enumerate(row, 1))
+            fine = float(np.max(np.abs(a[1] + a[2] * z + a[4] * z * z + a[8] * z * z * z)
+                                + np.abs(a[3] + a[6] * z)))
+            grid_max = float(dirichlet._row_max(np.array([row]), dirichlet._small_nodes(SMALL_GRID_POINTS))[0])
+            assert grid_max / dirichlet._small_factor(SMALL_GRID_POINTS) >= fine
+            Q = DirichletPolynomial(8, a)
+            assert _certified_ratio(Q) <= dirichlet_l1(Q) / (fine + (abs(a[5]) + abs(a[7])))
 
 
 class TestAsymptoticFormula:

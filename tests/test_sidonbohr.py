@@ -130,9 +130,12 @@ class TestSidonSearch:
         sb = sidon_lower_search(2, 6, budget=30, seed=2)
         assert sb.screen_ratio > 1.2
         # There the finest slice lattice within the cap has 9 nodes on each
-        # of 5 axes, and its bound 3.3 grid_max is above the coefficient
-        # sum, which then certifies the ratio 1.
-        assert sb.lower_search == 1.0 and sb.method["certificate"] == "coefficient-sum"
+        # of 5 axes, x = 2 pi / 9 = 0.70, and its bound grid_max / sqrt(1 -
+        # x^2) = 1.4 grid_max is below the coefficient sum, so the 9^5 grid
+        # certifies a ratio above 1.
+        certificate = sb.method["certificate"]
+        assert (certificate["grid_points_per_axis"], certificate["evaluations"]) == (9, 9**5)
+        assert 1.2 < sb.lower_search <= sb.screen_ratio
         assert sb.witness.coeffs != {(1, 1): 1.0}
 
     # The certified lower bounds of the search that scored every candidate by

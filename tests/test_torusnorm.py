@@ -363,14 +363,15 @@ class TestSupCertified:
 
     def test_total_degree_sets_the_correction(self):
         # D = 2 < n m_max = 4: a step in [2/(n m_max), 2/D) is legal, and the
-        # correction is 1 - D h_eff / 2.  sup = 2, attained at theta = 0.
+        # correction is sqrt(1 - x^2), x = D h_eff / 2.  sup = 2, attained at theta = 0.
         P = HomogeneousPolynomial(2, 2, {(1, 1): 1.0, (2, 2): 1.0})
         for h in (0.5, 0.9):
             est = sup_certified(P, h)
             h_eff = est.method["h_eff"]
             assert est.method["degree"] == 2 and h_eff <= h
             assert est.lower == pytest.approx(2.0, abs=1e-12)
-            assert est.upper == est.lower / (1.0 - 2 * h_eff / 2.0)
+            x = 2 * h_eff / 2.0
+            assert est.upper == est.lower / math.sqrt(1.0 - x * x)
 
     def test_budget_cap(self, monkeypatch):
         monkeypatch.setattr(torusnorm, "DENSE_ENTRIES_MAX", 1000)
@@ -591,7 +592,7 @@ BOUND_PAIRS = [(m, n) for m, n in SMALL_PAIRS if n <= 4]
 
 
 class TestTotalDegreeBound:
-    # sup |P| <= grid_max / (1 - D h_eff / 2) with D the total degree.
+    # sup |P| <= grid_max / sqrt(1 - x^2), x = D h_eff / 2, with D the total degree.
     @given(st.sampled_from(BOUND_PAIRS), st.sampled_from(RANDOM_DISTRIBUTIONS),
            st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.3, 0.99))
     @settings(max_examples=40, deadline=None)
@@ -606,6 +607,24 @@ class TestTotalDegreeBound:
         assert est.upper >= values.max() * (1 - 1e-12)
         assert est.upper >= est.lower
         assert certified_upper(P) >= values.max() * (1 - 1e-12)
+
+    @given(st.integers(1, 6),
+           st.lists(st.just(0j) | st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3), min_size=7, max_size=7),
+           st.floats(1e-3, 0.999))
+    @settings(max_examples=60, deadline=None)
+    def test_one_axis_bound_is_second_order(self, m, coeffs, x):
+        # n = 2, homogeneous: the slice theta_1 = 0 has at most one axis.  The bound
+        # covers the maximum on a 16x finer lattice and is never above the
+        # first-order one, lower / (1 - x).
+        assume(any(coeffs[: m + 1]))
+        P = HomogeneousPolynomial(m, 2, {(1,) * (m - j) + (2,) * j: c for j, c in enumerate(coeffs[: m + 1])})
+        est = sup_certified(P, 2 * x / m)
+        L = est.method["grid_points_per_axis"]
+        t = np.arange(16 * L) * (TWO_PI / (16 * L))
+        fine = np.abs(np.exp(1j * np.outer(t, np.arange(m + 1))) @ np.array(coeffs[: m + 1])).max()
+        assert est.upper >= fine
+        assert est.upper <= est.lower / (1.0 - x)
+        assert est.upper < est.lower / (1.0 - m * est.method["h_eff"] / 2)  # the first-order bound
 
     @given(st.sampled_from(BOUND_PAIRS), st.sampled_from(RANDOM_DISTRIBUTIONS),
            st.integers(0, 2**32 - 1), st.booleans(), st.floats(1e-3, 1e3))
