@@ -292,41 +292,33 @@ def _brute_search(N: int, mag_points: int, phase_points: int):
     See sidon_N_bounds for the grid, the blocks and the pruning.
     """
     pset = set(primes_up_to(N))
-    composites = [nn for nn in range(2, N + 1) if nn not in pset]
-    per_mag = phase_points ** len(composites)
-    candidates = (mag_points**N - 1) * per_mag
+    composite = [nn > 1 and nn not in pset for nn in range(1, N + 1)]
+    radices = [1 + (mag_points - 1) * (phase_points if c else 1) for c in composite]
+    candidates = math.prod(radices) - 1
     if candidates > BRUTE_CANDIDATES_MAX:
         raise ValueError(f"the brute search at N = {N} has {candidates} candidates, above the cap "
                          f"of {BRUTE_CANDIDATES_MAX}; lower --mag-points/--phase-points "
                          f"(now {mag_points} and {phase_points})")
-    mags = np.linspace(0.0, 1.0, mag_points)
-    # table[n - 1, i, j] is a_n at magnitude i and phase j; a_1 and the a_p are real.
-    # Without a composite index no phase is read, so the phase axis has length 1.
-    phases = np.linspace(0.0, 2.0 * math.pi, phase_points if composites else 1, endpoint=False)
-    table = np.zeros((N, mag_points, len(phases)), dtype=complex)
-    for nn in range(1, N + 1):
-        for i in range(1, mag_points):
-            if nn in composites:
-                table[nn - 1, i] = [complex(mags[i] * np.exp(1j * ph)) for ph in phases]
-            else:
-                table[nn - 1, i] = complex(mags[i])
-    moduli = np.array([abs(complex(c)) for c in table.ravel()]).reshape(table.shape)
-    # Candidate k has the C-order digits of k + per_mag (magnitude code 0 is all
-    # zero): magnitudes of a_1 .. a_N, a_1 most significant, then composite phases.
-    radices = (mag_points,) * N + (phase_points,) * len(composites)
-    phase_axis = {nn: N + j for j, nn in enumerate(composites)}
+    mags = np.linspace(0.0, 1.0, mag_points)[1:]
+    # values[n - 1][d] is a_n at digit d: 0, then each nonzero magnitude, a
+    # composite n's at each phase in turn; a_1 and the a_p are real.
+    values = [[0j] + ([complex(r * np.exp(1j * ph)) for r in mags
+                       for ph in np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False)]
+                      if c else [complex(r) for r in mags]) for c in composite]
+    moduli = [np.array([abs(v) for v in vs]) for vs in values]
+    values = [np.array(vs) for vs in values]
 
     z = _small_nodes(SMALL_GRID_POINTS)
     coarse = z[::BRUTE_COARSE_STRIDE]
     step = max(1, BRUTE_BLOCK_ELEMENTS // len(coarse))
     best_ratio, best, scored = 1.0, {1: 1.0}, 0  # the witness a_1 = 1 alone has ratio exactly 1
-    for start in range(per_mag, candidates + per_mag, step):
-        digits = np.unravel_index(np.arange(start, min(start + step, candidates + per_mag)), radices)
+    # Candidate k has the C-order digits of k, a_1 most significant; k = 0 is the all-zero pattern.
+    for start in range(1, candidates + 1, step):
+        digits = np.unravel_index(np.arange(start, min(start + step, candidates + 1)), radices)
         rows = np.zeros((len(digits[0]), BRUTE_N_MAX), dtype=complex)
         mods = np.zeros(rows.shape)
-        for nn in range(1, N + 1):
-            i, j = digits[nn - 1], digits[phase_axis[nn]] if nn in phase_axis else 0
-            rows[:, nn - 1], mods[:, nn - 1] = table[nn - 1, i, j], moduli[nn - 1, i, j]
+        for nn, d in enumerate(digits, 1):
+            rows[:, nn - 1], mods[:, nn - 1] = values[nn - 1][d], moduli[nn - 1][d]
         bounds = _ratio_bounds(_row_max(rows, coarse), mods, SMALL_GRID_POINTS)
         # Index order and strict `>`, as in a loop scoring every candidate.
         for r in np.flatnonzero(bounds > best_ratio):
@@ -350,19 +342,18 @@ def sidon_N_bounds(
 
     For N <= 8 a brute grid over coefficient magnitudes and essential phases
     runs on the lift.  Scale and torus rotations make a_1 and each a_p (p
-    prime) nonnegative without loss, so these take ``mag_points`` magnitudes
-    in [0, 1] and each composite index also one of ``phase_points`` phases;
-    the all-zero pattern is skipped.  Each candidate is scored by coefficient
-    sum over the certified sup upper bound of _ratio_small on the
-    2048-node grid, so the result is a lower bound for S(N) up to rounding.
-    It is the first candidate, in the order magnitudes outer (a_1 most
-    significant) and phases inner, of largest ratio, or the witness a_1 = 1
-    of ratio 1 if none exceeds 1.
+    prime) nonnegative without loss, so each a_n has one digit: 0, then the
+    ``mag_points`` - 1 nonzero magnitudes in (0, 1], for a composite n each
+    at each of ``phase_points`` phases.  Every nonzero pattern is one
+    candidate, scored by coefficient sum over the certified sup upper bound
+    of _ratio_small on the 2048-node grid, so the result is a lower bound
+    for S(N) up to rounding.  It is the first candidate, in the C order of
+    the digits (a_1 most significant), of largest ratio, or the witness
+    a_1 = 1 of ratio 1 if none exceeds 1.
 
-    Candidates are built in blocks of consecutive indices (the C-order
-    digits of np.unravel_index over the magnitudes, then the composite
-    phases), about BRUTE_BLOCK_ELEMENTS rows x coarse nodes each, so memory
-    does not grow with their number.  Only the winner becomes a
+    Candidates are built in blocks of consecutive indices (np.unravel_index
+    over the digits), about BRUTE_BLOCK_ELEMENTS rows x coarse nodes each,
+    so memory does not grow with their number.  Only the winner becomes a
     DirichletPolynomial.  Each block is prefiltered before the full grid is
     used.  The coarse nodes are every BRUTE_COARSE_STRIDE-th fine node (64
     of 2048), and _row_max evaluates each node elementwise, so their values
@@ -374,22 +365,21 @@ def sidon_N_bounds(
     _ratio_bounds), the second because the exact score sum |a_n| /
     (max / sqrt(1 - (3 pi / G)^2) + (|a_5| + |a_7|)), G = 2048, is computed
     by rounded additions and divisions, each monotone in its arguments, so
-    a smaller max cannot give a smaller ratio.  The
-    candidates are taken in index order, as a strict `>` loop over all of
-    them takes them: one is skipped when its prefilter bound is not above
-    the best ratio so far (then its exact ratio is not either), the others
-    are scored on the full grid, and a strictly larger ratio replaces the
-    best, so ties go to the lower index.  Pruning therefore cannot change
-    the result.  The ``method`` dict counts the ``candidates`` and the
-    ``scored`` ones.
+    a smaller max cannot give a smaller ratio.  The candidates are taken in
+    index order, as a strict `>` loop over all of them takes them: one is
+    skipped when its prefilter bound is not above the best ratio so far
+    (then its exact ratio is not either), the others are scored on the full
+    grid, and a strictly larger ratio replaces the best, so ties go to the
+    lower index.  Pruning therefore cannot change the result.  The
+    ``method`` dict counts the ``candidates`` and the ``scored`` ones.
 
-    Searches above BRUTE_CANDIDATES_MAX candidates ((mag_points^N - 1)
-    phase_points^(number of composites)) raise ValueError before any work.
-    On a 2-vCPU x86_64 machine (one BLAS thread, best of 3) the defaults
-    take about 0.007 s at N = 4, 0.04 s at N = 5, 1.5 s at N = 6 and 7.4 s
-    at N = 7, scoring 6, 38 and 306 candidates at N = 4, 5 and 6 (scoring
-    every candidate took 0.5 s, 3 s and 153 s for N = 4, 5 and 6); N = 8
-    needs smaller grids.
+    Searches above BRUTE_CANDIDATES_MAX candidates, mag_points^(N - C)
+    (1 + (mag_points - 1) phase_points)^C - 1 with C composites up to N,
+    raise ValueError before any work.  The defaults have 4124, 20624, 680624
+    and 3403124 at N = 4 .. 7; on a 2-vCPU x86_64 Xeon (one BLAS thread,
+    pinned, best of 3) they take about 0.006, 0.03, 0.9 and 4.5 s, scoring
+    6, 10, 47 and 67.  N = 8 needs smaller grids: 83348 candidates at
+    mag_points = phase_points = 3, 1828 scored in 0.18 s.
     Larger N score ``budget`` complex Gaussian patterns drawn from ``seed``
     by S(m, n)'s scorer (sidonbohr._sidon_ratios): pattern idx's lift, built
     at most one batched-ascent chunk ahead, gets 120 ascent iterations
@@ -461,13 +451,20 @@ def bcq_partial_sum(Q: DirichletPolynomial, c: float, n_start: int = 3) -> float
 
     Terms with n < n_start (default 3) carry the weight n^{-1/2} alone:
     log log n is zero or negative there, so the exponential factor is
-    omitted by convention rather than extrapolated.
+    omitted by convention rather than extrapolated.  A non-finite ``c`` is
+    a ValueError, and a weight past the float range an OverflowError; both
+    name ``c``.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c!r}")
     terms = []
     for nn, a in Q.coeffs.items():
         w = nn ** (-0.5)
         if nn >= n_start and nn >= 3:
-            w *= math.exp(c * math.sqrt(math.log(nn) * math.log(math.log(nn))))
+            try:
+                w *= math.exp(c * math.sqrt(math.log(nn) * math.log(math.log(nn))))
+            except OverflowError:
+                raise OverflowError(f"the weight of n = {nn} at c = {c!r} is past the float range") from None
         terms.append(abs(a) * w)
     return math.fsum(terms)
 

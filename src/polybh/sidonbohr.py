@@ -68,6 +68,7 @@ __all__ = [
 
 SEARCH_STRATEGIES = ("random-sign", "gaussian", "coordinate-ascent")
 CROSSOVER_N_MAX = 10**9  # sidon_crossover_n searches n in 2..CROSSOVER_N_MAX
+WIENER_CORRECTION = 0.02  # x = D h / 2 of check_wiener's certified grids
 
 
 # ----------------------------------------------------------------------
@@ -294,16 +295,12 @@ class WienerReport:
     passed: bool
 
 
-def check_wiener(
-    P: GeneralPolynomial,
-    supnorm_upper_P: float,
-    target_correction: float = 0.02,
-) -> WienerReport:
+def check_wiener(P: GeneralPolynomial, supnorm_upper_P: float) -> WienerReport:
     """Check Wiener's bound: if sup |P| <= 1 then sup |P_m| <= 1 - |P_0|^2.
 
     ``supnorm_upper_P`` must be a certified upper bound in [0, 1] (a NaN or
     a value outside is a ValueError).  Each part is bounded above by
-    :func:`certified_upper` at x = ``target_correction``: its grid maximum
+    :func:`certified_upper` at x = ``WIENER_CORRECTION``: its grid maximum
     over sqrt(1 - x^2), a relative correction of about x^2 / 2, or the
     coefficient sum if smaller.  So a pass is rigorous modulo rounding.
     """
@@ -313,7 +310,7 @@ def check_wiener(
     bound = 1.0 - abs(P.a0) ** 2
     parts: list[WienerPart] = []
     for m, part in P.parts.items():
-        est = certified_upper(part, target_correction=target_correction)
+        est = certified_upper(part, target_correction=WIENER_CORRECTION)
         parts.append(WienerPart(m, est, bound, est <= bound * (1.0 + REL_TOL) + 1e-15))
     return WienerReport(
         a0_modulus=abs(P.a0),

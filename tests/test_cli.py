@@ -52,6 +52,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
 
+    @pytest.mark.parametrize("c, fmt, message", [("700", "json", "n = 6 at c = 700.0"),
+                                                 ("nan", "json", "c must be finite"),
+                                                 ("nan", "csv", "c must be finite")],
+                             ids=["overflow-json", "nan-json", "nan-csv"])
+    def test_bcq_sum_c_out_of_range_is_an_error_line(self, c, fmt, message, tmp_path, capsys):
+        # These used to end in "math range error" or a report writer's non-finite
+        # value error, lines that name no option.
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"N": 6, "terms": [{"n": 6, "re": 1.0}]}))
+        out = tmp_path / "bcq.out"
+        assert run(["bcq-sum", "--input", str(q), "--c", c, "--format", fmt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_nan_coefficient_is_an_error_line(self, tmp_path, capsys):
         q = tmp_path / "q.json"
         q.write_text(json.dumps({"N": 4, "terms": [{"n": 4, "re": math.nan}]}))
@@ -218,11 +233,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: needs budget >= 1")
 
     def test_sidon_N_over_the_candidate_cap_is_an_error_line(self, tmp_path, capsys):
-        # N = 8 at the default grids has 2.0e8 brute candidates and used to run for hours.
+        # N = 8 at the default grids has 1.1e8 brute candidates and used to run for hours.
         out = tmp_path / "sn.json"
         assert run(["sidon-N", "--N", "8", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: the brute search at N = 8 has 199999488 candidates")
+        assert err.startswith("error: the brute search at N = 8 has 112303124 candidates")
         assert "--mag-points/--phase-points" in err
         assert not out.exists()
 

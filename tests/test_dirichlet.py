@@ -309,6 +309,14 @@ def _reference_search(N, mag_points, phase_points):
     return best_ratio, best_Q
 
 
+def _distinct_patterns(N, mag_points, phase_points):
+    """The nonzero patterns of the brute grid, each counted once: a_1 and the
+    a_p take 0 or one of mag_points - 1 magnitudes, a composite a_n also one
+    of phase_points phases when nonzero."""
+    composites = N - 1 - len(primes_up_to(N))
+    return mag_points ** (N - composites) * (1 + (mag_points - 1) * phase_points) ** composites - 1
+
+
 # N = 2..5 at the defaults, and small grids that reach a_6 (B_1 != 0) and a_8.
 BRUTE_CASES = [(2, 5, 8), (3, 5, 8), (4, 5, 8), (5, 5, 8),
                (5, 4, 6), (6, 3, 2), (6, 2, 4), (7, 2, 2), (8, 2, 2), (8, 3, 1)]
@@ -326,9 +334,8 @@ class TestBruteSearch:
     def test_same_bits_as_the_unpruned_loop(self, N, mag_points, phase_points):
         sb = sidon_N_bounds(N, mag_points=mag_points, phase_points=phase_points)
         _assert_reference_result(sb, N, mag_points, phase_points)
-        expected = (mag_points**N - 1) * phase_points ** (N - 1 - len(primes_up_to(N)))
-        assert sb.method["candidates"] == expected
-        assert 0 <= sb.method["scored"] <= expected
+        assert sb.method["candidates"] == _distinct_patterns(N, mag_points, phase_points)
+        assert 0 <= sb.method["scored"] <= sb.method["candidates"]
 
     @given(N=st.integers(2, 8), mag_points=st.integers(2, 3), phase_points=st.integers(1, 3),
            one_per_block=st.booleans())
@@ -364,9 +371,24 @@ class TestBruteSearch:
         assert all(np.array_equal(z, fine) for z in seen if len(z) == SMALL_GRID_POINTS)
         assert coarse and all(np.array_equal(z, fine[::32]) and len(z) == 64 for z in coarse)
 
+    def test_each_pattern_is_bounded_once(self, monkeypatch):
+        # A zero composite coefficient has no phase, so its pattern is one row,
+        # not one per phase: every coarse-bounded row is a distinct pattern.
+        row_max, blocks = dirichlet._row_max, []
+
+        def spy(rows, z):
+            if len(z) != SMALL_GRID_POINTS:
+                blocks.append(np.array(rows))
+            return row_max(rows, z)
+
+        monkeypatch.setattr(dirichlet, "_row_max", spy)
+        method = sidon_N_bounds(6, mag_points=3, phase_points=2).method
+        rows = [tuple(row) for row in np.concatenate(blocks).tolist()]
+        assert len(set(rows)) == len(rows) == method["candidates"] == _distinct_patterns(6, 3, 2)
+
     def test_pruning_leaves_few_to_score(self):
         method = sidon_N_bounds(4).method
-        assert method["candidates"] == 4992
+        assert method["candidates"] == 4124
         # Candidates whose A and B are constant score below 1 and are pruned.
         assert method["scored"] <= 10
 
@@ -382,13 +404,16 @@ class TestBruteSearch:
             raise AssertionError("a candidate was evaluated")
 
         monkeypatch.setattr(dirichlet, "_row_max", no_evaluation)
-        # (5^8 - 1) 8^3 candidates at the defaults would take hours.
-        with pytest.raises(ValueError, match=r"199999488 candidates.*10000000.*--mag-points/--phase-points"):
+        # 5^5 33^3 - 1 candidates at the defaults would take hours.
+        with pytest.raises(ValueError, match=r"112303124 candidates.*10000000.*--mag-points/--phase-points"):
             sidon_N_bounds(8)
+        # A composite's digit has 1 + 4 10^9 values here; none is built.
+        with pytest.raises(ValueError, match=r"500000000124 candidates"):
+            sidon_N_bounds(4, phase_points=10**9)
 
     def test_seven_fits_under_the_cap(self):
-        # N = 7 at the defaults has (5^7 - 1) 8^2 candidates, below the cap.
-        assert (5**7 - 1) * 8**2 <= dirichlet.BRUTE_CANDIDATES_MAX
+        # N = 7 at the defaults has 5^5 33^2 - 1 candidates, below the cap.
+        assert _distinct_patterns(7, 5, 8) == 3403124 <= dirichlet.BRUTE_CANDIDATES_MAX
 
     def test_memory_is_flat(self):
         tracemalloc.start()
@@ -554,6 +579,18 @@ class TestBcqSum:
 
     def test_zero_coefficients(self):
         assert bcq_partial_sum(DirichletPolynomial(1), 1.0) == 0.0
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c_is_refused(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            bcq_partial_sum(DirichletPolynomial(6, {6: 1.0}), c)
+
+    def test_weight_past_the_float_range_names_c_and_n(self):
+        # exp(700 sqrt(log 6 log log 6)) is about e^716, past the float range.
+        Q = DirichletPolynomial(6, {2: 1.0, 6: 1.0})
+        with pytest.raises(OverflowError, match=r"n = 6 at c = 700\.0"):
+            bcq_partial_sum(Q, 700.0)
+        assert math.isfinite(bcq_partial_sum(Q, 690.0))
 
     def test_small_n_convention(self):
         # n < 3 never receives the exponential factor.

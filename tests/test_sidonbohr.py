@@ -194,8 +194,7 @@ class TestWiener:
         P = _moebius_truncated(0.5, 10)
         s = certified_upper(P, target_correction=0.002) * (1 + 1e-9)
         P1 = scale(P, 1.0 / s)
-        rep = check_wiener(P1, min(1.0, certified_upper(P1, target_correction=0.002)),
-                           target_correction=0.001)
+        rep = check_wiener(P1, min(1.0, certified_upper(P1, target_correction=0.002)))
         assert rep.passed
         part1 = rep.parts[0]
         assert part1.degree == 1
