@@ -429,12 +429,12 @@ def _rows_sidon_mn(args) -> list:
     if args.witness_out:
         args.after_report.append((args.witness_out, _json_text(poly_to_json(bounds.witness))))
     return [(args.m, args.n, bounds.upper_hyper, bounds.upper_trivial,
-             bounds.lower_search, bounds.screen_ratio, args.witness_out or "")]
+             bounds.lower_search, args.witness_out or "")]
 
 
 def _judge_sidon_mn(rows, args) -> tuple[str, bool]:
     # lower is certified, so a lower above the upper bound is a fault, not a loose estimate.
-    (m, n, hyper, trivial, lower, _, _), = rows
+    (m, n, hyper, trivial, lower, _), = rows
     upper = min(hyper, trivial)
     return f"S({m},{n}) in [{lower:.6g}, {upper:.6g}]", not lower <= upper * (1 + REL_TOL)
 
@@ -523,7 +523,7 @@ COMMANDS = (
               mn=False, cases=lambda args: len(args.m_set) * len(args.n_set) * args.count,
               count_help="cases per (m, n) pair"),
     Command("sidon-mn", "Sidon constant bracket for degree-m monomials",
-            ("m", "n", "upper_hyper", "upper_trivial", "lower_search", "screen_ratio", "witness_file"),
+            ("m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file"),
             _rows_sidon_mn, _judge_sidon_mn,
             _MN + (("--budget", dict(type=int, default=200)),
                    ("--strategy", dict(choices=SEARCH_STRATEGIES, default="random-sign")),

@@ -25,15 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .indexcore import exponent_to_index
 from .polyalgebra import DENSE_ENTRIES_MAX, check_entries
-from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, _finite, _json_complex, _json_field, monomials
-from .sidonbohr import _firm_up, _sidon_ratios
-from .torusnorm import SupNormEstimate, _bernstein_factor, sup_lower
+from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, Polynomial, _finite, _json_complex, _json_field
+from .polyalgebra import majorant_sum, monomials
+from .torusnorm import SupNormEstimate, _bernstein_factor, sup_lower, sup_lower_each
 
 __all__ = [
     "DirichletPolynomial",
@@ -285,6 +285,19 @@ def _ratio_bounds(coarse_max: np.ndarray, moduli: np.ndarray, grid_points: int) 
     return l1 / (coarse_max / _small_factor(grid_points) + (moduli[:, 4] + moduli[:, 6]))
 
 
+def _sidon_ratios(Ps: Iterable[Polynomial], iterations: int, seeds: Sequence[int]) -> list[float]:
+    """Coefficient sum, taken as P streams through, over the batched ascent
+    of each P (:func:`sup_lower_each`); 0 for P = 0 or a zero ascent value."""
+    l1s = []
+
+    def measured(P: Polynomial) -> Polynomial:
+        l1s.append(majorant_sum(P, 1.0))
+        return P
+
+    ests = sup_lower_each(map(measured, Ps), None, iterations, seeds)
+    return [l1 / est.lower if l1 and est.lower > 0 else 0.0 for l1, est in zip(l1s, ests)]
+
+
 def _brute_search(N: int, mag_points: int, phase_points: int):
     """Best certified ratio over the brute grid of N <= 8 coefficient patterns.
 
@@ -381,10 +394,11 @@ def sidon_N_bounds(
     6, 10, 47 and 67.  N = 8 needs smaller grids: 83348 candidates at
     mag_points = phase_points = 3, 1828 scored in 0.18 s.
     Larger N score ``budget`` complex Gaussian patterns drawn from ``seed``
-    by S(m, n)'s scorer (sidonbohr._sidon_ratios): pattern idx's lift, built
-    at most one batched-ascent chunk ahead, gets 120 ascent iterations
-    seeded ``seed + idx``.  The first best is firmed up with 600 from
-    ``seed`` and floored by the witness a_1 = 1 (sidonbohr._firm_up).  A
+    by coefficient sum over an ascent value (_sidon_ratios, a heuristic:
+    the ascent is a lower bound for the sup): pattern idx's lift, built at
+    most one batched-ascent chunk ahead, gets 120 ascent iterations seeded
+    ``seed + idx``.  The first best is scored again with 600 from ``seed``,
+    keeps the smaller ratio, and is floored by the witness a_1 = 1.  A
     ``budget`` above ``DENSE_ENTRIES_MAX`` is refused with
     BudgetExceededError before any pattern is drawn.  The asymptotic shape
     is added for comparison.
@@ -426,8 +440,10 @@ def sidon_N_bounds(
         top = max(range(budget), key=ratios.__getitem__)
         baseline = DirichletPolynomial(N, {1: 1.0})  # its ratio is exactly 1
         best_Q = next(islice(draws(), top, None)) if ratios[top] > 1.0 else baseline
-        best_ratio, best_Q = _firm_up(best_Q, bohr_lift(best_Q).poly, max(1.0, ratios[top]), baseline,
-                                      600, seed)
+        # Firm-up: the winner is scored again, the smaller ratio is kept, and below 1 the baseline is.
+        best_ratio = min(max(1.0, ratios[top]), _sidon_ratios([bohr_lift(best_Q).poly], 600, [seed])[0])
+        if best_ratio < 1.0:
+            best_ratio, best_Q = 1.0, baseline
         method = {"kind": "random-search-heuristic", "certified": False, "budget": budget, "seed": seed}
     shape = asymptotic_formula(N, -1.0 / math.sqrt(2.0)) if N >= 16 else None
     return SidonNBounds(N=N, lower=best_ratio, witness=best_Q, method=method, asymptotic_sharp=shape)
@@ -452,12 +468,14 @@ def bcq_partial_sum(Q: DirichletPolynomial, c: float, n_start: int = 3) -> float
     Terms with n < n_start (default 3) carry the weight n^{-1/2} alone:
     log log n is zero or negative there, so the exponential factor is
     omitted by convention rather than extrapolated.  A non-finite ``c`` is
-    a ValueError, and a weight past the float range an OverflowError; both
-    name ``c``.
+    a ValueError, and a weight, a term |a_n| w_n or their sum past the float
+    range an OverflowError; both name ``c``, the OverflowError an n too:
+    the weight's, or the first at which a running sum of the (nonnegative)
+    terms overflows, else the last.
     """
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c!r}")
-    terms = []
+    terms, running = [], 0.0
     for nn, a in Q.coeffs.items():
         w = nn ** (-0.5)
         if nn >= n_start and nn >= 3:
@@ -465,8 +483,20 @@ def bcq_partial_sum(Q: DirichletPolynomial, c: float, n_start: int = 3) -> float
                 w *= math.exp(c * math.sqrt(math.log(nn) * math.log(math.log(nn))))
             except OverflowError:
                 raise OverflowError(f"the weight of n = {nn} at c = {c!r} is past the float range") from None
-        terms.append(abs(a) * w)
-    return math.fsum(terms)
+        try:
+            terms.append(abs(a) * w)
+        except OverflowError:  # |a_n| itself is past the float range
+            terms.append(math.inf)
+        running += terms[-1]
+        if running == math.inf:
+            break
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # an exact partial sum left the float range
+        total = math.inf
+    if total == math.inf:
+        raise OverflowError(f"the terms up to n = {nn} at c = {c!r} sum past the float range")
+    return total
 
 
 # ----------------------------------------------------------------------

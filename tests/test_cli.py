@@ -67,6 +67,22 @@ class TestExitCodes:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("terms, c, message", [
+        ([{"n": 6, "re": 1e308}], "5", "the terms up to n = 6 at c = 5.0 sum"),
+        ([{"n": 1, "re": 1.5e308}, {"n": 2, "re": 1.5e308}], "0", "the terms up to n = 2 at c = 0.0 sum"),
+    ], ids=["term", "sum"])
+    def test_bcq_sum_overflow_is_an_error_line(self, terms, c, message, fmt, tmp_path, capsys):
+        # These used to end in a report writer's "Out of range float values are not
+        # JSON compliant: inf" and in "intermediate overflow in fsum".
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"N": 6, "terms": terms}))
+        out = tmp_path / "bcq.out"
+        assert run(["bcq-sum", "--input", str(q), "--c", c, "--format", fmt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_nan_coefficient_is_an_error_line(self, tmp_path, capsys):
         q = tmp_path / "q.json"
         q.write_text(json.dumps({"N": 4, "terms": [{"n": 4, "re": math.nan}]}))
@@ -452,8 +468,7 @@ class TestSingleShotCommands:
         assert (P.m, P.n) == (2, 2)
         body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         header = body[0].split(",")
-        assert header == ["m", "n", "upper_hyper", "upper_trivial", "lower_search", "screen_ratio",
-                          "witness_file"]
+        assert header == ["m", "n", "upper_hyper", "upper_trivial", "lower_search", "witness_file"]
 
     def test_sidon_mn_witness_replays_the_certified_lower_bound(self, tmp_path, capsys):
         # The witness file alone gives the reported lower bound again, bit for bit:
@@ -464,7 +479,7 @@ class TestSingleShotCommands:
         row, = json.loads(out.read_text())["rows"]
         P = poly_from_json(json.loads(wit.read_text()))
         assert row["lower_search"] == majorant_sum(P, 1.0) / torusnorm._finest_upper(P)[0]
-        assert 1.0 < row["lower_search"] <= row["screen_ratio"]
+        assert 1.0 < row["lower_search"]
         assert capsys.readouterr().err == f"sidon-mn: S(3,3) in [{row['lower_search']:.6g}, 3.16228]\n"
 
     def test_witness_is_written_after_the_report(self, tmp_path, capsys):

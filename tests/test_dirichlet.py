@@ -592,6 +592,17 @@ class TestBcqSum:
             bcq_partial_sum(Q, 700.0)
         assert math.isfinite(bcq_partial_sum(Q, 690.0))
 
+    @pytest.mark.parametrize("coeffs, c, message", [
+        ({6: 1e308}, 5.0, r"the terms up to n = 6 at c = 5\.0 sum"),  # |a_6| w_6 is about 6.8e309
+        ({6: complex(1.5e308, 1.5e308)}, 0.0, r"the terms up to n = 6 at c = 0\.0 sum"),  # |a_6| itself
+        ({1: 1.5e308, 2: 1.5e308, 5: 1.0}, 0.0, r"the terms up to n = 2 at c = 0\.0 sum"),
+        # fsum overflows while a running sum rounds back to the largest float: the last n is named.
+        ({1: 1.7976931348623157e308, 2: 2e292}, 0.0, r"the terms up to n = 2 at c = 0\.0 sum"),
+    ], ids=["term", "modulus", "sum", "sum-rounded"])
+    def test_term_or_sum_past_the_float_range_names_c_and_n(self, coeffs, c, message):
+        with pytest.raises(OverflowError, match=message):
+            bcq_partial_sum(DirichletPolynomial(6, coeffs), c)
+
     def test_small_n_convention(self):
         # n < 3 never receives the exponential factor.
         val = bcq_partial_sum(DirichletPolynomial(2, {1: 1.0, 2: 1.0}), 5.0)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polybh.bhverify import bh_constant_hyper
 from polybh.polyalgebra import (
-    REL_TOL,
     GeneralPolynomial,
-    HomogeneousPolynomial,
     dimension_count,
     majorant_sum,
     random_homogeneous,
@@ -91,51 +90,46 @@ class TestSidonSearch:
         assert a.lower_search == b.lower_search
         assert a.witness.coeffs == b.witness.coeffs
 
-    def test_candidates_are_scored_one_chunk_at_a_time(self, monkeypatch):
-        # At (2, 3), 6 terms and 24 starts, a cap of 2 * 24 * (6 + 3) entries
-        # makes ascent chunks of 2.  Each candidate is built just before the
-        # call that scores it.  The last call re-estimates the witness,
-        # rebuilt from its seed.
-        whole = sidon_lower_search(2, 3, budget=12, seed=4)
-        events = []
-        make, ascent = sidonbohr.random_homogeneous, torusnorm._ascent
-        monkeypatch.setattr(sidonbohr, "random_homogeneous", lambda *a, **k: events.append("P") or make(*a, **k))
-        monkeypatch.setattr(torusnorm, "_ascent", lambda A, Ps, *rest: events.append(len(Ps)) or ascent(A, Ps, *rest))
-        monkeypatch.setattr(torusnorm, "ASCENT_BATCH_ELEMENTS", 2 * 24 * (6 + 3))
-        split = sidon_lower_search(2, 3, budget=12, seed=4)
-        seen, pending = [], 0
-        for event in events:
-            if event == "P":
-                pending += 1
-            else:
-                assert pending == event
-                seen.append(event)
-                pending = 0
-        assert seen == [2] * 6 + [1]
-        assert (split.lower_search, split.screen_ratio, split.witness.coeffs) == (
-            whole.lower_search, whole.screen_ratio, whole.witness.coeffs)
+    @pytest.mark.parametrize("strategy, moves", [("random-sign", 0), ("gaussian", 0), ("coordinate-ascent", 6)],
+                             ids=["random-sign", "gaussian", "coordinate-ascent"])
+    def test_each_candidate_is_built_just_before_it_is_scored(self, strategy, moves, monkeypatch):
+        # The baseline z_1^2 is scored first, then each random candidate right
+        # after it is built, then each move; only the candidate being scored
+        # and the best one are alive when it is scored, and no ascent runs.
+        events, built = [], []
+        make, finest = sidonbohr.random_homogeneous, sidonbohr._finest_upper
 
-    def test_firm_up_keeps_the_smaller_heuristic_ratio_and_floors_at_one(self):
-        P = random_homogeneous(2, 3, "random-signs", seed=1)
-        final = sidonbohr._sidon_ratios([P], 10, [0])[0]
-        assert final >= 1.0
-        assert sidonbohr._firm_up("best", P, math.inf, "baseline", 10, 0) == (final, "best")
-        # The smaller ratio is kept, here below the baseline's 1.
-        assert sidonbohr._firm_up("best", P, 0.5, "baseline", 10, 0) == (1.0, "baseline")
-        zero = HomogeneousPolynomial(2, 3, {})  # scores 0
-        assert sidonbohr._firm_up("best", zero, 3.0, "baseline", 10, 0) == (1.0, "baseline")
+        def build(*args, **kwargs):
+            P = make(*args, **kwargs)
+            events.append("P")
+            built.append(weakref.ref(P))
+            return P
+
+        def score(P):
+            events.append("score")
+            assert sum(ref() is not None for ref in built) <= 2
+            return finest(P)
+
+        def no_ascent(*args):
+            raise AssertionError("the search ran an ascent")
+
+        monkeypatch.setattr(sidonbohr, "random_homogeneous", build)
+        monkeypatch.setattr(sidonbohr, "_finest_upper", score)
+        monkeypatch.setattr(torusnorm, "_ascent", no_ascent)
+        sb = sidon_lower_search(2, 3, budget=12, seed=4, strategy=strategy)
+        assert events == ["score"] + ["P", "score"] * (12 - moves) + ["score"] * moves
+        assert sb.lower_search > 1.0
 
     def test_signs_find_nontrivial_ratio(self):
-        # Random signs beat the monomial baseline comfortably at (2, 6) in the screen.
+        # Random signs beat the monomial baseline comfortably at (2, 6).
         sb = sidon_lower_search(2, 6, budget=30, seed=2)
-        assert sb.screen_ratio > 1.2
         # There the finest slice lattice within the cap has 9 nodes on each
         # of 5 axes, x = 2 pi / 9 = 0.70, and its bound grid_max / sqrt(1 -
         # x^2) = 1.4 grid_max is below the coefficient sum, so the 9^5 grid
         # certifies a ratio above 1.
         certificate = sb.method["certificate"]
         assert (certificate["grid_points_per_axis"], certificate["evaluations"]) == (9, 9**5)
-        assert 1.2 < sb.lower_search <= sb.screen_ratio
+        assert 1.2 < sb.lower_search
         assert sb.witness.coeffs != {(1, 1): 1.0}
 
     # The certified lower bounds of the search that scored every candidate by
@@ -148,13 +142,38 @@ class TestSidonSearch:
         assert sb.lower_search >= floor
         assert isinstance(sb.method["certificate"], dict)
 
+    # The certified lower bounds of the search that ranked its candidates by an
+    # ascent screen and certified only the winner (random-sign, budget 200,
+    # seed 0), which ranking by the certified ratio must not fall below.
+    @pytest.mark.parametrize("m, n, floor", [(2, 4, 1.7450852974347923), (3, 4, 2.356774782424359),
+                                             (2, 5, 1.869388752516714), (2, 6, 1.5440604550071995)])
+    def test_certified_ranking_is_not_below_the_ascent_screen(self, m, n, floor):
+        assert sidon_lower_search(m, n, budget=200, seed=0).lower_search >= floor
+
+    @given(m=st.integers(2, 4), n=st.integers(2, 4), budget=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from(["random-sign", "gaussian"]))
+    @settings(max_examples=20, deadline=None)
+    def test_the_first_best_certified_ratio_is_reported(self, m, n, budget, seed, strategy):
+        # The candidates rebuilt from their seeds: the first of largest ratio
+        # sum |c| / _finest_upper is the witness, or z_1^m if none is above 1.
+        sb = sidon_lower_search(m, n, budget=budget, seed=seed, strategy=strategy)
+        dist = "random-signs" if strategy == "random-sign" else "complex-gaussian"
+        best, witness = 1.0, {(1,) * m: 1.0}
+        for idx in range(budget):
+            s = int(np.random.SeedSequence(seed, spawn_key=(0, idx)).generate_state(1)[0])
+            P = random_homogeneous(m, n, dist, seed=s)
+            ratio = majorant_sum(P, 1.0) / torusnorm._finest_upper(P)[0]
+            if ratio > best:
+                best, witness = ratio, P.coeffs
+        assert sb.lower_search == best
+        assert sb.witness.coeffs == witness
+
     @given(m=st.integers(2, 4), n=st.integers(2, 4), budget=st.integers(1, 6),
            seed=st.integers(0, 2**32 - 1), strategy=st.sampled_from(sidonbohr.SEARCH_STRATEGIES))
     @settings(max_examples=20, deadline=None)
-    def test_certified_lower_is_under_the_screen_and_the_upper_bound(self, m, n, budget, seed, strategy):
-        sb = sidon_lower_search(m, n, budget=budget, seed=seed, strategy=strategy, iterations=40)
-        assert 1.0 <= sb.lower_search <= sb.screen_ratio * (1 + REL_TOL)
-        assert sb.lower_search <= sb.upper_best
+    def test_certified_lower_is_at_least_one_and_under_the_upper_bound(self, m, n, budget, seed, strategy):
+        sb = sidon_lower_search(m, n, budget=budget, seed=seed, strategy=strategy)
+        assert 1.0 <= sb.lower_search <= sb.upper_best
         assert sb.lower_search == majorant_sum(sb.witness, 1.0) / torusnorm._finest_upper(sb.witness)[0]
 
     def test_validation(self):
