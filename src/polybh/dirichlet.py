@@ -7,9 +7,11 @@ the imaginary axis s = it each z_j = p_j^{-it} is unimodular, and since the
 numbers log p_j are rationally independent the line orbit is dense in the
 torus (Kronecker); the sup of |Q| over the line therefore equals the sup of
 the lifted polynomial over the torus.  That equivalence is adopted here as a
-documented modeling assumption: :func:`dirichlet_sup` takes the torus sup of
-the lift.  A finite scan of |Q(it)| (:func:`evaluate_line`) can approach but
-never exceed it.
+documented modeling assumption: :func:`dirichlet_sup` brackets the torus sup
+of the lift.  A lift term with a prime that no other term uses adds exactly
+its |a_n| to that sup, so the bracket removes those terms first and runs its
+ascent and its certified upper bound on the rest.  A finite scan of |Q(it)|
+(:func:`evaluate_line`) can approach but never exceed the sup.
 
 The Sidon constant S(N) is the best C with sum |a_n| <= C sup_t |Q(it)|.
 Tiny N admit brute-force values on the lift (at most four variables for
@@ -22,6 +24,7 @@ sum |a_n| n^{-1/2} exp{c sqrt(log n log log n)}.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -32,8 +35,8 @@ import numpy as np
 from .indexcore import exponent_to_index
 from .polyalgebra import DENSE_ENTRIES_MAX, check_entries
 from .polyalgebra import GeneralPolynomial, HomogeneousPolynomial, Polynomial, _finite, _json_complex, _json_field
-from .polyalgebra import majorant_sum, monomials
-from .torusnorm import SupNormEstimate, _bernstein_factor, sup_lower, sup_lower_each
+from .polyalgebra import evaluate, majorant_sum, monomials, term_arrays
+from .torusnorm import SupNormEstimate, _bernstein_factor, _certified_upper, _finite_bound, sup_lower, sup_lower_each
 
 __all__ = [
     "DirichletPolynomial",
@@ -155,22 +158,26 @@ def bohr_lift(Q: DirichletPolynomial) -> LiftResult:
     are capped by ``DENSE_ENTRIES_MAX`` (see :func:`_lift_primes`)."""
     plist = _lift_primes(Q.N, len(Q.coeffs))
     nv = len(plist)
+    monomial_map: dict[int, tuple[int, ...]] = {}
+    for nn in Q.coeffs:
+        alpha = factorize(nn)
+        monomial_map[nn] = alpha + (0,) * (nv - len(alpha))
+    return LiftResult(_from_terms(nv, zip(monomial_map.values(), Q.coeffs.values())), plist, monomial_map)
+
+
+def _from_terms(n: int, terms: Iterable[tuple[Sequence[int], complex]]) -> GeneralPolynomial:
+    """The polynomial sum c z^alpha in n variables of the (alpha, c) pairs
+    ``terms``, each alpha distinct; alpha = 0 is the constant term."""
     a0 = 0j
     by_degree: dict[int, dict[tuple[int, ...], complex]] = {}
-    monomial_map: dict[int, tuple[int, ...]] = {}
-    for nn, c in Q.coeffs.items():
-        alpha = factorize(nn)
-        alpha = alpha + (0,) * (nv - len(alpha))
-        monomial_map[nn] = alpha
+    for alpha, c in terms:
         degree = sum(alpha)
         if degree == 0:
             a0 += c
         else:
             by_degree.setdefault(degree, {})[exponent_to_index(alpha)] = c
-    parts = {
-        deg: HomogeneousPolynomial(deg, nv, table) for deg, table in by_degree.items() if nv > 0
-    }
-    return LiftResult(GeneralPolynomial(nv, parts, a0), plist, monomial_map)
+    parts = {deg: HomogeneousPolynomial(deg, n, table) for deg, table in by_degree.items()}
+    return GeneralPolynomial(n, parts, a0)
 
 
 def dirichlet_l1(Q: DirichletPolynomial) -> float:
@@ -185,17 +192,77 @@ def evaluate_line(Q: DirichletPolynomial, t: float) -> complex:
     return complex((monomials(np.array([[-float(t)]]), logs) @ cs)[0])
 
 
-def dirichlet_sup(Q: DirichletPolynomial, seed: int = 0) -> SupNormEstimate:
-    """Estimate sup_t |Q(it)| as the torus sup of the Bohr lift.
+def _private_terms(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the exponent matrix ``A`` (K terms x n variables) that
+    have a variable no other term uses, in one pass over ``A``: their row
+    indices, ascending, and for each its first such variable."""
+    uses = A > 0
+    rows, cols = np.nonzero(uses & (uses.sum(axis=0) == 1))
+    rows, first = np.unique(rows, return_index=True)
+    return rows, cols[first]
 
-    Runs phase ascent (:func:`torusnorm.sup_lower`) on the lift; its value
-    is a lower bound of the line sup too, since the line orbit is dense in
-    the torus.  ``method`` is the ascent's, plus ``n_vars``, the number of
-    lift variables.
+
+def dirichlet_sup(Q: DirichletPolynomial, seed: int = 0) -> SupNormEstimate:
+    """Bracket sup_t |Q(it)| by the torus sup of the Bohr lift.
+
+    A term c z^alpha of the lift that has a variable v no other term uses
+    (a *private* variable; :func:`_private_terms` finds them, one pass over
+    the exponents) is removed: R is the sum of the remaining terms, in the
+    variables they use, and E the set of removed terms.  Then
+
+        sup |lift| = sup |R| + sum_{t in E} |c_t|.
+
+    Proof.  "<=": the triangle inequality, as each removed term has modulus
+    |c_t| on the torus.  ">=": take any phases theta of R's variables, put
+    the variables outside R and E's chosen private variables v_t at 0, and
+    let phi = arg R(theta) (0 where R(theta) = 0).  Term t has the phase
+    arg c_t + sum_j alpha_j theta_j, where theta_{v_t} enters with the
+    coefficient alpha_{v_t} >= 1 and no other term contains v_t, so
+
+        theta_{v_t} = (phi - arg c_t - sum_{j != v_t} alpha_j theta_j) / alpha_{v_t}
+
+    gives term t the phase phi without moving any other term, one v_t
+    per term.  All terms of E then point along R(theta), and the lift is
+    |R(theta)| + sum_E |c_t| there.  Taking theta to R's maximisers
+    gives ">=".
+
+    The ascent (:func:`torusnorm.sup_lower`, 200 iterations) runs on R
+    with the start count of the full lift, max(1, 8 pi(N)), and ``seed``;
+    no ascent runs when R has no term.  ``argmax`` is the witness above on
+    the full lift, built from the ascent's theta*, and ``lower`` is |lift|
+    there (:func:`polyalgebra.evaluate`): |R(theta*)| + sum_E |c_t| up to
+    rounding, a lower bound of the line sup too, since the line orbit is
+    dense in the torus.  ``upper`` is :func:`torusnorm.certified_upper` of
+    R plus sum_E |c_t|, an upper bound of sup |lift| by the identity.  It
+    is never above the coefficient sum sum |c| (:func:`dirichlet_l1`):
+    where R's bound is R's coefficient sum, ``upper`` is sum |c| itself,
+    and otherwise the smaller of the two, so the rounding of the addition
+    cannot lift it above.  ``method`` is the ascent's, plus ``n_vars``
+    (lift variables), ``removed_terms`` (|E|), ``ascent_vars`` (R's
+    variables) and ``upper_how`` (the grid's ``method`` dict, or
+    "coefficient-sum").
     """
     lift = bohr_lift(Q)
-    est = sup_lower(lift.poly, seed=seed)
-    return SupNormEstimate(est.lower, None, est.argmax, {**est.method, "n_vars": lift.poly.n})
+    A, c = term_arrays(lift.poly)
+    rows, private = _private_terms(A)
+    AR, cR = np.delete(A, rows, axis=0), np.delete(c, rows)
+    r_vars = np.flatnonzero(AR.any(axis=0))
+    AR = AR[:, r_vars]
+    R = _from_terms(len(r_vars), zip(AR.tolist(), cR.tolist()))
+    est = sup_lower(R, starts=max(1, 8 * lift.poly.n), seed=seed)
+    r_value = complex(monomials(est.argmax, AR) @ cR)
+    theta = np.zeros(lift.poly.n)
+    theta[r_vars] = est.argmax
+    phi = cmath.phase(r_value) if r_value else 0.0
+    # Every private variable is still 0 here and lies in its own term alone.
+    theta[private] = np.mod((phi - np.angle(c[rows]) - A[rows] @ theta) / A[rows, private], 2.0 * math.pi)
+    lower = _finite_bound(abs(evaluate(lift.poly, np.exp(1j * theta))), "sup |Q| lower bound")
+    upper, how = _certified_upper(R)
+    l1 = dirichlet_l1(Q)
+    upper = l1 if how == "coefficient-sum" else min(upper + math.fsum(abs(x) for x in c[rows].tolist()), l1)
+    method = {**est.method, "n_vars": lift.poly.n, "removed_terms": len(rows), "ascent_vars": len(r_vars),
+              "upper_how": how}
+    return SupNormEstimate(lower, upper, theta, method)
 
 
 # ----------------------------------------------------------------------

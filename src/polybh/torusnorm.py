@@ -432,6 +432,12 @@ def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
     x = 1/4, less where h_eff = 2 pi / L is below h).  The grid runs only when
     its evaluated points (see :func:`_lattice`) are at most
     ``CERTIFIED_UPPER_POINTS``; OverflowError only if neither is finite."""
+    return _certified_upper(P, target_correction)[0]
+
+
+def _certified_upper(P: Polynomial, target_correction: float = 0.25) -> tuple[float, dict | str]:
+    """The bound of :func:`certified_upper` and how it was found: the grid's
+    ``method`` dict, or "coefficient-sum"."""
     if not 0.0 < target_correction < 1.0:  # NaN too
         raise ValueError(f"target_correction must be in (0, 1), got {target_correction}")
 
@@ -439,7 +445,7 @@ def certified_upper(P: Polynomial, target_correction: float = 0.25) -> float:
         h = 2.0 * target_correction / degree
         return (h, *_lattice(A, h, CERTIFIED_UPPER_POINTS))
 
-    return _upper_bound(P, lattice)[0]
+    return _upper_bound(P, lattice)
 
 
 def _finest_upper(P: Polynomial) -> tuple[float, dict | str]:

@@ -26,7 +26,7 @@ from polybh.dirichlet import (
     SMALL_GRID_POINTS,
     to_json_dict,
 )
-from polybh.polyalgebra import evaluate, majorant_sum
+from polybh.polyalgebra import evaluate, majorant_sum, term_arrays
 from polybh.torusnorm import sup_lower
 
 
@@ -164,7 +164,7 @@ class TestDirichletSup:
             est = dirichlet_sup(Q, seed=case)
             logs = np.log(np.array(list(Q.coeffs), dtype=float))
             scan = float(np.max(np.abs(np.exp(-1j * np.outer(ts, logs)) @ np.array(list(Q.coeffs.values())))))
-            assert scan <= est.lower * (1 + 1e-6)  # est.lower is the lift's ascent (next test)
+            assert scan <= est.lower * (1 + 1e-6)  # est.lower is a value of the lift (see below)
             # spot-check raw line values as well, against the explicit sum
             t = float(rng.uniform(0, 50))
             assert abs(evaluate_line(Q, t)) <= est.lower * (1 + 1e-9)
@@ -175,7 +175,10 @@ class TestDirichletSup:
         # Its log table used to have shape (0,), which the line kernel refused.
         assert evaluate_line(DirichletPolynomial(5, {}), 1.0) == 0j
 
-    def test_lower_is_the_lift_ascent(self):
+    def test_lower_is_the_rest_ascent_plus_the_removed_sum(self):
+        # The split is recomputed here from the factorizations: a term is
+        # removed when a prime divides it and no other term, and R keeps the
+        # other terms in the primes they use, in increasing order.
         rng = np.random.default_rng(12)
         for seed in range(6):
             N = int(rng.integers(2, 120))
@@ -183,9 +186,98 @@ class TestDirichletSup:
                       for k in rng.choice(np.arange(1, N + 1), size=min(N, 12), replace=False)}
             Q = DirichletPolynomial(N, coeffs)
             est = dirichlet_sup(Q, seed=seed)
-            ascent = sup_lower(bohr_lift(Q).poly, seed=seed)
-            assert est.lower.hex() == ascent.lower.hex()
-            assert est.method == {**ascent.method, "n_vars": len(bohr_lift(Q).primes)}
+            primes = primes_up_to(N)
+            users = {p: [k for k in Q.coeffs if k % p == 0] for p in primes}
+            removed = [k for k in Q.coeffs if any(users[p] == [k] for p in primes)]
+            kept = [k for k in Q.coeffs if k not in removed]
+            r_primes = [p for p in primes if any(k % p == 0 for k in kept)]
+            exps = [tuple(dict(zip(primes, factorize(k))).get(p, 0) for p in r_primes) for k in kept]
+            R = dirichlet._from_terms(len(r_primes), zip(exps, (Q.coeffs[k] for k in kept)))
+            ascent = sup_lower(R, starts=max(1, 8 * len(primes)), seed=seed)
+            removed_sum = math.fsum(abs(Q.coeffs[k]) for k in removed)
+            assert est.lower == pytest.approx(ascent.lower + removed_sum, rel=1e-12, abs=0.0)
+            replay = abs(evaluate(bohr_lift(Q).poly, np.exp(1j * est.argmax)))
+            assert replay == pytest.approx(est.lower, rel=1e-12, abs=0.0)
+            assert 0.0 < est.lower <= est.upper <= dirichlet_l1(Q)
+            assert est.method == {**ascent.method, "n_vars": len(primes), "removed_terms": len(removed),
+                                  "ascent_vars": len(r_primes), "upper_how": est.method["upper_how"]}
+            assert est.method["starts"] == max(1, 8 * len(primes))  # the full lift's, as before the split
+
+    def test_upper_is_the_rest_bound_plus_the_removed_sum(self):
+        # 2, 3, 6 share their primes; 5 and 7 are removed.  R = a + b z_2 +
+        # c z_3 + d z_2 z_3 is small enough for certified_upper's grid.
+        Q = DirichletPolynomial(7, {1: 1.0, 2: 0.5j, 3: -0.7, 6: 0.4 + 0.3j, 5: 2.0, 7: -1.5j})
+        est = dirichlet_sup(Q, seed=1)
+        R = dirichlet._from_terms(2, [((0, 0), 1.0), ((1, 0), 0.5j), ((0, 1), -0.7), ((1, 1), 0.4 + 0.3j)])
+        assert est.method["removed_terms"] == 2 and est.method["ascent_vars"] == 2
+        assert est.method["upper_how"] == torusnorm._certified_upper(R)[1] != "coefficient-sum"
+        assert est.upper == torusnorm.certified_upper(R) + 3.5 < dirichlet_l1(Q)
+        assert est.lower <= est.upper
+
+    def test_zero_polynomial(self):
+        est = dirichlet_sup(DirichletPolynomial(5, {}), seed=0)
+        assert (est.lower, est.upper) == (0.0, 0.0)
+        assert est.argmax.tolist() == [0.0, 0.0, 0.0]
+        assert est.method["starts"] == 0 and est.method["removed_terms"] == est.method["ascent_vars"] == 0
+
+    def test_constant_alone(self):
+        # n = 1 lifts to the constant term: nothing to remove, no variable moves.
+        est = dirichlet_sup(DirichletPolynomial(7, {1: 2.0 - 1.0j}), seed=0)
+        assert est.lower == est.upper == abs(2.0 - 1.0j)
+        assert est.method["removed_terms"] == 0 and est.method["ascent_vars"] == 0
+        assert est.method["upper_how"] == "coefficient-sum"
+
+    def test_every_term_removed(self):
+        # Each prime is private: the sup is the coefficient sum, reached with no ascent.
+        Q = DirichletPolynomial(5, {2: 1.0, 3: 1.0, 5: 1.0})
+        est = dirichlet_sup(Q, seed=0)
+        assert est.lower == est.upper == 3.0 == dirichlet_l1(Q)
+        assert est.method["removed_terms"] == 3 and est.method["ascent_vars"] == 0
+        assert est.method["starts"] == est.method["iterations_run"] == 0
+        assert est.argmax.tolist() == [0.0, 0.0, 0.0]
+
+    def test_two_private_variables(self):
+        # 6 = 2 * 3 owns both of its primes: one of them aligns it, the other stays 0.
+        Q = DirichletPolynomial(6, {1: 1.0, 6: 1.0j})
+        est = dirichlet_sup(Q, seed=0)
+        assert est.method["removed_terms"] == 1 and est.method["ascent_vars"] == 0
+        assert est.lower == pytest.approx(2.0, rel=1e-15) and est.upper == 2.0
+        assert sum(1 for x in est.argmax if x != 0.0) == 1
+        assert abs(evaluate(bohr_lift(Q).poly, np.exp(1j * est.argmax))) == est.lower
+
+
+@st.composite
+def sparse_polys(draw):
+    """Sparse general polynomials in 1 to 3 variables, total degree at most 3,
+    as (n, [(alpha, c), ...])."""
+    n = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(lambda a: sum(a) <= 3),
+                         min_size=1, max_size=5, unique=True))
+    coeff = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False).filter(
+        lambda c: abs(c) > 1e-3)
+    return n, [(a, draw(coeff)) for a in exps]
+
+
+class TestPrivateSplit:
+    @given(sparse_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_brackets_of_P_and_of_the_rest_plus_the_removed_sum_overlap(self, drawn):
+        # sup |P| = sup |R| + sum_E |c|: certified brackets of the two sides must meet.
+        n, terms = drawn
+        P = dirichlet._from_terms(n, terms)
+        A, c = term_arrays(P)
+        rows, _ = dirichlet._private_terms(A)
+        assume(len(rows))  # P has a term that owns a variable
+        AR, cR = np.delete(A, rows, axis=0), np.delete(c, rows)
+        r_vars = np.flatnonzero(AR.any(axis=0))
+        R = dirichlet._from_terms(len(r_vars), zip(AR[:, r_vars].tolist(), cR.tolist()))
+        removed_sum = math.fsum(abs(x) for x in c[rows].tolist())
+        step = 1.0 / max(1, int(A.sum(axis=1).max()))  # x = D h / 2 = 1/2 at most
+        whole = torusnorm.sup_certified(P, step)
+        rest = torusnorm.sup_certified(R, step)
+        slack = 1e-12 * (1.0 + majorant_sum(P, 1.0))
+        assert whole.lower <= rest.upper + removed_sum + slack
+        assert rest.lower + removed_sum <= whole.upper + slack
 
 
 class TestSidonN:
